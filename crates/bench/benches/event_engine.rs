@@ -1,6 +1,6 @@
 //! Event-driven vs. cycle-stepped simulation throughput.
 //!
-//! The event-driven `Network` and the frozen cycle-stepped
+//! The event-driven `Network` and the full-scan cycle-stepped
 //! `ReferenceNetwork` are semantically bit-identical (the
 //! `event_engine_differential` test proves it); this bench measures what
 //! the worklist core buys:
@@ -14,8 +14,8 @@
 //!   within noise of each other;
 //! * **scheduled** injection — sessions released far apart via
 //!   `inject_at`, where the event core additionally fast-forwards the
-//!   idle spans (no reference counterpart: the cycle-stepped engine would
-//!   step through every gap cycle).
+//!   idle spans (no reference counterpart: the case times the event
+//!   core's fast-forward alone).
 
 use noctest_bench::harness::Runner;
 use noctest_noc::{Network, NocConfig, NodeId, Packet, ReferenceNetwork};

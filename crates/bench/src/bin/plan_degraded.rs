@@ -9,7 +9,7 @@
 //!   rate (the `fault_axis` section), win rates and the typed failures.
 //!   Everything is a pure function of the seed: the binary runs the
 //!   corpus **twice** and gates on the two deterministic sections being
-//!   byte-identical, and `ci/plan_degraded_smoke.sh` repeats the check
+//!   byte-identical, and `ci/bench_smoke.sh` repeats the check
 //!   across processes. The section is printed alone on stdout.
 //! * `report.measured` — wall-clock throughput and profile-cache
 //!   counters, machine-dependent and never part of any gate.

@@ -27,7 +27,7 @@
 //! * `deterministic` — per-pair edit kinds, content hashes, donors, edit
 //!   distances, seed provenance, expansion counts and FNV-1a schedule
 //!   digests, plus the session totals. Everything here is a pure
-//!   function of the seed — `ci/plan_delta_smoke.sh` byte-compares the
+//!   function of the seed — `ci/bench_smoke.sh` byte-compares the
 //!   stdout copy of this section across two runs.
 //! * `measured` — wall-clock micros per pipeline and pair. Machine-
 //!   dependent, never part of the smoke gate.

@@ -3,38 +3,42 @@
 //! Plans a corpus fidelity sweep — the full generated corpus plus the
 //! degraded-mesh smoke corpus, or trimmed smoke variants of both under
 //! `--smoke` — with replay work *deferred*, then drains the collected
-//! (system, schedule) pairs twice:
+//! (system, schedule) pairs three ways, all on the live engine:
 //!
 //! * **sequential** — one schedule at a time through
-//!   [`noctest_core::replay_schedule_baseline`], i.e. the **frozen**
-//!   pre-batch engine (`noctest_noc::BaselineNetwork`). The baseline is
-//!   pinned to the seed engine so the measured speedup reflects the
-//!   whole refactor — struct-of-arrays lanes, the shared event arena and
-//!   busy-cycle skipping — not a handicapped rewrite of the staging code.
-//! * **batched** — all schedules lane-parallel through one
-//!   [`ReplayBatch`] (grouped by mesh and fault class, one
-//!   `BatchNetwork` per chunk).
+//!   [`noctest_core::replay_schedule`], the path `plan-serve` takes;
+//! * **1-lane** — every schedule through one [`ReplayBatch`] capped at a
+//!   single lane, so identical replays are merged but nothing runs
+//!   lane-parallel;
+//! * **batched** — the same [`ReplayBatch`] at `--lanes` lanes (grouped
+//!   by mesh and fault class, one `BatchNetwork` per chunk).
+//!
+//! The measured section reports the two factors separately: the
+//! **dedup factor** (sequential ÷ 1-lane, the gain from simulating each
+//! distinct replay once) and the **lane factor** (1-lane ÷ batched, the
+//! gain from lanes), with the machine's core count beside them.
 //!
 //! `BENCH_replay.json` carries two sections:
 //!
 //! * `deterministic` — per-scenario FNV-1a digests of every replay
 //!   result plus a combined digest, a pure function of the seed. The
 //!   binary batches **twice** and gates on digest equality, and
-//!   `ci/replay_bench_smoke.sh` repeats the byte-check across
-//!   processes. The section is printed alone on stdout.
-//! * `measured` — wall-clock sequential and batched replay times (the
-//!   faster of two passes each, discarding host scheduling stalls) and
-//!   the speedup, machine-dependent.
+//!   `ci/bench_smoke.sh` repeats the byte-check across processes. The
+//!   section is printed alone on stdout.
+//! * `measured` — wall-clock sequential, 1-lane and batched replay times
+//!   (the faster of two passes each, discarding host scheduling stalls),
+//!   the two factors and the overall speedup, machine-dependent.
 //!
-//! Internal gates (exit 1): any batched result differing from its
-//! sequential twin (the byte-identity wall), nondeterminism between the
-//! two batched runs, and — in full mode only, where the committed
-//! artefact is produced — a batched-vs-sequential speedup below 4x.
-//! Usage errors exit 2.
+//! Internal gates (exit 1): any 1-lane or batched result differing from
+//! its sequential twin (the byte-identity wall), nondeterminism between
+//! the two batched runs, fewer than 2.5 pushed replays per distinct
+//! simulation (deterministic), and — in full mode only, where the
+//! committed artefact is produced — a batched-vs-sequential speedup
+//! below 2x. Usage errors exit 2.
 //!
 //! ```text
 //! cargo run --release -p noctest-bench --bin replay-bench -- --smoke
-//! cargo run --release -p noctest-bench --bin replay-bench            # full + 4x gate
+//! cargo run --release -p noctest-bench --bin replay-bench            # full + 2x gate
 //! ```
 
 use std::process::ExitCode;
@@ -43,7 +47,7 @@ use std::time::Instant;
 use noctest_core::json::Json;
 use noctest_core::plan::exec::{Executor, JobResult};
 use noctest_core::plan::DeferredFidelity;
-use noctest_core::{replay_schedule_baseline, ReplayBatch, ScheduleReplay};
+use noctest_core::{replay_schedule, ReplayBatch, ScheduleReplay};
 use noctest_gen::CorpusSpec;
 use noctest_noc::NocError;
 
@@ -91,9 +95,9 @@ fn parse_args() -> Result<Option<Config>, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: replay-bench [--smoke] [--seed S] [--lanes N] [--out PATH]\n\
-                     replays the corpus fidelity sweep sequentially (frozen baseline engine)\n\
-                     and lane-parallel (BatchNetwork), byte-checks the two, and writes\n\
-                     BENCH_replay.json (per-scenario digests + measured speedup, 4x gate)"
+                     replays the corpus fidelity sweep sequentially, through a 1-lane and an\n\
+                     N-lane ReplayBatch, byte-checks all three, and writes BENCH_replay.json\n\
+                     (per-scenario digests + measured dedup and lane factors, 2x gate)"
                 );
                 return Ok(None);
             }
@@ -226,62 +230,50 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Each engine is timed over two full passes and the faster pass is
-    // kept. Both replay paths are deterministic, so the passes do
-    // identical work; the minimum discards scheduling stalls the shared
-    // benchmark host injects into a single pass, symmetrically for both
-    // sides of the ratio.
-    let run_seq = || -> Vec<Result<ScheduleReplay, NocError>> {
+    // Each path is timed over two full passes and the faster pass is
+    // kept. Every path is deterministic, so the passes do identical work;
+    // the minimum discards scheduling stalls the shared benchmark host
+    // injects into a single pass, symmetrically for every ratio.
+    let (sequential, _, sequential_micros) = timed_twice(|| {
         items
             .iter()
-            .map(|(_, work)| replay_schedule_baseline(&work.sys, &work.schedule, work.patterns_cap))
-            .collect()
-    };
-    let t_seq = Instant::now();
-    let sequential = run_seq();
-    let mut sequential_micros = t_seq.elapsed().as_micros() as u64;
-    let t_seq = Instant::now();
-    std::hint::black_box(run_seq());
-    sequential_micros = sequential_micros.min(t_seq.elapsed().as_micros() as u64);
-
-    // Batched: every schedule lane-parallel through one ReplayBatch.
-    let assemble = || {
-        let mut batch = ReplayBatch::with_max_lanes(config.lanes);
+            .map(|(_, work)| replay_schedule(&work.sys, &work.schedule, work.patterns_cap))
+            .collect::<Vec<_>>()
+    });
+    let assemble = |lanes: usize| {
+        let mut batch = ReplayBatch::with_max_lanes(lanes);
         for (_, work) in &items {
             batch.push(&work.sys, &work.schedule, work.patterns_cap);
         }
         batch
     };
-    let unique_replays = assemble().unique_replays();
-    let run_batch = || assemble().run();
-    let t_batch = Instant::now();
-    let batched = run_batch();
-    let mut batched_micros = t_batch.elapsed().as_micros() as u64;
+    let pushed = items.len();
+    let unique_replays = assemble(config.lanes).unique_replays();
+    let (one_lane, _, one_lane_micros) = timed_twice(|| assemble(1).run());
+    let (batched, rerun, batched_micros) = timed_twice(|| assemble(config.lanes).run());
     let mut failures = 0u32;
 
-    // The byte-identity wall: every batched result must equal its
-    // sequential twin exactly (per-session fields included).
-    for ((name, _), (seq, bat)) in items.iter().zip(sequential.iter().zip(&batched)) {
-        let identical = match (seq, bat) {
-            (Ok(a), Ok(b)) => a == b,
-            (Err(a), Err(b)) => format!("{a:?}") == format!("{b:?}"),
-            _ => false,
-        };
-        if !identical {
-            eprintln!("replay-bench: batched replay diverges from the baseline on `{name}`");
-            failures += 1;
+    // The byte-identity wall: every 1-lane and batched result must equal
+    // its sequential twin exactly (per-session fields included).
+    for (path, results) in [("1-lane", &one_lane), ("batched", &batched)] {
+        for ((name, _), (seq, got)) in items.iter().zip(sequential.iter().zip(results)) {
+            let identical = match (seq, got) {
+                (Ok(a), Ok(b)) => a == b,
+                (Err(a), Err(b)) => format!("{a:?}") == format!("{b:?}"),
+                _ => false,
+            };
+            if !identical {
+                eprintln!("replay-bench: {path} replay diverges from sequential on `{name}`");
+                failures += 1;
+            }
         }
     }
 
-    // Determinism: a second batched run must reproduce every digest.
-    // The rerun doubles as the batch path's second timing pass.
+    // Determinism: the second batched pass must reproduce every digest.
     let digests: Vec<u64> = batched
         .iter()
         .map(|r| fnv1a(render(r).as_bytes(), FNV_OFFSET))
         .collect();
-    let t_batch = Instant::now();
-    let rerun = run_batch();
-    batched_micros = batched_micros.min(t_batch.elapsed().as_micros() as u64);
     let rerun_digests: Vec<u64> = rerun
         .iter()
         .map(|r| fnv1a(render(r).as_bytes(), FNV_OFFSET))
@@ -294,21 +286,29 @@ fn main() -> ExitCode {
         .iter()
         .fold(FNV_OFFSET, |acc, d| fnv1a(&d.to_le_bytes(), acc));
 
-    let speedup = if batched_micros == 0 {
-        0.0
-    } else {
-        sequential_micros as f64 / batched_micros as f64
-    };
+    // The dedup gate is a pure function of the corpus: each distinct
+    // simulation must stand for at least 2.5 pushed replays on average.
+    if (pushed as f64) < 2.5 * unique_replays as f64 {
+        eprintln!(
+            "replay-bench: {pushed} pushed replays merge into {unique_replays} simulations, \
+             below the 2.5x dedup gate"
+        );
+        failures += 1;
+    }
+    let dedup_factor = ratio(sequential_micros, one_lane_micros);
+    let lane_factor = ratio(one_lane_micros, batched_micros);
+    let speedup = ratio(sequential_micros, batched_micros);
     // The throughput gate applies to the full sweep (the committed
     // artefact): the smoke run exists to byte-check determinism in CI,
     // where wall-clock is deliberately never a gate.
-    if !config.smoke && speedup < 4.0 {
+    if !config.smoke && speedup < 2.0 {
         eprintln!(
-            "replay-bench: batched speedup {speedup:.2}x is below the 4x gate \
+            "replay-bench: batched speedup {speedup:.2}x is below the 2x gate \
              ({sequential_micros}us sequential vs {batched_micros}us batched)"
         );
         failures += 1;
     }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let replay_errors = batched.iter().filter(|r| r.is_err()).count();
     let deterministic = Json::obj(vec![
@@ -355,16 +355,20 @@ fn main() -> ExitCode {
         (
             "measured",
             Json::obj(vec![
+                ("cores", Json::int(cores as u64)),
                 ("sequential_micros", Json::int(sequential_micros)),
+                ("one_lane_micros", Json::int(one_lane_micros)),
                 ("batched_micros", Json::int(batched_micros)),
+                ("dedup_factor", Json::Num(dedup_factor)),
+                ("lane_factor", Json::Num(lane_factor)),
                 ("speedup", Json::Num(speedup)),
                 (
                     "sequential_scenarios_per_second",
-                    Json::Num(rate(items.len(), sequential_micros)),
+                    Json::Num(ratio(pushed as u64 * 1_000_000, sequential_micros)),
                 ),
                 (
                     "batched_scenarios_per_second",
-                    Json::Num(rate(items.len(), batched_micros)),
+                    Json::Num(ratio(pushed as u64 * 1_000_000, batched_micros)),
                 ),
             ]),
         ),
@@ -378,11 +382,11 @@ fn main() -> ExitCode {
     // line: the smoke script runs the binary twice and byte-compares.
     println!("{}", deterministic.compact());
     eprintln!(
-        "replay-bench: {} replays, {}us sequential vs {}us batched ({speedup:.2}x) -> {}",
-        items.len(),
-        sequential_micros,
-        batched_micros,
-        config.out
+        "replay-bench: {pushed} replays ({unique_replays} unique) on {cores} core(s): \
+         {sequential_micros}us sequential, {one_lane_micros}us 1-lane, \
+         {batched_micros}us {} lanes (dedup {dedup_factor:.2}x, lanes {lane_factor:.2}x, \
+         overall {speedup:.2}x) -> {}",
+        config.lanes, config.out
     );
     if failures > 0 {
         eprintln!("replay-bench: {failures} gate failure(s)");
@@ -391,10 +395,22 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn rate(scenarios: usize, micros: u64) -> f64 {
-    if micros == 0 {
+/// Runs `pass` twice and returns both results with the faster of the two
+/// wall times, in microseconds.
+fn timed_twice<T>(pass: impl Fn() -> T) -> (T, T, u64) {
+    let start = Instant::now();
+    let first = pass();
+    let first_micros = start.elapsed().as_micros() as u64;
+    let start = Instant::now();
+    let second = pass();
+    let micros = first_micros.min(start.elapsed().as_micros() as u64);
+    (first, second, micros)
+}
+
+fn ratio(numerator: u64, denominator: u64) -> f64 {
+    if denominator == 0 {
         0.0
     } else {
-        scenarios as f64 * 1e6 / micros as f64
+        numerator as f64 / denominator as f64
     }
 }

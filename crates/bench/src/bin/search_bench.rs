@@ -8,7 +8,7 @@
 //!   proved/exhausted flags and FNV-1a schedule digests at a **pinned**
 //!   thread count (2). Everything in this section is a pure function of
 //!   the seed, so two runs on the same machine must produce identical
-//!   bytes — `ci/search_bench_smoke.sh` gates exactly that. The section
+//!   bytes — `ci/bench_smoke.sh` gates exactly that. The section
 //!   is also printed on stdout as one compact JSON line so the gate
 //!   never has to carve it out of the report file.
 //! * `measured` — wall-clock micros for the serial and parallel searches

@@ -84,7 +84,7 @@ pub use plan::{
 };
 pub use power::{PowerBudget, PowerModel};
 pub use replay::{
-    replay_concurrent_streams, replay_schedule, replay_schedule_baseline, replay_stimulus_stream,
+    replay_concurrent_streams, replay_schedule, replay_schedule_reference, replay_stimulus_stream,
     ConcurrentReplay, ReplayBatch, ScheduleReplay, SessionReplay, StreamReplay,
 };
 pub use sched::{

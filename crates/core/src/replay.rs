@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 
 use noctest_noc::{
     BatchNetwork, DeliveredPacket, LinkId, Network, NocConfig, NocError, NodeId, Packet,
-    RouteTable, RoutingKind,
+    ReferenceNetwork, RouteTable, RoutingKind,
 };
 
 use crate::cut::CutId;
@@ -46,52 +46,33 @@ use crate::interface::InterfaceId;
 use crate::sched::{Schedule, ScheduledTest};
 use crate::system::SystemUnderTest;
 
-/// The fault-application surface shared by the sequential and the batched
-/// simulator, so [`apply_faults`] is written once and cannot drift between
-/// the two paths.
+/// The fault-application surface shared by the sequential, the batched
+/// and the reference simulator, so [`apply_faults`] is written once and
+/// cannot drift between the paths. Faults on a batch are batch-wide:
+/// every lane of a batch shares one fault class by construction.
 trait FaultSink {
     fn kill_router(&mut self, node: NodeId) -> Result<(), NocError>;
     fn kill_link(&mut self, link: LinkId) -> Result<(), NocError>;
     fn set_route_table(&mut self, table: RouteTable) -> Result<(), NocError>;
 }
 
-impl FaultSink for Network {
-    fn kill_router(&mut self, node: NodeId) -> Result<(), NocError> {
-        Network::kill_router(self, node)
-    }
-    fn kill_link(&mut self, link: LinkId) -> Result<(), NocError> {
-        Network::kill_link(self, link)
-    }
-    fn set_route_table(&mut self, table: RouteTable) -> Result<(), NocError> {
-        Network::set_route_table(self, table)
-    }
+macro_rules! fault_sink {
+    ($($engine:ty),*) => {$(
+        impl FaultSink for $engine {
+            fn kill_router(&mut self, node: NodeId) -> Result<(), NocError> {
+                <$engine>::kill_router(self, node)
+            }
+            fn kill_link(&mut self, link: LinkId) -> Result<(), NocError> {
+                <$engine>::kill_link(self, link)
+            }
+            fn set_route_table(&mut self, table: RouteTable) -> Result<(), NocError> {
+                <$engine>::set_route_table(self, table)
+            }
+        }
+    )*};
 }
 
-impl FaultSink for noctest_noc::BaselineNetwork {
-    fn kill_router(&mut self, node: NodeId) -> Result<(), NocError> {
-        noctest_noc::BaselineNetwork::kill_router(self, node)
-    }
-    fn kill_link(&mut self, link: LinkId) -> Result<(), NocError> {
-        noctest_noc::BaselineNetwork::kill_link(self, link)
-    }
-    fn set_route_table(&mut self, table: RouteTable) -> Result<(), NocError> {
-        noctest_noc::BaselineNetwork::set_route_table(self, table)
-    }
-}
-
-// Faults on a batch are batch-wide: every lane of a batch shares one fault
-// class by construction.
-impl FaultSink for BatchNetwork {
-    fn kill_router(&mut self, node: NodeId) -> Result<(), NocError> {
-        BatchNetwork::kill_router(self, node)
-    }
-    fn kill_link(&mut self, link: LinkId) -> Result<(), NocError> {
-        BatchNetwork::kill_link(self, link)
-    }
-    fn set_route_table(&mut self, table: RouteTable) -> Result<(), NocError> {
-        BatchNetwork::set_route_table(self, table)
-    }
-}
+fault_sink!(Network, BatchNetwork, ReferenceNetwork);
 
 /// Applies the system's fault set (and its detour route table) to a fresh
 /// simulator, so the replay degrades exactly as the planner assumed. A
@@ -387,27 +368,24 @@ pub fn replay_schedule(
     Ok(finish_schedule(patterns_cap, staged.sessions, &delivered))
 }
 
-/// [`replay_schedule`] driven through the **frozen** pre-batch engine
-/// ([`noctest_noc::BaselineNetwork`]): identical staging, fault
-/// application and re-association, with only the simulation core swapped.
-/// This is the sequential baseline the `replay-bench` binary times the
-/// batched path against — pinned to the seed engine so the measured
-/// speedup reflects the whole engine refactor (struct-of-arrays lanes,
-/// the shared event arena and busy-cycle skipping), not a handicapped
-/// rewrite of the staging code. Its result must be byte-identical to
-/// [`replay_schedule`] and to [`ReplayBatch`]; `tests/batch_replay.rs`
-/// holds all three paths together.
+/// [`replay_schedule`] driven through the full-scan executable
+/// specification ([`ReferenceNetwork`]): identical staging, fault
+/// application and re-association, with only the simulation core
+/// swapped. It is far slower than the live engine and exists as the
+/// oracle: its result must be byte-identical to [`replay_schedule`] and
+/// to [`ReplayBatch`], and `tests/batch_replay.rs` holds all three paths
+/// together on healthy and degraded meshes.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors, exactly as [`replay_schedule`] does.
-pub fn replay_schedule_baseline(
+pub fn replay_schedule_reference(
     sys: &SystemUnderTest,
     schedule: &Schedule,
     patterns_cap: u32,
 ) -> Result<ScheduleReplay, NocError> {
     let patterns_cap = patterns_cap.max(1);
-    let mut net = noctest_noc::BaselineNetwork::new(transport_config(sys)?)?;
+    let mut net = ReferenceNetwork::new(transport_config(sys)?)?;
     apply_faults(sys, &mut net)?;
     let staged = stage_schedule(sys, schedule, patterns_cap, |packet, at| {
         net.inject_at(packet, at).map(|_| ())

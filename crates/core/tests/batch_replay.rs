@@ -2,15 +2,15 @@
 //! cases — healthy and degraded meshes, mixed schedulers and pattern
 //! caps — replayed through [`ReplayBatch`] at lane counts 1, 2, 7 and
 //! 48 must be **bit-identical** to the sequential [`replay_schedule`]
-//! path and to the frozen pre-batch [`replay_schedule_baseline`]
-//! engine, per-session fields included. A companion test pins
-//! [`noctest_noc::NetworkStats`] equality between the batch engine and
-//! the sequential `Network` over random traffic, so the cycle/idle
-//! accounting behind those sessions is held to the same wall.
+//! path and to [`replay_schedule_reference`], which drives the full-scan
+//! executable specification, per-session fields included. A companion
+//! test pins [`noctest_noc::NetworkStats`] equality between the batch
+//! engine and the sequential `Network` over random traffic, so the
+//! cycle/idle accounting behind those sessions is held to the same wall.
 
 use noctest_core::{
-    replay_schedule, replay_schedule_baseline, FaultRecipe, GreedyScheduler, ReplayBatch, Schedule,
-    ScheduleReplay, Scheduler, SerialScheduler, SystemBuilder, SystemUnderTest,
+    replay_schedule, replay_schedule_reference, FaultRecipe, GreedyScheduler, ReplayBatch,
+    Schedule, ScheduleReplay, Scheduler, SerialScheduler, SystemBuilder, SystemUnderTest,
 };
 use noctest_cpu::ProcessorProfile;
 use noctest_itc02::data;
@@ -109,11 +109,11 @@ fn batched_replay_is_bit_identical_across_lane_counts() {
         .iter()
         .map(|c| replay_schedule(&c.sys, &c.schedule, c.cap))
         .collect();
-    // The live sequential path and the frozen baseline engine must agree
-    // before either anchors the batch comparison.
+    // The live sequential path and the executable specification must
+    // agree before either anchors the batch comparison.
     for (i, case) in cases.iter().enumerate() {
-        let baseline = replay_schedule_baseline(&case.sys, &case.schedule, case.cap);
-        assert_identical(&baseline, &sequential[i], &format!("baseline, case {i}"));
+        let reference = replay_schedule_reference(&case.sys, &case.schedule, case.cap);
+        assert_identical(&reference, &sequential[i], &format!("reference, case {i}"));
     }
     for lanes in [1usize, 2, 7, 48] {
         let mut batch = ReplayBatch::with_max_lanes(lanes);

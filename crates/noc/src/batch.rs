@@ -3,11 +3,11 @@
 //!
 //! [`BatchNetwork`] is *the* cycle-level engine — [`crate::Network`] is its
 //! 1-lane view, so the sequential path is not a fork of this code. The
-//! engine owes byte-identity to two frozen anchors:
+//! engine owes byte-identity to one oracle,
 //! [`crate::reference::ReferenceNetwork`] (the full-scan executable
-//! specification) and [`crate::baseline::BaselineNetwork`] (the pre-batch
-//! event-driven engine); differential tests hold all three to the same
-//! [`DeliveredPacket`] records, energy charges, stats and link counters.
+//! specification): differential tests hold the two to the same
+//! [`DeliveredPacket`] records, energy charges and link counters, on raw
+//! traffic and on whole-schedule replays over degraded meshes.
 //!
 //! # Layout
 //!
@@ -82,7 +82,7 @@ use crate::config::NocConfig;
 use crate::error::NocError;
 use crate::flit::{Flit, FlitKind, Packet, PacketId};
 use crate::geometry::Direction;
-use crate::network::DeliveredPacket;
+use crate::network::{DeliveredPacket, InFlight};
 use crate::power::EnergyLedger;
 use crate::router::paced_ready_at;
 use crate::stats::NetworkStats;
@@ -105,17 +105,6 @@ const LOCAL: usize = 4;
 const RING: usize = 16;
 /// Per-node dense link-counter slots: E/W/N/S cardinal + ejection.
 const LINK_SLOTS: usize = 5;
-
-#[derive(Debug, Clone)]
-struct InFlight {
-    src: NodeId,
-    dest: NodeId,
-    tag: u64,
-    injected_at: u64,
-    head_delivered_at: Option<u64>,
-    flits: u32,
-    flits_delivered: u32,
-}
 
 /// A packet waiting on a lane's event heap for its release cycle; the flit
 /// payload lives in the shared arena under `slot`.
@@ -248,9 +237,8 @@ pub struct BatchNetwork {
 
     // Batch-wide fault and routing state (lanes share one topology).
     dead_routers: BTreeSet<usize>,
-    dead_links: BTreeSet<LinkId>,
     /// Per-node mask of faulty outgoing cardinal links (bit = direction
-    /// index), the dense mirror of `dead_links` the switch stage reads.
+    /// index), the fault state the switch stage reads.
     dead_out: Vec<u8>,
     route_table: Option<RouteTable>,
 
@@ -337,7 +325,6 @@ impl BatchNetwork {
             arena: Vec::new(),
             arena_free: Vec::new(),
             dead_routers: BTreeSet::new(),
-            dead_links: BTreeSet::new(),
             dead_out: vec![0; nodes],
             route_table: None,
             scratch: Vec::new(),
@@ -496,7 +483,6 @@ impl BatchNetwork {
         if !link.into_core {
             self.dead_out[link.from.index()] |= 1 << link.dir.index();
         }
-        self.dead_links.insert(link);
         Ok(())
     }
 
@@ -1281,28 +1267,6 @@ impl BatchNetwork {
         }
     }
 
-    /// Router-to-router hops a packet travelled: the Manhattan distance
-    /// under algorithmic (minimal) routing, or the length of the next-hop
-    /// chain when a detour table is installed.
-    fn routed_hops(&self, src: NodeId, dest: NodeId) -> u32 {
-        let Some(table) = &self.route_table else {
-            return self.config.mesh().distance(src, dest);
-        };
-        let mesh = self.config.mesh();
-        let mut here = src;
-        let mut hops = 0;
-        while here != dest {
-            let dir = table
-                .next_hop(here, dest)
-                .expect("delivered packet had a route");
-            debug_assert_ne!(dir, Direction::Local);
-            here = mesh.neighbor(here, dir).expect("route left the mesh");
-            hops += 1;
-            debug_assert!(hops <= mesh.len() as u32, "route table cycles");
-        }
-        hops
-    }
-
     fn record_ejection(&mut self, lane: usize, flit: Flit) {
         let now = self.now[lane];
         let idx = flit.packet.value() as usize;
@@ -1327,7 +1291,7 @@ impl BatchNetwork {
                 injected_at: record.injected_at,
                 head_delivered_at: head_at,
                 tail_delivered_at: now,
-                hops: self.routed_hops(record.src, record.dest),
+                hops: record.hops(self.config.mesh(), self.route_table.as_ref()),
                 flits: record.flits,
             };
             let stats = &mut self.stats[lane];

@@ -10,11 +10,12 @@
 //! * dimension-ordered **XY routing** (plus YX and West-First variants for
 //!   ablation studies) in [`routing`],
 //! * **wormhole switching** with credit-based flow control in [`router`] and
-//!   [`network`] — driven by an event-/worklist-based core that gives idle
-//!   routers, empty FIFOs and paced injectors zero per-cycle cost and
-//!   fast-forwards fully idle spans (the frozen cycle-stepped loop survives
-//!   in [`mod@reference`] as the executable specification both engines are
-//!   differentially tested against),
+//!   [`network`] — driven by one event-driven core ([`batch`], with
+//!   [`Network`] as its one-lane view) that gives idle routers, empty FIFOs
+//!   and paced injectors zero per-cycle cost and fast-forwards fully idle
+//!   spans (the full-scan cycle-stepped loop survives in [`mod@reference`]
+//!   as the executable specification the core is differentially tested
+//!   against),
 //! * a configurable performance characterisation — *routing latency* (the
 //!   intra-router cycles needed to set up a connection for a header flit) and
 //!   *flow-control latency* (the inter-router cycles needed to forward each
@@ -52,7 +53,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod baseline;
 pub mod batch;
 pub mod characterize;
 pub mod config;
@@ -70,7 +70,6 @@ pub mod table;
 pub mod topology;
 pub mod traffic;
 
-pub use baseline::BaselineNetwork;
 pub use batch::BatchNetwork;
 pub use characterize::{characterize, NocCharacterization};
 pub use config::{NocConfig, NocConfigBuilder};

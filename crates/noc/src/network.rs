@@ -22,16 +22,15 @@
 //!    destination are collected; when the tail arrives the packet is
 //!    recorded as delivered.
 //!
-//! # One engine, three views
+//! # One simulator, one oracle
 //!
-//! Since the batch-parallel refactor the simulation loop itself lives in
-//! [`crate::batch::BatchNetwork`]; `Network` is its single-lane view, so
-//! the sequential path exercised by planners and the batched path used by
-//! corpus-wide fidelity replay are the *same code*, not a fork. Two frozen
-//! engines anchor it differentially: [`crate::reference::ReferenceNetwork`]
-//! (the full-scan executable specification) and
-//! [`crate::baseline::BaselineNetwork`] (the pre-batch event-driven engine,
-//! kept as the throughput baseline for `replay-bench`).
+//! The simulation loop lives in [`crate::batch::BatchNetwork`]; `Network`
+//! is its single-lane view, so the sequential path exercised by planners
+//! and the batched path used by corpus-wide fidelity replay are the *same
+//! code*, not a fork. One engine anchors it differentially:
+//! [`crate::reference::ReferenceNetwork`], the full-scan executable
+//! specification, which models the same faults, route tables and
+//! scheduled releases.
 //!
 //! The event-driven core keeps two worklists — `active` (routers with
 //! buffered flits) and `feeding` (nodes with pending injection flits) —
@@ -96,6 +95,31 @@ impl DeliveredPacket {
     #[must_use]
     pub fn latency(&self) -> u64 {
         self.tail_delivered_at - self.injected_at
+    }
+}
+
+/// Delivery bookkeeping for one injected packet, shared by the
+/// live and the reference engine.
+#[derive(Debug, Clone)]
+pub(crate) struct InFlight {
+    pub(crate) src: NodeId,
+    pub(crate) dest: NodeId,
+    pub(crate) tag: u64,
+    pub(crate) injected_at: u64,
+    pub(crate) head_delivered_at: Option<u64>,
+    pub(crate) flits: u32,
+    pub(crate) flits_delivered: u32,
+}
+
+impl InFlight {
+    /// Router-to-router hops the packet travels: the Manhattan distance
+    /// under algorithmic (minimal) routing, or the length of the next-hop
+    /// chain when a detour table is installed.
+    pub(crate) fn hops(&self, mesh: &Mesh, table: Option<&RouteTable>) -> u32 {
+        match table {
+            Some(table) => table.hops(mesh, self.src, self.dest),
+            None => mesh.distance(self.src, self.dest),
+        }
     }
 }
 

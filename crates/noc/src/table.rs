@@ -61,6 +61,26 @@ impl RouteTable {
         self.next[here.index() * self.nodes + dest.index()]
     }
 
+    /// Router-to-router hops from `src` to `dest` along the table's
+    /// next-hop chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair has no route or the chain leaves the mesh.
+    pub(crate) fn hops(&self, mesh: &Mesh, src: NodeId, dest: NodeId) -> u32 {
+        let mut here = src;
+        let mut hops = 0;
+        while here != dest {
+            let dir = self
+                .next_hop(here, dest)
+                .expect("delivered packet had a route");
+            here = mesh.neighbor(here, dir).expect("route left the mesh");
+            hops += 1;
+            debug_assert!(hops <= mesh.len() as u32, "route table cycles");
+        }
+        hops
+    }
+
     /// Checks the table covers a `nodes`-router mesh.
     pub(crate) fn check_len(&self, nodes: usize) -> Result<(), NocError> {
         if self.nodes == nodes {
