@@ -25,6 +25,25 @@ use crate::sched::SearchTuning;
 use crate::system::{BudgetSpec, PriorityPolicy, SystemBuilder, SystemUnderTest};
 use crate::timing::{GenerationModel, TimingModel};
 
+/// Why a core's test power is unusable: power is a draw, so it must be
+/// finite and non-negative.
+fn core_power_error(name: &str, power: f64) -> Option<String> {
+    (!(power.is_finite() && power >= 0.0))
+        .then(|| format!("core `{name}` power must be finite and non-negative"))
+}
+
+/// Why a budget is unusable: a cap of zero or below admits no session,
+/// and a non-finite one is no cap at all.
+fn budget_error(budget: BudgetSpec) -> Option<String> {
+    let (member, value) = match budget {
+        BudgetSpec::Unlimited => return None,
+        BudgetSpec::Fraction(f) => ("fraction", f),
+        BudgetSpec::Absolute(a) => ("absolute", a),
+    };
+    (!(value.is_finite() && value > 0.0))
+        .then(|| format!("`budget.{member}` must be positive and finite"))
+}
+
 /// Where the cores under test come from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SocSource {
@@ -326,9 +345,24 @@ impl PlanRequest {
     ///
     /// # Errors
     ///
-    /// Any [`CampaignError`] from SoC/profile resolution or system
-    /// construction.
+    /// [`CampaignError::Invalid`] for a core power the decoder would
+    /// refuse (negative or non-finite) or a budget that is not positive
+    /// and finite; otherwise any [`CampaignError`] from SoC/profile
+    /// resolution or system construction.
     pub fn build_system(&self) -> Result<SystemUnderTest, CampaignError> {
+        // The decoder rejects these; a request built in code gets the same
+        // verdict instead of a panic or a negative power total.
+        if let SocSource::Cores { cores, .. } = &self.soc {
+            if let Some(msg) = cores
+                .iter()
+                .find_map(|c| core_power_error(&c.name, c.power))
+            {
+                return Err(CampaignError::Invalid(msg));
+            }
+        }
+        if let Some(msg) = budget_error(self.budget) {
+            return Err(CampaignError::Invalid(msg));
+        }
         let mut builder = match (&self.soc, self.resolve_soc()?) {
             (_, Some(soc)) => {
                 SystemBuilder::from_benchmark(&soc, self.mesh.width, self.mesh.height)
@@ -397,13 +431,17 @@ impl PlanRequest {
                 .ok_or_else(|| bad("`soc.cores` is not an array"))?;
             let mut parsed = Vec::with_capacity(items.len());
             for item in items {
-                parsed.push(CoreRequest {
+                let core = CoreRequest {
                     name: field(item, "name", "a string", |v| v.as_str().map(str::to_owned))?,
                     bits_in: field(item, "bits_in", "an integer fitting u32", u32_of)?,
                     bits_out: field(item, "bits_out", "an integer fitting u32", u32_of)?,
                     patterns: field(item, "patterns", "an integer fitting u32", u32_of)?,
                     power: field(item, "power", "a number", Json::as_f64)?,
-                });
+                };
+                if let Some(msg) = core_power_error(&core.name, core.power) {
+                    return Err(bad(&msg));
+                }
+                parsed.push(core);
             }
             SocSource::Cores {
                 name: field_or(soc_doc, "name", "a string", "custom".to_owned(), |v| {
@@ -481,6 +519,9 @@ impl PlanRequest {
                 }
             }
         };
+        if let Some(msg) = budget_error(budget) {
+            return Err(bad(&msg));
+        }
 
         let priority = match field_or(doc, "priority", "a string", "distance".to_owned(), |v| {
             v.as_str().map(str::to_owned)
@@ -996,6 +1037,69 @@ mod tests {
             "`faults.links` entry [3, 0] E leaves the mesh"
         );
         assert_eq!(err(r#""faults": 7"#), "`faults` must be null or an object");
+    }
+
+    #[test]
+    fn bad_power_values_are_rejected_exactly() {
+        let cores = |power: &str| {
+            format!(
+                r#"{{"soc": {{"cores": [{{"name": "x", "bits_in": 1, "bits_out": 1,
+                "patterns": 1, "power": {power}}}]}}, "mesh": {{"width": 3, "height": 3}}}}"#
+            )
+        };
+        let budget = |member: &str| {
+            format!(
+                r#"{{"soc": {{"benchmark": "d695"}}, "mesh": {{"width": 4, "height": 4}},
+                "budget": {{{member}}}}}"#
+            )
+        };
+        let err = |text: &str| {
+            PlanRequest::from_json(&Json::parse(text).unwrap())
+                .unwrap_err()
+                .message
+        };
+        let core_msg = "core `x` power must be finite and non-negative";
+        assert_eq!(err(&cores("-1e308")), core_msg);
+        assert_eq!(err(&cores("-0.5")), core_msg);
+        // The parser already refuses literals that overflow to infinity.
+        assert!(PlanRequest::from_json_str(&cores("1e999")).is_err());
+        assert!(PlanRequest::from_json_str(&cores("0")).is_ok());
+        let fraction_msg = "`budget.fraction` must be positive and finite";
+        assert_eq!(err(&budget(r#""fraction": -0.5"#)), fraction_msg);
+        assert_eq!(err(&budget(r#""fraction": 0"#)), fraction_msg);
+        assert_eq!(
+            err(&budget(r#""absolute": 0"#)),
+            "`budget.absolute` must be positive and finite"
+        );
+        assert!(PlanRequest::from_json_str(&budget(r#""fraction": 0.5"#)).is_ok());
+
+        // The same verdicts, with the same messages, for requests built in
+        // code rather than decoded.
+        let invalid = |r: PlanRequest| match r.build_system() {
+            Err(CampaignError::Invalid(msg)) => msg,
+            other => panic!("expected Invalid, got {other:?}"),
+        };
+        let d695 = PlanRequest::benchmark("d695", 4, 4);
+        assert_eq!(
+            invalid(d695.clone().with_budget(BudgetSpec::Fraction(-0.5))),
+            fraction_msg
+        );
+        assert_eq!(
+            invalid(d695.with_budget(BudgetSpec::Absolute(f64::NAN))),
+            "`budget.absolute` must be positive and finite"
+        );
+        let mut negative = PlanRequest::benchmark("custom", 3, 3);
+        negative.soc = SocSource::Cores {
+            name: "custom".into(),
+            cores: vec![CoreRequest {
+                name: "x".into(),
+                bits_in: 1,
+                bits_out: 1,
+                patterns: 1,
+                power: -1e308,
+            }],
+        };
+        assert_eq!(invalid(negative), core_msg);
     }
 
     #[test]

@@ -19,11 +19,33 @@
 //! candidate enumeration — live in the crate-private `SearchCore` so the
 //! multi-threaded search in [`crate::sched::parallel`] explores
 //! byte-identical trees.
+//!
+//! `SearchCore` costs every (cut, interface) pairing once per search, in
+//! a flat session table indexed by `slot = cut * interfaces + interface`.
+//! Each slot holds the pair's reachability, whether it is a processor
+//! asked to test itself, its session cycles and power, and a dense
+//! bitmask of the links its path occupies (links numbered over the union
+//! of all the system's paths). The table stores exactly the `u64` and
+//! `f64` values [`SystemUnderTest::session_cycles`] and
+//! [`SystemUnderTest::session_power`] return — copied, not recomputed —
+//! and the search sums powers in one fixed order (added as sessions
+//! start; subtracted, when time advances, as one sum over the finished
+//! sessions in running order), so every feasibility test, expansion
+//! count and schedule is bit for bit what costing each pair from the
+//! system at every node gives. Two footprints share a link exactly when
+//! their masks share a set bit, because the numbering is a bijection
+//! between the links of the union and bit positions: mask overlap is
+//! [`crate::path::LinkSet::conflicts_with`], one word-wise AND instead
+//! of a B-tree walk. A running session carries its slot, never a copy
+//! of its footprint. Unreachable pairs keep an empty mask and zero cost;
+//! the reachability flag, tested first, keeps them out of every node.
+
+use std::collections::BTreeMap;
 
 use crate::cut::{CutId, CutKind};
 use crate::error::PlanError;
 use crate::interface::InterfaceId;
-use crate::path::LinkSet;
+use crate::power::PowerBudget;
 use crate::sched::parallel::{SearchStats, SeedKind};
 use crate::sched::{
     CancelToken, Schedule, ScheduledTest, Scheduler, SearchTuning, CANCEL_POLL_PERIOD,
@@ -76,13 +98,14 @@ impl OptimalScheduler {
 }
 
 /// A session currently running in a partial schedule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Active {
     pub(crate) cut: CutId,
     pub(crate) interface: InterfaceId,
     pub(crate) end: u64,
     pub(crate) power: f64,
-    pub(crate) links: LinkSet,
+    /// The session's row in the [`SearchCore`] table.
+    pub(crate) slot: usize,
 }
 
 /// Rejects systems the exponential search must not attempt.
@@ -148,47 +171,136 @@ pub(crate) fn opening_incumbent(
     Ok((seed, bound, kind))
 }
 
+/// One (cut, interface) pairing, costed once per search.
+#[derive(Debug, Clone, Copy)]
+struct Session {
+    /// A surviving route exists both ways ([`SystemUnderTest::reachable`]).
+    reachable: bool,
+    /// The interface is the processor under test itself.
+    self_test: bool,
+    /// [`SystemUnderTest::session_cycles`] (0 when unreachable).
+    cycles: u64,
+    /// [`SystemUnderTest::session_power`] (0 when unreachable).
+    power: f64,
+}
+
 /// The pure, state-free search ingredients: feasibility under the paper's
 /// rules, the admissible lower bound, and canonical candidate
-/// enumeration. Shared verbatim between the recursive serial search and
-/// the explicit-stack parallel shards so both explore the *same* tree in
-/// the *same* order.
+/// enumeration, all read from a session table built once per search.
+/// Shared verbatim between the recursive serial search and the
+/// explicit-stack parallel shards so both explore the *same* tree in the
+/// *same* order.
 pub(crate) struct SearchCore<'a> {
     pub(crate) sys: &'a SystemUnderTest,
     /// Minimal session duration per cut over all usable interfaces.
     pub(crate) min_dur: Vec<u64>,
+    budget: PowerBudget,
+    interfaces: usize,
+    /// Processor index of each interface (`None` for the external tester).
+    iface_proc: Vec<Option<usize>>,
+    /// The session table, indexed by [`SearchCore::slot`].
+    sessions: Vec<Session>,
+    /// `u64` words per link mask.
+    words: usize,
+    /// Link masks, `words` per slot, in slot order.
+    masks: Vec<u64>,
 }
 
 impl<'a> SearchCore<'a> {
     pub(crate) fn new(sys: &'a SystemUnderTest) -> Self {
-        let min_dur: Vec<u64> = sys
-            .cuts()
+        let interfaces = sys.interfaces().len();
+        let pairs = || {
+            sys.cuts()
+                .iter()
+                .flat_map(|cut| sys.interface_ids().map(move |iface| (cut, iface)))
+        };
+        let mut bits = BTreeMap::new();
+        for (cut, iface) in pairs() {
+            for &link in sys
+                .try_path(iface, cut.id)
+                .into_iter()
+                .flat_map(|p| p.links.iter())
+            {
+                let next = bits.len();
+                bits.entry(link).or_insert(next);
+            }
+        }
+        let words = bits.len().div_ceil(64);
+        let iface_proc: Vec<Option<usize>> = sys
+            .interfaces()
             .iter()
-            .map(|cut| {
-                sys.interface_ids()
-                    .filter(|&iface| sys.reachable(iface, cut.id))
-                    .filter(|iface| {
-                        sys.interface(*iface)
-                            .processor_index()
-                            .is_none_or(|idx| cut.kind != CutKind::Processor(idx))
-                    })
-                    .map(|iface| sys.session_cycles(iface, cut.id))
+            .map(|i| i.processor_index())
+            .collect();
+        let mut sessions = Vec::with_capacity(sys.cuts().len() * interfaces);
+        let mut masks = vec![0u64; sys.cuts().len() * interfaces * words];
+        for (slot, (cut, iface)) in pairs().enumerate() {
+            let self_test =
+                iface_proc[iface.0].is_some_and(|idx| cut.kind == CutKind::Processor(idx));
+            let Some(path) = sys.try_path(iface, cut.id) else {
+                sessions.push(Session {
+                    reachable: false,
+                    self_test,
+                    cycles: 0,
+                    power: 0.0,
+                });
+                continue;
+            };
+            for link in path.links.iter() {
+                let bit = bits[link];
+                masks[slot * words + bit / 64] |= 1 << (bit % 64);
+            }
+            sessions.push(Session {
+                reachable: true,
+                self_test,
+                cycles: sys.session_cycles(iface, cut.id),
+                power: sys.session_power(iface, cut.id),
+            });
+        }
+        let min_dur = sessions
+            .chunks(interfaces)
+            .map(|row| {
+                row.iter()
+                    .filter(|s| s.reachable && !s.self_test)
+                    .map(|s| s.cycles)
                     .min()
                     .unwrap_or(u64::MAX)
             })
             .collect();
-        SearchCore { sys, min_dur }
+        SearchCore {
+            sys,
+            min_dur,
+            budget: sys.budget(),
+            interfaces,
+            iface_proc,
+            sessions,
+            words,
+            masks,
+        }
     }
 
     pub(crate) fn proc_count(&self) -> usize {
-        self.sys
-            .interfaces()
-            .iter()
-            .filter(|i| !i.is_external())
-            .count()
+        self.iface_proc.iter().flatten().count()
     }
 
-    pub(crate) fn feasible_now(
+    /// The table row of the (`cut`, `iface`) pairing.
+    fn slot(&self, cut: CutId, iface: InterfaceId) -> usize {
+        cut.0 as usize * self.interfaces + iface.0
+    }
+
+    fn mask(&self, slot: usize) -> &[u64] {
+        &self.masks[slot * self.words..(slot + 1) * self.words]
+    }
+
+    /// `true` when the two slots' paths share a link — the bitmask form of
+    /// [`crate::path::LinkSet::conflicts_with`].
+    fn overlaps(&self, a: usize, b: usize) -> bool {
+        self.mask(a)
+            .iter()
+            .zip(self.mask(b))
+            .any(|(x, y)| x & y != 0)
+    }
+
+    fn feasible_now(
         &self,
         active: &[Active],
         active_power: f64,
@@ -197,29 +309,27 @@ impl<'a> SearchCore<'a> {
         cut: CutId,
         iface: InterfaceId,
     ) -> bool {
-        if !self.sys.reachable(iface, cut) {
+        let slot = self.slot(cut, iface);
+        let session = &self.sessions[slot];
+        if !session.reachable {
             return false; // the fault set severed this pairing
         }
         if active.iter().any(|a| a.interface == iface) {
             return false;
         }
-        let interface = self.sys.interface(iface);
-        if let Some(idx) = interface.processor_index() {
+        if let Some(idx) = self.iface_proc[iface.0] {
             match proc_ready[idx] {
                 Some(t) if t <= now => {}
                 _ => return false,
             }
-            if self.sys.cut(cut).kind == CutKind::Processor(idx) {
+            if session.self_test {
                 return false;
             }
         }
-        let links = &self.sys.path(iface, cut).links;
-        if active.iter().any(|a| a.links.conflicts_with(links)) {
+        if active.iter().any(|a| self.overlaps(a.slot, slot)) {
             return false;
         }
-        self.sys
-            .budget()
-            .allows(active_power + self.sys.session_power(iface, cut))
+        self.budget.allows(active_power + session.power)
     }
 
     /// A makespan lower bound for the current partial schedule.
@@ -233,14 +343,14 @@ impl<'a> SearchCore<'a> {
         // Work bound: all remaining sessions spread perfectly over all
         // interfaces cannot finish earlier than total/interfaces.
         let total_work: u64 = remaining.iter().map(|&c| self.min_dur[c.0 as usize]).sum();
-        let spread = now + total_work / self.sys.interfaces().len() as u64;
+        let spread = now + total_work / self.interfaces as u64;
         active_bound.max(longest_remaining).max(spread)
     }
 
-    /// Canonical start candidates at this node: every feasible
-    /// (cut, interface) pair past `min_start`, in (cut, interface) order —
-    /// the one enumeration order both searches must share for
-    /// byte-identical results.
+    /// Appends the canonical start candidates at this node to `out`:
+    /// every feasible (cut, interface) pair past `min_start`, in
+    /// (cut, interface) order — the one enumeration order both searches
+    /// must share for byte-identical results.
     #[allow(clippy::too_many_arguments)] // mirrors the node state tuple
     pub(crate) fn candidates(
         &self,
@@ -250,20 +360,30 @@ impl<'a> SearchCore<'a> {
         now: u64,
         remaining: &[CutId],
         min_start: Option<(CutId, InterfaceId)>,
-    ) -> Vec<(CutId, InterfaceId)> {
-        remaining
-            .iter()
-            .flat_map(|&cut| {
-                self.sys
-                    .interface_ids()
-                    .map(move |iface| (cut, iface))
-                    .collect::<Vec<_>>()
-            })
-            .filter(|&(cut, iface)| min_start.is_none_or(|m| (cut, iface) > m))
-            .filter(|&(cut, iface)| {
-                self.feasible_now(active, active_power, proc_ready, now, cut, iface)
-            })
-            .collect()
+        out: &mut Vec<(CutId, InterfaceId)>,
+    ) {
+        for &cut in remaining {
+            for iface in (0..self.interfaces).map(InterfaceId) {
+                if min_start.is_none_or(|m| (cut, iface) > m)
+                    && self.feasible_now(active, active_power, proc_ready, now, cut, iface)
+                {
+                    out.push((cut, iface));
+                }
+            }
+        }
+    }
+
+    /// The running-session record for starting (`cut`, `iface`) at `now`.
+    pub(crate) fn start(&self, now: u64, cut: CutId, iface: InterfaceId) -> Active {
+        let slot = self.slot(cut, iface);
+        let session = &self.sessions[slot];
+        Active {
+            cut,
+            interface: iface,
+            end: now + session.cycles,
+            power: session.power,
+            slot,
+        }
     }
 }
 
@@ -282,6 +402,12 @@ struct Search<'a> {
     /// Latched when the expansion budget trips: the result is the
     /// incumbent, not a proof of optimality.
     cut: bool,
+    /// Candidate lists of every node on the current DFS path, stacked:
+    /// each level appends its own and truncates them on exit.
+    candidates: Vec<(CutId, InterfaceId)>,
+    /// Sessions retired by the time branches on the current DFS path,
+    /// stacked the same way and restored on unwind.
+    retired: Vec<Active>,
 }
 
 impl Search<'_> {
@@ -329,23 +455,26 @@ impl Search<'_> {
 
         // Branch 1: start a feasible session now (canonical order to avoid
         // exploring permutations of simultaneous starts twice).
-        let candidates =
-            self.core
-                .candidates(active, active_power, proc_ready, now, remaining, min_start);
-        for (cut, iface) in candidates {
-            let dur = self.core.sys.session_cycles(iface, cut);
-            let end = now + dur;
+        let base = self.candidates.len();
+        self.core.candidates(
+            active,
+            active_power,
+            proc_ready,
+            now,
+            remaining,
+            min_start,
+            &mut self.candidates,
+        );
+        // Deeper levels append past `listed` and truncate back to it.
+        let listed = self.candidates.len();
+        for i in base..listed {
+            let (cut, iface) = self.candidates[i];
+            let session = self.core.start(now, cut, iface);
+            let (end, power) = (session.end, session.power);
             if end >= self.best {
                 continue;
             }
-            let power = self.core.sys.session_power(iface, cut);
-            active.push(Active {
-                cut,
-                interface: iface,
-                end,
-                power,
-                links: self.core.sys.path(iface, cut).links.clone(),
-            });
+            active.push(session);
             let pos = remaining.iter().position(|&c| c == cut).expect("waiting");
             remaining.remove(pos);
             entries.push(ScheduledTest {
@@ -366,30 +495,25 @@ impl Search<'_> {
             entries.pop();
             remaining.insert(pos, cut);
             // The recursive call may have reordered `active` (the time
-            // branch drains and re-extends it), so remove by identity.
+            // branch retains and re-extends it), so remove by identity.
             let mine = active
                 .iter()
                 .position(|a| a.cut == cut)
                 .expect("session still active on unwind");
             active.remove(mine);
         }
+        self.candidates.truncate(base);
 
         // Branch 2: advance time to the next completion (only meaningful
         // when something is running).
         if let Some(next) = active.iter().map(|a| a.end).min() {
-            let mut finished: Vec<Active> = Vec::new();
-            let mut still: Vec<Active> = Vec::new();
-            for a in active.drain(..) {
-                if a.end <= next {
-                    finished.push(a);
-                } else {
-                    still.push(a);
-                }
-            }
-            *active = still;
+            let base = self.retired.len();
+            self.retired.extend(active.iter().filter(|a| a.end <= next));
+            active.retain(|a| a.end > next);
+            let finished = &self.retired[base..];
             let freed_power: f64 = finished.iter().map(|a| a.power).sum();
             let mut ready_updates = Vec::new();
-            for a in &finished {
+            for a in finished {
                 if let CutKind::Processor(idx) = self.core.sys.cut(a.cut).kind {
                     ready_updates.push((idx, proc_ready[idx]));
                     proc_ready[idx] = Some(a.end);
@@ -407,7 +531,7 @@ impl Search<'_> {
             for (idx, old) in ready_updates {
                 proc_ready[idx] = old;
             }
-            active.extend(finished);
+            active.extend(self.retired.drain(base..));
         }
     }
 }
@@ -451,6 +575,8 @@ impl OptimalScheduler {
             cancel,
             cancelled: false,
             cut: false,
+            candidates: Vec::new(),
+            retired: Vec::new(),
         };
         let mut remaining: Vec<CutId> = sys.cuts().iter().map(|c| c.id).collect();
         search.dfs(
@@ -510,11 +636,19 @@ impl Scheduler for OptimalScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{GreedyScheduler, SmartScheduler};
-    use crate::system::SystemBuilder;
+    use crate::path::LinkSet;
+    use crate::sched::{GreedyScheduler, ParallelOptimalScheduler, SmartScheduler};
+    use crate::system::{BudgetSpec, SystemBuilder};
     use noctest_cpu::ProcessorProfile;
+    use noctest_faults::FaultRecipe;
+    use noctest_noc::Mesh;
+    use noctest_testkit::Rng;
 
     fn small_system(cores: usize, procs: usize) -> SystemUnderTest {
+        small_builder(cores, procs).build().unwrap()
+    }
+
+    fn small_builder(cores: usize, procs: usize) -> SystemBuilder {
         let mut b = SystemBuilder::new("small", 3, 3);
         for i in 0..cores {
             b = b.core(
@@ -530,8 +664,216 @@ mod tests {
             procs,
             procs,
         )
-        .build()
-        .unwrap()
+    }
+
+    /// A seeded small system, pristine or degraded by uniform link
+    /// faults; `None` when the fault set leaves some core untestable.
+    fn seeded_system(seed: u64) -> Option<SystemUnderTest> {
+        let mut rng = Rng::new(seed);
+        let (width, height) = *rng.pick(&[(3u16, 3u16), (4, 4), (7, 6), (8, 8)]);
+        let mut b = SystemBuilder::new("seeded", width, height);
+        for i in 0..rng.range_usize(2, 6) {
+            b = b.core(
+                format!("c{i}"),
+                rng.range_u32(20, 400),
+                rng.range_u32(20, 400),
+                rng.range_u32(1, 40),
+                rng.range_f64(10.0, 200.0),
+            );
+        }
+        let procs = rng.range_usize(0, 3);
+        b = b.processors(&ProcessorProfile::plasma(), procs, procs);
+        if rng.flip() {
+            b = b.budget(BudgetSpec::Fraction(rng.range_f64(0.3, 1.0)));
+        }
+        let percent = *rng.pick(&[0u8, 20, 35]);
+        let mesh = Mesh::new(width, height).unwrap();
+        b.faults(FaultRecipe::UniformLinks { percent }.generate(&mesh, seed))
+            .build()
+            .ok()
+    }
+
+    #[test]
+    fn session_table_is_the_system_bit_for_bit() {
+        let (mut systems, mut severed, mut multi_word) = (0, 0, 0);
+        for seed in noctest_testkit::seeds(48) {
+            let Some(sys) = seeded_system(seed) else {
+                continue;
+            };
+            systems += 1;
+            let core = SearchCore::new(&sys);
+            if core.words > 1 {
+                multi_word += 1;
+            }
+            let pairs: Vec<(CutId, InterfaceId)> = sys
+                .cuts()
+                .iter()
+                .flat_map(|c| sys.interface_ids().map(move |i| (c.id, i)))
+                .collect();
+            let links = |(cut, iface): (CutId, InterfaceId)| {
+                sys.try_path(iface, cut)
+                    .map_or_else(LinkSet::new, |p| p.links.clone())
+            };
+            for &(cut, iface) in &pairs {
+                let session = core.sessions[core.slot(cut, iface)];
+                assert_eq!(session.reachable, sys.reachable(iface, cut), "seed {seed}");
+                if !session.reachable {
+                    severed += 1;
+                    continue;
+                }
+                assert_eq!(
+                    session.cycles,
+                    sys.session_cycles(iface, cut),
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    session.power.to_bits(),
+                    sys.session_power(iface, cut).to_bits(),
+                    "seed {seed}"
+                );
+                let self_test = sys
+                    .interface(iface)
+                    .processor_index()
+                    .is_some_and(|idx| sys.cut(cut).kind == CutKind::Processor(idx));
+                assert_eq!(session.self_test, self_test, "seed {seed}");
+            }
+            for &a in &pairs {
+                for &b in &pairs {
+                    assert_eq!(
+                        core.overlaps(core.slot(a.0, a.1), core.slot(b.0, b.1)),
+                        links(a).conflicts_with(&links(b)),
+                        "seed {seed}: {a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
+        assert!(systems >= 24, "only {systems} seeded systems built");
+        assert!(severed > 0, "no seeded system had an unreachable pair");
+        assert!(multi_word > 0, "no seeded system needed a multi-word mask");
+    }
+
+    type Pin = (u64, bool, Vec<(u32, usize, u64, u64)>);
+
+    fn pin_of((schedule, stats): (Schedule, SearchStats)) -> Pin {
+        let entries = schedule
+            .entries()
+            .iter()
+            .map(|e| (e.cut.0, e.interface.0, e.start, e.end))
+            .collect();
+        (stats.expansions, stats.exhausted, entries)
+    }
+
+    fn serial_pin(sys: &SystemUnderTest, budget: Option<u64>) -> Pin {
+        pin_of(
+            OptimalScheduler::new()
+                .with_max_expansions(budget)
+                .schedule_with_stats(sys, &SearchTuning::default(), None)
+                .unwrap(),
+        )
+    }
+
+    /// The exact trees of fixed systems: a kernel change that alters
+    /// which nodes are expanded, or in what order, fails here.
+    #[test]
+    fn search_trees_are_pinned() {
+        assert_eq!(
+            serial_pin(&small_system(5, 2), None),
+            (
+                8977,
+                false,
+                vec![
+                    (0, 0, 0, 4848),
+                    (1, 0, 4848, 9696),
+                    (3, 1, 4848, 7354),
+                    (5, 1, 7354, 15469),
+                    (2, 2, 9696, 10784),
+                    (4, 2, 10784, 15536),
+                    (6, 0, 10784, 15696),
+                ]
+            )
+        );
+        let budgeted = small_builder(4, 2)
+            .budget(BudgetSpec::Fraction(0.5))
+            .build()
+            .unwrap();
+        assert_eq!(
+            serial_pin(&budgeted, None),
+            (
+                6573,
+                false,
+                vec![
+                    (0, 0, 0, 4848),
+                    (1, 0, 4848, 9696),
+                    (2, 0, 9696, 10224),
+                    (3, 0, 10224, 11428),
+                    (4, 0, 11428, 13588),
+                    (5, 0, 13588, 17046),
+                ]
+            )
+        );
+        // Eleven severed pairs: the reachability test shapes this tree.
+        let faults =
+            FaultRecipe::UniformLinks { percent: 30 }.generate(&Mesh::new(3, 3).unwrap(), 10);
+        let degraded = small_builder(5, 2).faults(faults).build().unwrap();
+        assert_eq!(
+            serial_pin(&degraded, None),
+            (
+                9798,
+                false,
+                vec![
+                    (0, 0, 0, 4848),
+                    (1, 0, 4848, 9696),
+                    (2, 0, 9696, 10224),
+                    (5, 2, 9696, 17811),
+                    (3, 0, 10224, 11428),
+                    (4, 0, 11428, 13588),
+                    (6, 0, 13588, 18500),
+                ]
+            )
+        );
+        // A budget-exhausted search, serial and at two threads (finite
+        // budgets make the parallel tree deterministic too).
+        let large = small_system(6, 2);
+        assert_eq!(
+            serial_pin(&large, Some(20_000)),
+            (
+                20_000,
+                true,
+                vec![
+                    (0, 0, 0, 4848),
+                    (1, 0, 4848, 9696),
+                    (3, 1, 4848, 7354),
+                    (5, 1, 7354, 15469),
+                    (4, 0, 9696, 11856),
+                    (6, 2, 9696, 21600),
+                    (7, 0, 11856, 18564),
+                    (2, 0, 18564, 19092),
+                ]
+            )
+        );
+        let parallel = ParallelOptimalScheduler::new()
+            .with_threads(2)
+            .with_max_expansions(Some(20_000))
+            .schedule_with_stats(&large, &SearchTuning::default(), None)
+            .unwrap();
+        assert_eq!(parallel.1.tasks, 70);
+        assert_eq!(
+            pin_of(parallel),
+            (
+                20_000,
+                true,
+                vec![
+                    (1, 0, 0, 4848),
+                    (0, 0, 4848, 9696),
+                    (3, 2, 4848, 7354),
+                    (6, 2, 7354, 19258),
+                    (2, 0, 9696, 10224),
+                    (4, 0, 10224, 12384),
+                    (5, 1, 10224, 18339),
+                    (7, 0, 12384, 19092),
+                ]
+            )
+        );
     }
 
     #[test]

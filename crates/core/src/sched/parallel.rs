@@ -38,6 +38,14 @@
 //!   Unbudgeted (`max_expansions: None`) searches read the shared cell
 //!   live instead: sharper pruning, and exhaustive runs stay
 //!   deterministic because only the merge winner is observable.
+//! - **One kernel.** Shards read the same `SearchCore` session table as
+//!   the serial search (see [`crate::sched::optimal`]): cycles, power
+//!   and link masks are looked up by slot, bit-for-bit the values
+//!   `SystemUnderTest` returns, so the trees cannot diverge. A shard's
+//!   node state keeps only slots, never footprints; its frames' candidate
+//!   lists and the sessions its time edges retire live on two per-shard
+//!   stacks that each undo truncates, so a node allocates nothing on the
+//!   hot path.
 //!
 //! [`PortfolioScheduler`] races the parallel exact search against the
 //! heuristic schedulers, cancelling the losers through per-entrant
@@ -143,6 +151,9 @@ struct NodeState {
     proc_ready: Vec<Option<u64>>,
     remaining: Vec<CutId>,
     entries: Vec<ScheduledTest>,
+    /// Sessions retired by the time edges applied so far, stacked in
+    /// edge order so each undo restores exactly its own.
+    retired: Vec<Active>,
 }
 
 impl NodeState {
@@ -154,6 +165,7 @@ impl NodeState {
             proc_ready: vec![None; core.proc_count()],
             remaining: core.sys.cuts().iter().map(|c| c.id).collect(),
             entries: Vec::new(),
+            retired: Vec::new(),
         }
     }
 
@@ -171,31 +183,26 @@ enum Undo {
         prev_power: f64,
     },
     Advance {
-        finished: Vec<Active>,
+        /// Length of `NodeState::retired` before this edge.
+        base: usize,
         ready: Vec<(usize, Option<u64>)>,
         prev_now: u64,
         prev_power: f64,
     },
 }
 
-/// Starts session (`cut`, `iface`) now, mirroring the serial search's
-/// branch 1 mutation exactly (including the floating-point evaluation
-/// order of the power sum, which feasibility tests depend on).
-fn start_edge(
-    core: &SearchCore<'_>,
-    state: &mut NodeState,
-    cut: CutId,
-    iface: InterfaceId,
-) -> Undo {
-    let end = state.now + core.sys.session_cycles(iface, cut);
-    let power = core.sys.session_power(iface, cut);
-    state.active.push(Active {
+/// Starts `session` now, mirroring the serial search's branch 1
+/// mutation exactly (including the floating-point evaluation order of
+/// the power sum, which feasibility tests depend on).
+fn start_edge(state: &mut NodeState, session: Active) -> Undo {
+    let Active {
         cut,
-        interface: iface,
+        interface,
         end,
         power,
-        links: core.sys.path(iface, cut).links.clone(),
-    });
+        ..
+    } = session;
+    state.active.push(session);
     let pos = state
         .remaining
         .iter()
@@ -204,7 +211,7 @@ fn start_edge(
     state.remaining.remove(pos);
     state.entries.push(ScheduledTest {
         cut,
-        interface: iface,
+        interface,
         start: state.now,
         end,
     });
@@ -226,19 +233,15 @@ fn advance_edge(core: &SearchCore<'_>, state: &mut NodeState) -> Undo {
         .map(|a| a.end)
         .min()
         .expect("advance requires an active session");
-    let mut finished: Vec<Active> = Vec::new();
-    let mut still: Vec<Active> = Vec::new();
-    for a in state.active.drain(..) {
-        if a.end <= next {
-            finished.push(a);
-        } else {
-            still.push(a);
-        }
-    }
-    state.active = still;
+    let base = state.retired.len();
+    state
+        .retired
+        .extend(state.active.iter().filter(|a| a.end <= next));
+    state.active.retain(|a| a.end > next);
+    let finished = &state.retired[base..];
     let freed_power: f64 = finished.iter().map(|a| a.power).sum();
     let mut ready = Vec::new();
-    for a in &finished {
+    for a in finished {
         if let CutKind::Processor(idx) = core.sys.cut(a.cut).kind {
             ready.push((idx, state.proc_ready[idx]));
             state.proc_ready[idx] = Some(a.end);
@@ -249,7 +252,7 @@ fn advance_edge(core: &SearchCore<'_>, state: &mut NodeState) -> Undo {
     state.now = next;
     state.active_power = prev_power - freed_power;
     Undo::Advance {
-        finished,
+        base,
         ready,
         prev_now,
         prev_power,
@@ -266,7 +269,7 @@ fn undo_edge(state: &mut NodeState, undo: Undo) {
             state.entries.pop();
             state.remaining.insert(pos, cut);
             // The subtree may have reordered `active` (the time branch
-            // drains and re-extends it), so remove by identity.
+            // retains and re-extends it), so remove by identity.
             let mine = state
                 .active
                 .iter()
@@ -276,7 +279,7 @@ fn undo_edge(state: &mut NodeState, undo: Undo) {
             state.active_power = prev_power;
         }
         Undo::Advance {
-            finished,
+            base,
             ready,
             prev_now,
             prev_power,
@@ -284,18 +287,20 @@ fn undo_edge(state: &mut NodeState, undo: Undo) {
             for (idx, old) in ready {
                 state.proc_ready[idx] = old;
             }
-            state.active.extend(finished);
+            state.active.extend(state.retired.drain(base..));
             state.now = prev_now;
             state.active_power = prev_power;
         }
     }
 }
 
-/// One entered node on a shard's explicit DFS stack.
+/// One entered node on a shard's explicit DFS stack. Its candidates are
+/// `Task::candidates[start..end]`; `next` is the next one to try.
 #[derive(Debug)]
 struct Frame {
-    candidates: Vec<(CutId, InterfaceId)>,
+    start: usize,
     next: usize,
+    end: usize,
     advanced: bool,
     /// Delta of the child edge currently applied below this frame,
     /// reverted when control returns here.
@@ -359,6 +364,8 @@ struct Task {
     root_min_start: Option<(CutId, InterfaceId)>,
     state: NodeState,
     stack: Vec<Frame>,
+    /// Candidate lists of every frame on `stack`, stacked in frame order.
+    candidates: Vec<(CutId, InterfaceId)>,
     entered: bool,
     finished: bool,
     /// Shard-local incumbent value (starts at the seed makespan);
@@ -376,6 +383,7 @@ impl Task {
             root_min_start: node.min_start,
             state: node.state,
             stack: Vec::new(),
+            candidates: Vec::new(),
             entered: false,
             finished: false,
             local_best: seed_value,
@@ -431,17 +439,17 @@ impl Task {
                 return TaskStatus::Paused;
             }
             let top = self.stack.last_mut().expect("non-empty stack");
-            if top.next < top.candidates.len() {
-                let (cut, iface) = top.candidates[top.next];
+            if top.next < top.end {
+                let (cut, iface) = self.candidates[top.next];
                 top.next += 1;
-                let end = self.state.now + core.sys.session_cycles(iface, cut);
+                let session = core.start(self.state.now, cut, iface);
                 // Strict `>` against the cross-shard bound: the cell
                 // holds achieved values, so this can never prune the
                 // first achiever of the optimum.
-                if end >= self.local_best || end > bound.value() {
+                if session.end >= self.local_best || session.end > bound.value() {
                     continue;
                 }
-                let undo = start_edge(core, &mut self.state, cut, iface);
+                let undo = start_edge(&mut self.state, session);
                 self.stack.last_mut().expect("frame").undo = Some(undo);
                 if let Enter::Cancelled =
                     self.enter(core, Some((cut, iface)), bound, global, cancel, used)
@@ -458,7 +466,9 @@ impl Task {
                     }
                 }
             } else {
+                let start = top.start;
                 self.stack.pop();
+                self.candidates.truncate(start);
             }
         }
     }
@@ -494,17 +504,20 @@ impl Task {
         if lb >= self.local_best || lb > bound.value() {
             return Enter::Closed;
         }
-        let candidates = core.candidates(
+        let start = self.candidates.len();
+        core.candidates(
             &self.state.active,
             self.state.active_power,
             &self.state.proc_ready,
             self.state.now,
             &self.state.remaining,
             min_start,
+            &mut self.candidates,
         );
         self.stack.push(Frame {
-            candidates,
-            next: 0,
+            start,
+            next: start,
+            end: self.candidates.len(),
             advanced: false,
             undo: None,
         });
@@ -543,22 +556,24 @@ fn split_frontier(
             {
                 continue;
             }
-            let candidates = core.candidates(
+            let mut candidates = Vec::new();
+            core.candidates(
                 &node.state.active,
                 node.state.active_power,
                 &node.state.proc_ready,
                 node.state.now,
                 &node.state.remaining,
                 node.min_start,
+                &mut candidates,
             );
             let mut child_idx = 0u32;
             for (cut, iface) in candidates {
-                let end = node.state.now + core.sys.session_cycles(iface, cut);
-                if end >= seed_value {
+                let session = core.start(node.state.now, cut, iface);
+                if session.end >= seed_value {
                     continue;
                 }
                 let mut child = node.state.clone();
-                start_edge(core, &mut child, cut, iface);
+                start_edge(&mut child, session);
                 let mut path = node.path.clone();
                 path.push(child_idx);
                 child_idx += 1;
