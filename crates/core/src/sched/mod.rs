@@ -14,10 +14,9 @@ pub use serial::SerialScheduler;
 pub use smart::SmartScheduler;
 
 /// How many node expansions pass between cooperative-cancellation polls
-/// in the branch-and-bound searches — shared by the serial
-/// ([`OptimalScheduler`]) and parallel ([`ParallelOptimalScheduler`])
-/// searches so both react to a tripped [`CancelToken`] on the same
-/// cadence.
+/// in each task of the branch-and-bound behind [`OptimalScheduler`] and
+/// [`ParallelOptimalScheduler`], so a tripped [`CancelToken`] is seen on
+/// the same cadence at every thread count.
 ///
 /// The value trades cancellation latency against search throughput: a
 /// node expansion costs on the order of a microsecond, so polling every

@@ -16,9 +16,11 @@
 //! against the incumbent.
 //!
 //! The pure search ingredients — feasibility, the lower bound, canonical
-//! candidate enumeration — live in the crate-private `SearchCore` so the
-//! multi-threaded search in [`crate::sched::parallel`] explores
-//! byte-identical trees.
+//! candidate enumeration — live in the crate-private `SearchCore`. The
+//! search that drives them is the explicit-stack engine of
+//! [`crate::sched::parallel`]: `optimal` runs it on the caller's thread
+//! as one task over the unsplit root, and `optimal-par` splits the root
+//! frontier over worker threads; both explore the same tree.
 //!
 //! `SearchCore` costs every (cut, interface) pairing once per search, in
 //! a flat session table indexed by `slot = cut * interfaces + interface`.
@@ -46,10 +48,8 @@ use crate::cut::{CutId, CutKind};
 use crate::error::PlanError;
 use crate::interface::InterfaceId;
 use crate::power::PowerBudget;
-use crate::sched::parallel::{SearchStats, SeedKind};
-use crate::sched::{
-    CancelToken, Schedule, ScheduledTest, Scheduler, SearchTuning, CANCEL_POLL_PERIOD,
-};
+use crate::sched::parallel::{branch_and_bound, SearchStats, SeedKind};
+use crate::sched::{CancelToken, Schedule, Scheduler, SearchTuning};
 use crate::system::SystemUnderTest;
 
 /// Exact scheduler with a size guard (exponential search).
@@ -123,7 +123,7 @@ pub(crate) fn check_guards(sys: &SystemUnderTest, max_cores: usize) -> Result<()
     Ok(())
 }
 
-/// Seed incumbent shared by the serial and parallel searches: the best of
+/// Seed incumbent of the search at every thread count: the best of
 /// the greedy *and* smart heuristics (greedy wins ties, preserving the
 /// historical seed wherever the two agree), tagged with its provenance.
 /// Starting from the better of the two means no search — and no parallel
@@ -187,9 +187,8 @@ struct Session {
 /// The pure, state-free search ingredients: feasibility under the paper's
 /// rules, the admissible lower bound, and canonical candidate
 /// enumeration, all read from a session table built once per search.
-/// Shared verbatim between the recursive serial search and the
-/// explicit-stack parallel shards so both explore the *same* tree in the
-/// *same* order.
+/// Every task of the explicit-stack search reads it, at any thread
+/// count, so all explore the *same* tree in the *same* order.
 pub(crate) struct SearchCore<'a> {
     pub(crate) sys: &'a SystemUnderTest,
     /// Minimal session duration per cut over all usable interfaces.
@@ -349,8 +348,8 @@ impl<'a> SearchCore<'a> {
 
     /// Appends the canonical start candidates at this node to `out`:
     /// every feasible (cut, interface) pair past `min_start`, in
-    /// (cut, interface) order — the one enumeration order both searches
-    /// must share for byte-identical results.
+    /// (cut, interface) order — the one enumeration order that keeps
+    /// results byte-identical across thread counts.
     #[allow(clippy::too_many_arguments)] // mirrors the node state tuple
     pub(crate) fn candidates(
         &self,
@@ -387,155 +386,6 @@ impl<'a> SearchCore<'a> {
     }
 }
 
-struct Search<'a> {
-    core: SearchCore<'a>,
-    best: u64,
-    best_entries: Vec<ScheduledTest>,
-    /// Nodes expanded so far vs. the (deterministic) budget.
-    expansions: u64,
-    max_expansions: u64,
-    /// Cooperative-cancellation token, polled every
-    /// [`CANCEL_POLL_PERIOD`] expansions.
-    cancel: Option<&'a CancelToken>,
-    /// Latched once the token fires, so the whole recursion unwinds.
-    cancelled: bool,
-    /// Latched when the expansion budget trips: the result is the
-    /// incumbent, not a proof of optimality.
-    cut: bool,
-    /// Candidate lists of every node on the current DFS path, stacked:
-    /// each level appends its own and truncates them on exit.
-    candidates: Vec<(CutId, InterfaceId)>,
-    /// Sessions retired by the time branches on the current DFS path,
-    /// stacked the same way and restored on unwind.
-    retired: Vec<Active>,
-}
-
-impl Search<'_> {
-    #[allow(clippy::too_many_arguments)] // recursive search state
-    fn dfs(
-        &mut self,
-        now: u64,
-        active: &mut Vec<Active>,
-        active_power: f64,
-        proc_ready: &mut Vec<Option<u64>>,
-        remaining: &mut Vec<CutId>,
-        entries: &mut Vec<ScheduledTest>,
-        min_start: Option<(CutId, InterfaceId)>,
-    ) {
-        if remaining.is_empty() {
-            let makespan = entries.iter().map(|e| e.end).max().unwrap_or(0);
-            if makespan < self.best {
-                self.best = makespan;
-                self.best_entries = entries.clone();
-            }
-            return;
-        }
-        if self.cancelled {
-            return;
-        }
-        // Anytime cut: past the expansion budget, stop refining and keep
-        // the incumbent (counted in nodes, not wall time, so the result
-        // is reproducible on any machine).
-        if self.expansions >= self.max_expansions {
-            self.cut = true;
-            return;
-        }
-        // Poll on the first expansion and every period after it, so even
-        // a pre-cancelled token aborts before any real work.
-        if self.expansions.is_multiple_of(CANCEL_POLL_PERIOD)
-            && self.cancel.is_some_and(CancelToken::is_cancelled)
-        {
-            self.cancelled = true;
-            return;
-        }
-        self.expansions += 1;
-        if self.core.lower_bound(now, active, remaining) >= self.best {
-            return;
-        }
-
-        // Branch 1: start a feasible session now (canonical order to avoid
-        // exploring permutations of simultaneous starts twice).
-        let base = self.candidates.len();
-        self.core.candidates(
-            active,
-            active_power,
-            proc_ready,
-            now,
-            remaining,
-            min_start,
-            &mut self.candidates,
-        );
-        // Deeper levels append past `listed` and truncate back to it.
-        let listed = self.candidates.len();
-        for i in base..listed {
-            let (cut, iface) = self.candidates[i];
-            let session = self.core.start(now, cut, iface);
-            let (end, power) = (session.end, session.power);
-            if end >= self.best {
-                continue;
-            }
-            active.push(session);
-            let pos = remaining.iter().position(|&c| c == cut).expect("waiting");
-            remaining.remove(pos);
-            entries.push(ScheduledTest {
-                cut,
-                interface: iface,
-                start: now,
-                end,
-            });
-            self.dfs(
-                now,
-                active,
-                active_power + power,
-                proc_ready,
-                remaining,
-                entries,
-                Some((cut, iface)),
-            );
-            entries.pop();
-            remaining.insert(pos, cut);
-            // The recursive call may have reordered `active` (the time
-            // branch retains and re-extends it), so remove by identity.
-            let mine = active
-                .iter()
-                .position(|a| a.cut == cut)
-                .expect("session still active on unwind");
-            active.remove(mine);
-        }
-        self.candidates.truncate(base);
-
-        // Branch 2: advance time to the next completion (only meaningful
-        // when something is running).
-        if let Some(next) = active.iter().map(|a| a.end).min() {
-            let base = self.retired.len();
-            self.retired.extend(active.iter().filter(|a| a.end <= next));
-            active.retain(|a| a.end > next);
-            let finished = &self.retired[base..];
-            let freed_power: f64 = finished.iter().map(|a| a.power).sum();
-            let mut ready_updates = Vec::new();
-            for a in finished {
-                if let CutKind::Processor(idx) = self.core.sys.cut(a.cut).kind {
-                    ready_updates.push((idx, proc_ready[idx]));
-                    proc_ready[idx] = Some(a.end);
-                }
-            }
-            self.dfs(
-                next,
-                active,
-                active_power - freed_power,
-                proc_ready,
-                remaining,
-                entries,
-                None,
-            );
-            for (idx, old) in ready_updates {
-                proc_ready[idx] = old;
-            }
-            active.extend(self.retired.drain(base..));
-        }
-    }
-}
-
 impl OptimalScheduler {
     /// The search proper; `cancel` aborts it between node expansions.
     fn search(
@@ -553,56 +403,16 @@ impl OptimalScheduler {
     /// short. The stats let callers (the portfolio racer, `search_bench`,
     /// the delta bench) distinguish a *proved* optimum from a
     /// budget-limited incumbent and attribute warm-start speedups.
+    ///
+    /// The search runs on the caller's thread as one task over the
+    /// unsplit root; [`SearchTuning::threads`] is ignored.
     pub fn schedule_with_stats(
         &self,
         sys: &SystemUnderTest,
         tuning: &SearchTuning,
         cancel: Option<&CancelToken>,
     ) -> Result<(Schedule, SearchStats), PlanError> {
-        check_guards(sys, self.max_cores)?;
-        // Seed the incumbent with the better heuristic — correct upper
-        // bound and strong pruning from the start — tightened further by
-        // a valid warm-start schedule when one is supplied.
-        let (seed, bound, seed_kind) = opening_incumbent(sys, tuning)?;
-        let core = SearchCore::new(sys);
-        let proc_count = core.proc_count();
-        let mut search = Search {
-            core,
-            best: bound,
-            best_entries: seed.entries().to_vec(),
-            expansions: 0,
-            max_expansions: self.max_expansions.unwrap_or(u64::MAX),
-            cancel,
-            cancelled: false,
-            cut: false,
-            candidates: Vec::new(),
-            retired: Vec::new(),
-        };
-        let mut remaining: Vec<CutId> = sys.cuts().iter().map(|c| c.id).collect();
-        search.dfs(
-            0,
-            &mut Vec::new(),
-            0.0,
-            &mut vec![None; proc_count],
-            &mut remaining,
-            &mut Vec::new(),
-            None,
-        );
-        if search.cancelled {
-            // A cancelled search reports Cancelled rather than its
-            // incumbent: the caller asked for the job to stop, and a
-            // half-refined "best so far" would be indistinguishable from
-            // a completed budgeted search.
-            return Err(PlanError::Cancelled);
-        }
-        let stats = SearchStats {
-            expansions: search.expansions,
-            exhausted: search.cut,
-            threads: 1,
-            tasks: 0,
-            seed: seed_kind,
-        };
-        Ok((Schedule::new(search.best_entries), stats))
+        branch_and_bound(sys, self.max_cores, self.max_expansions, 1, tuning, cancel)
     }
 }
 
@@ -763,7 +573,7 @@ mod tests {
         (stats.expansions, stats.exhausted, entries)
     }
 
-    fn serial_pin(sys: &SystemUnderTest, budget: Option<u64>) -> Pin {
+    fn optimal_pin(sys: &SystemUnderTest, budget: Option<u64>) -> Pin {
         pin_of(
             OptimalScheduler::new()
                 .with_max_expansions(budget)
@@ -777,7 +587,7 @@ mod tests {
     #[test]
     fn search_trees_are_pinned() {
         assert_eq!(
-            serial_pin(&small_system(5, 2), None),
+            optimal_pin(&small_system(5, 2), None),
             (
                 8977,
                 false,
@@ -797,7 +607,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            serial_pin(&budgeted, None),
+            optimal_pin(&budgeted, None),
             (
                 6573,
                 false,
@@ -816,7 +626,7 @@ mod tests {
             FaultRecipe::UniformLinks { percent: 30 }.generate(&Mesh::new(3, 3).unwrap(), 10);
         let degraded = small_builder(5, 2).faults(faults).build().unwrap();
         assert_eq!(
-            serial_pin(&degraded, None),
+            optimal_pin(&degraded, None),
             (
                 9798,
                 false,
@@ -831,11 +641,11 @@ mod tests {
                 ]
             )
         );
-        // A budget-exhausted search, serial and at two threads (finite
-        // budgets make the parallel tree deterministic too).
+        // A budget-exhausted search, at one and at two threads (finite
+        // budgets make the two-thread tree deterministic too).
         let large = small_system(6, 2);
         assert_eq!(
-            serial_pin(&large, Some(20_000)),
+            optimal_pin(&large, Some(20_000)),
             (
                 20_000,
                 true,
@@ -874,6 +684,74 @@ mod tests {
                 ]
             )
         );
+    }
+
+    /// A budgeted one-thread search by `optimal`, or by `optimal-par`
+    /// at one thread.
+    fn one_thread_run(par: bool, sys: &SystemUnderTest, budget: u64) -> (Schedule, SearchStats) {
+        let tuning = SearchTuning::default();
+        if par {
+            ParallelOptimalScheduler::new()
+                .with_threads(1)
+                .with_max_expansions(Some(budget))
+                .schedule_with_stats(sys, &tuning, None)
+        } else {
+            OptimalScheduler::new()
+                .with_max_expansions(Some(budget))
+                .schedule_with_stats(sys, &tuning, None)
+        }
+        .unwrap()
+    }
+
+    /// The budget rule at its edges: a node is refused only when it is
+    /// entered, is not a leaf, and the budget is spent. Leaf children of
+    /// the last expanded node are still recorded, and a tree that ends on
+    /// exactly its budget is proved.
+    #[test]
+    fn budget_is_charged_on_entry() {
+        for par in [false, true] {
+            let (schedule, stats) = one_thread_run(par, &small_system(3, 1), 64);
+            assert_eq!((stats.expansions, stats.exhausted), (64, false));
+            assert_eq!(schedule.makespan(), 7882);
+            assert_eq!((stats.threads, stats.tasks), (1, 1));
+            let (schedule, stats) = one_thread_run(par, &small_system(4, 1), 24);
+            assert_eq!((stats.expansions, stats.exhausted), (24, true));
+            assert_eq!(schedule.makespan(), 12198);
+            let (schedule, stats) = one_thread_run(par, &small_system(4, 2), 10);
+            assert_eq!((stats.expansions, stats.exhausted), (10, true));
+            assert_eq!(schedule.makespan(), 14496);
+        }
+    }
+
+    /// Every budgeted one-thread search of five small systems over a
+    /// sweep of budgets, digested: entries, expansions and the exhausted
+    /// flag. The constant was taken from a recursive depth-first search
+    /// with the same budget rule; it is the oracle for where a budget
+    /// cuts the tree.
+    #[test]
+    fn budget_sweep_matches_the_recursive_search() {
+        let budgets = (0..=96)
+            .chain((128..=2048).step_by(64))
+            .chain([392, 393, 394, 1916, 1917, 1918, 8976, 8977, 8978]);
+        let budgets: Vec<u64> = budgets.collect();
+        for par in [false, true] {
+            let mut bytes = Vec::new();
+            for (cores, procs) in [(3, 1), (4, 1), (4, 2), (5, 2), (6, 2)] {
+                let sys = small_system(cores, procs);
+                for &budget in &budgets {
+                    let (schedule, stats) = one_thread_run(par, &sys, budget);
+                    for e in schedule.entries() {
+                        bytes.extend(e.cut.0.to_le_bytes());
+                        bytes.extend((e.interface.0 as u64).to_le_bytes());
+                        bytes.extend(e.start.to_le_bytes());
+                        bytes.extend(e.end.to_le_bytes());
+                    }
+                    bytes.extend(stats.expansions.to_le_bytes());
+                    bytes.push(u8::from(stats.exhausted));
+                }
+            }
+            assert_eq!(crate::hashing::fnv1a(&bytes), 0x4773_dcd1_bb5a_333b);
+        }
     }
 
     #[test]

@@ -1,22 +1,26 @@
-//! Work-stealing parallel branch-and-bound and the portfolio racer.
+//! The branch-and-bound behind both exact schedulers, and the portfolio
+//! racer.
 //!
-//! [`ParallelOptimalScheduler`] shards the exact search of
-//! [`OptimalScheduler`] across a work-stealing worker pool while keeping
-//! the result **byte-identical to the serial search on within-budget
-//! runs** and **deterministic at any fixed thread count** when the
-//! expansion budget trips. The machinery:
+//! One explicit-stack depth-first engine searches at every thread count.
+//! [`OptimalScheduler`] runs it on one thread: the root is one unsplit
+//! task, searched on the caller's thread. [`ParallelOptimalScheduler`]
+//! shards the same search across a work-stealing worker pool while
+//! keeping the result **byte-identical to the one-thread search on
+//! within-budget runs** and **deterministic at any fixed thread count**
+//! when the expansion budget trips. The machinery:
 //!
 //! - **Frontier split.** A breadth-first sweep from the root keeps only
 //!   *complete* levels, so the frontier is one full level of the search
-//!   tree in lexicographic path order — exactly the order the serial
-//!   depth-first search would visit those subtree roots. Each frontier
-//!   node becomes an independent shard task carrying its path (the child
+//!   tree in lexicographic path order — exactly the order the one-thread
+//!   depth-first search visits those subtree roots. Each frontier node
+//!   becomes an independent shard task carrying its path (the child
 //!   ordinal at every level) as a canonical subtree id.
 //! - **Work stealing.** Tasks are dealt round-robin into per-worker
 //!   deques; a worker pops its own deque from the front and steals from
 //!   the tail of a neighbour's when it drains. Stealing order cannot
 //!   affect results (see determinism below), so the pool is free to
-//!   balance however the machine schedules it.
+//!   balance however the machine schedules it. A one-thread round runs
+//!   inline on the caller's thread, with no worker spawned.
 //! - **Shared incumbent.** Every improving leaf is published to an
 //!   atomic best-cost cell (`fetch_min`). Shards prune against it with
 //!   *strict* comparison — the cell only ever holds achieved makespans,
@@ -27,25 +31,30 @@
 //!   visits. The final schedule is the minimum over shards and
 //!   split-time leaves by `(makespan, path)` — ties broken by the
 //!   canonical subtree id, never by arrival time. That minimum is
-//!   provably the same leaf the serial search would have recorded.
+//!   provably the same leaf the one-thread search records.
 //! - **Deterministic budgets.** A finite expansion budget is spent in
 //!   rounds: each round deals every unfinished shard a fixed slice of
 //!   the remaining budget and freezes the shared bound at the round
 //!   boundary, so what a shard explores depends only on its slice
 //!   sequence and the frozen bound sequence — never on thread timing.
-//!   Shards pause (their explicit stack is resumable) when the slice
-//!   runs out and continue next round with the tightened bound.
-//!   Unbudgeted (`max_expansions: None`) searches read the shared cell
-//!   live instead: sharper pruning, and exhaustive runs stay
-//!   deterministic because only the merge winner is observable.
-//! - **One kernel.** Shards read the same `SearchCore` session table as
-//!   the serial search (see [`crate::sched::optimal`]): cycles, power
-//!   and link masks are looked up by slot, bit-for-bit the values
-//!   `SystemUnderTest` returns, so the trees cannot diverge. A shard's
-//!   node state keeps only slots, never footprints; its frames' candidate
-//!   lists and the sessions its time edges retire live on two per-shard
-//!   stacks that each undo truncates, so a node allocates nothing on the
-//!   hot path.
+//!   Once its slice is spent, a task refuses to enter the next non-leaf
+//!   node; that node stays pending (the explicit stack is resumable) and
+//!   is entered first next round, with the tightened bound. Leaves below
+//!   the last expanded node are still recorded, so a tree that ends on
+//!   exactly its budget counts as proved. A lone task's incumbent is the
+//!   shared cell, so the frozen bound never prunes more than the task
+//!   itself would: one thread spends its budget exactly as one
+//!   uninterrupted run would. Unbudgeted (`max_expansions: None`)
+//!   searches read the shared cell live instead: sharper pruning, and
+//!   exhaustive runs stay deterministic because only the merge winner is
+//!   observable.
+//! - **One kernel.** Every task reads the one `SearchCore` session table
+//!   (see [`crate::sched::optimal`]): cycles, power and link masks are
+//!   looked up by slot, bit-for-bit the values `SystemUnderTest`
+//!   returns. A task's node state keeps only slots, never footprints;
+//!   its frames' candidate lists and the sessions its time edges retire
+//!   live on two per-task stacks that each undo truncates, so a node
+//!   allocates nothing on the hot path.
 //!
 //! [`PortfolioScheduler`] races the parallel exact search against the
 //! heuristic schedulers, cancelling the losers through per-entrant
@@ -53,8 +62,11 @@
 //! the budget trips first (or the instance exceeds the exponential-size
 //! guard) every entrant finishes and the best result wins, with ties
 //! broken by fixed entrant rank.
+//!
+//! [`OptimalScheduler`]: crate::sched::OptimalScheduler
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -62,9 +74,7 @@ use std::time::Duration;
 use crate::cut::{CutId, CutKind};
 use crate::error::PlanError;
 use crate::interface::InterfaceId;
-use crate::sched::optimal::{
-    check_guards, opening_incumbent, Active, OptimalScheduler, SearchCore,
-};
+use crate::sched::optimal::{check_guards, opening_incumbent, Active, SearchCore};
 use crate::sched::{
     CancelToken, GreedyScheduler, Schedule, ScheduledTest, Scheduler, SearchTuning,
     SerialScheduler, SmartScheduler, CANCEL_POLL_PERIOD,
@@ -118,15 +128,17 @@ impl SeedKind {
 /// budget-limited incumbent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Total node expansions charged against the budget (for the
-    /// parallel search: split cost plus every shard's count).
+    /// Total node expansions charged against the budget: the frontier
+    /// split's cost plus every task's count.
     pub expansions: u64,
     /// True when the expansion budget cut the search short; the result
     /// is the best incumbent, not a proof of optimality.
     pub exhausted: bool,
-    /// Worker threads used (1 for the serial search).
+    /// Worker threads used (always 1 for
+    /// [`OptimalScheduler`](crate::sched::OptimalScheduler)).
     pub threads: usize,
-    /// Frontier shards searched (0 when the serial path ran).
+    /// Tasks searched: 1 at one thread (the unsplit root); at more, the
+    /// frontier size (0 when the split alone finished the tree).
     pub tasks: usize,
     /// Which incumbent opened the search (seed provenance).
     pub seed: SeedKind,
@@ -175,7 +187,7 @@ impl NodeState {
 }
 
 /// Reversible delta for one applied tree edge.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Undo {
     Start {
         cut: CutId,
@@ -185,15 +197,19 @@ enum Undo {
     Advance {
         /// Length of `NodeState::retired` before this edge.
         base: usize,
-        ready: Vec<(usize, Option<u64>)>,
         prev_now: u64,
         prev_power: f64,
     },
 }
 
-/// Starts `session` now, mirroring the serial search's branch 1
-/// mutation exactly (including the floating-point evaluation order of
-/// the power sum, which feasibility tests depend on).
+/// Starts `session` now. The power sum grows in start order and
+/// shrinks in [`advance_edge`] by one sum over the retired sessions:
+/// feasibility tests depend on that floating-point evaluation order.
+///
+/// The edge helpers and `Task::enter` run at every node and are forced
+/// inline: left to the compiler, they were not, and the search ran about
+/// 5% slower.
+#[inline(always)]
 fn start_edge(state: &mut NodeState, session: Active) -> Undo {
     let Active {
         cut,
@@ -224,8 +240,9 @@ fn start_edge(state: &mut NodeState, session: Active) -> Undo {
     }
 }
 
-/// Advances time to the next completion, mirroring the serial search's
-/// branch 2 mutation exactly.
+/// Advances time to the next completion, retiring every session that
+/// ends then.
+#[inline(always)]
 fn advance_edge(core: &SearchCore<'_>, state: &mut NodeState) -> Undo {
     let next = state
         .active
@@ -240,10 +257,8 @@ fn advance_edge(core: &SearchCore<'_>, state: &mut NodeState) -> Undo {
     state.active.retain(|a| a.end > next);
     let finished = &state.retired[base..];
     let freed_power: f64 = finished.iter().map(|a| a.power).sum();
-    let mut ready = Vec::new();
     for a in finished {
         if let CutKind::Processor(idx) = core.sys.cut(a.cut).kind {
-            ready.push((idx, state.proc_ready[idx]));
             state.proc_ready[idx] = Some(a.end);
         }
     }
@@ -253,13 +268,13 @@ fn advance_edge(core: &SearchCore<'_>, state: &mut NodeState) -> Undo {
     state.active_power = prev_power - freed_power;
     Undo::Advance {
         base,
-        ready,
         prev_now,
         prev_power,
     }
 }
 
-fn undo_edge(state: &mut NodeState, undo: Undo) {
+#[inline(always)]
+fn undo_edge(core: &SearchCore<'_>, state: &mut NodeState, undo: Undo) {
     match undo {
         Undo::Start {
             cut,
@@ -280,12 +295,16 @@ fn undo_edge(state: &mut NodeState, undo: Undo) {
         }
         Undo::Advance {
             base,
-            ready,
             prev_now,
             prev_power,
         } => {
-            for (idx, old) in ready {
-                state.proc_ready[idx] = old;
+            // A processor is ready only once its own test retired, and
+            // each cut retires once on a path: the edge that set it is
+            // the one being undone.
+            for a in &state.retired[base..] {
+                if let CutKind::Processor(idx) = core.sys.cut(a.cut).kind {
+                    state.proc_ready[idx] = None;
+                }
             }
             state.active.extend(state.retired.drain(base..));
             state.now = prev_now;
@@ -348,28 +367,22 @@ enum TaskStatus {
     Cancelled,
 }
 
-enum Enter {
-    /// A frame was pushed; keep driving.
-    Descended,
-    /// Leaf recorded or subtree pruned; nothing pushed.
-    Closed,
-    /// The cancellation token fired.
-    Cancelled,
-}
-
-/// One shard: a resumable depth-first search over a frontier subtree.
+/// One task: a resumable depth-first search over one subtree — a
+/// frontier node, or the whole tree when the root runs unsplit.
 #[derive(Debug)]
 struct Task {
     path: Vec<u32>,
-    root_min_start: Option<(CutId, InterfaceId)>,
     state: NodeState,
     stack: Vec<Frame>,
     /// Candidate lists of every frame on `stack`, stacked in frame order.
     candidates: Vec<(CutId, InterfaceId)>,
-    entered: bool,
+    /// The node whose edge is applied to `state` but which is not yet
+    /// entered, with its `min_start`: the subtree root before the first
+    /// run, and a node refused by an exhausted slice until the next.
+    pending: Option<Option<(CutId, InterfaceId)>>,
     finished: bool,
-    /// Shard-local incumbent value (starts at the seed makespan);
-    /// recording uses strict `<`, so `best_entries` is the shard's
+    /// Task-local incumbent value (starts at the seed makespan);
+    /// recording uses strict `<`, so `best_entries` is the task's
     /// depth-first-first achiever of its best value.
     local_best: u64,
     best_entries: Option<Vec<ScheduledTest>>,
@@ -380,11 +393,10 @@ impl Task {
     fn new(node: SplitNode, seed_value: u64) -> Task {
         Task {
             path: node.path,
-            root_min_start: node.min_start,
             state: node.state,
             stack: Vec::new(),
             candidates: Vec::new(),
-            entered: false,
+            pending: Some(node.min_start),
             finished: false,
             local_best: seed_value,
             best_entries: None,
@@ -392,7 +404,7 @@ impl Task {
         }
     }
 
-    /// Runs the shard for at most `slice` node expansions; resumable.
+    /// Runs the task for at most `slice` node expansions; resumable.
     fn run(
         &mut self,
         core: &SearchCore<'_>,
@@ -419,90 +431,102 @@ impl Task {
         cancel: Option<&CancelToken>,
         used: &mut u64,
     ) -> TaskStatus {
-        if !self.entered {
-            self.entered = true;
-            match self.enter(core, self.root_min_start, bound, global, cancel, used) {
-                Enter::Cancelled => return TaskStatus::Cancelled,
-                Enter::Closed => return TaskStatus::Finished,
-                Enter::Descended => {}
+        if let Some(min_start) = self.pending.take() {
+            if let ControlFlow::Break(status) =
+                self.enter(core, min_start, slice, bound, global, cancel, used)
+            {
+                return status;
             }
         }
         loop {
-            if self.stack.is_empty() {
+            let Some(top) = self.stack.last_mut() else {
                 return TaskStatus::Finished;
-            }
+            };
             // Revert the edge of the child we just returned from.
-            if let Some(undo) = self.stack.last_mut().and_then(|f| f.undo.take()) {
-                undo_edge(&mut self.state, undo);
+            if let Some(undo) = top.undo.take() {
+                undo_edge(core, &mut self.state, undo);
             }
-            if *used >= slice {
-                return TaskStatus::Paused;
-            }
-            let top = self.stack.last_mut().expect("non-empty stack");
-            if top.next < top.end {
+            let min_start = if top.next < top.end {
                 let (cut, iface) = self.candidates[top.next];
                 top.next += 1;
                 let session = core.start(self.state.now, cut, iface);
-                // Strict `>` against the cross-shard bound: the cell
+                // Strict `>` against the cross-task bound: the cell
                 // holds achieved values, so this can never prune the
                 // first achiever of the optimum.
                 if session.end >= self.local_best || session.end > bound.value() {
                     continue;
                 }
-                let undo = start_edge(&mut self.state, session);
-                self.stack.last_mut().expect("frame").undo = Some(undo);
-                if let Enter::Cancelled =
-                    self.enter(core, Some((cut, iface)), bound, global, cancel, used)
-                {
-                    return TaskStatus::Cancelled;
-                }
+                top.undo = Some(start_edge(&mut self.state, session));
+                Some((cut, iface))
             } else if !top.advanced {
                 top.advanced = true;
-                if !self.state.active.is_empty() {
-                    let undo = advance_edge(core, &mut self.state);
-                    self.stack.last_mut().expect("frame").undo = Some(undo);
-                    if let Enter::Cancelled = self.enter(core, None, bound, global, cancel, used) {
-                        return TaskStatus::Cancelled;
-                    }
+                if self.state.active.is_empty() {
+                    continue;
                 }
+                top.undo = Some(advance_edge(core, &mut self.state));
+                None
             } else {
                 let start = top.start;
                 self.stack.pop();
                 self.candidates.truncate(start);
+                continue;
+            };
+            if let ControlFlow::Break(status) =
+                self.enter(core, min_start, slice, bound, global, cancel, used)
+            {
+                return status;
             }
         }
     }
 
-    /// Node entry: record a leaf, prune, or push a frame — mirroring the
-    /// serial search's entry sequence (leaf check, cancellation poll,
-    /// expansion count, bound prune, candidate enumeration).
+    /// At a leaf: records the complete schedule if it beats the task's
+    /// incumbent.
+    #[cold]
+    fn leaf(&mut self, global: &AtomicU64) {
+        let makespan = self.state.makespan();
+        if makespan < self.local_best {
+            self.local_best = makespan;
+            self.best_entries = Some(self.state.entries.clone());
+            global.fetch_min(makespan, Ordering::Relaxed);
+        }
+    }
+
+    /// Node entry, in this order: record a leaf; refuse a node once the
+    /// slice is spent (it stays pending, so leaves below the last
+    /// expanded node are still recorded, and a tree that ends on exactly
+    /// its budget is complete); poll cancellation; count the expansion;
+    /// prune by the bound; push a frame of canonical candidates.
+    #[allow(clippy::too_many_arguments)] // the run's context plus the node
+    #[inline(always)] // see `start_edge`
     fn enter(
         &mut self,
         core: &SearchCore<'_>,
         min_start: Option<(CutId, InterfaceId)>,
+        slice: u64,
         bound: BoundMode<'_>,
         global: &AtomicU64,
         cancel: Option<&CancelToken>,
         used: &mut u64,
-    ) -> Enter {
+    ) -> ControlFlow<TaskStatus> {
         if self.state.remaining.is_empty() {
-            let makespan = self.state.makespan();
-            if makespan < self.local_best {
-                self.local_best = makespan;
-                self.best_entries = Some(self.state.entries.clone());
-                global.fetch_min(makespan, Ordering::Relaxed);
-            }
-            return Enter::Closed;
+            self.leaf(global);
+            return ControlFlow::Continue(());
         }
+        if *used >= slice {
+            self.pending = Some(min_start);
+            return ControlFlow::Break(TaskStatus::Paused);
+        }
+        // Poll on the first expansion and every period after it, so even
+        // a pre-cancelled token aborts before any real work.
         if (self.expansions + *used).is_multiple_of(CANCEL_POLL_PERIOD)
             && cancel.is_some_and(CancelToken::is_cancelled)
         {
-            return Enter::Cancelled;
+            return ControlFlow::Break(TaskStatus::Cancelled);
         }
         *used += 1;
         let lb = core.lower_bound(self.state.now, &self.state.active, &self.state.remaining);
         if lb >= self.local_best || lb > bound.value() {
-            return Enter::Closed;
+            return ControlFlow::Continue(());
         }
         let start = self.candidates.len();
         core.candidates(
@@ -521,13 +545,13 @@ impl Task {
             advanced: false,
             undo: None,
         });
-        Enter::Descended
+        ControlFlow::Continue(())
     }
 }
 
 /// Splits the root into one complete breadth-first level of at least
-/// `target` nodes (lexicographic path order = serial DFS order of the
-/// subtree roots). Leaves met on the way are returned as merge
+/// `target` nodes (lexicographic path order = one-thread DFS order of
+/// the subtree roots); a `target` of 1 returns the root itself. Leaves met on the way are returned as merge
 /// candidates; the node count spent is charged against the budget.
 fn split_frontier(
     core: &SearchCore<'_>,
@@ -613,8 +637,9 @@ fn split_frontier(
 }
 
 /// Runs one round of the given (task index, slice) work items over
-/// `threads` work-stealing workers; returns the expansions consumed and
-/// whether any shard observed cancellation.
+/// `threads` work-stealing workers — inline on the caller's thread when
+/// `threads` is 1 — and returns the expansions consumed and whether any
+/// task observed cancellation.
 fn run_round(
     core: &SearchCore<'_>,
     slots: &mut [Option<Task>],
@@ -636,49 +661,186 @@ fn run_round(
     let done: Mutex<Vec<(usize, Task)>> = Mutex::new(Vec::new());
     let consumed = AtomicU64::new(0);
     let saw_cancel = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            let queues = &queues;
-            let done = &done;
-            let consumed = &consumed;
-            let saw_cancel = &saw_cancel;
-            s.spawn(move || loop {
-                // Own deque from the front; steal from a neighbour's tail.
-                let mut job = queues[w].lock().expect("queue lock").pop_front();
-                if job.is_none() {
-                    for off in 1..threads {
-                        job = queues[(w + off) % threads]
-                            .lock()
-                            .expect("queue lock")
-                            .pop_back();
-                        if job.is_some() {
-                            break;
-                        }
-                    }
-                }
-                let Some((idx, mut task, slice)) = job else {
+    let worker = |w: usize| loop {
+        // Own deque from the front; steal from a neighbour's tail.
+        let mut job = queues[w].lock().expect("queue lock").pop_front();
+        if job.is_none() {
+            for off in 1..threads {
+                job = queues[(w + off) % threads]
+                    .lock()
+                    .expect("queue lock")
+                    .pop_back();
+                if job.is_some() {
                     break;
-                };
-                let before = task.expansions;
-                let status = task.run(core, slice, bound, global, cancel);
-                consumed.fetch_add(task.expansions - before, Ordering::Relaxed);
-                if status == TaskStatus::Cancelled {
-                    saw_cancel.store(true, Ordering::Relaxed);
                 }
-                done.lock().expect("done lock").push((idx, task));
-            });
+            }
         }
-    });
+        let Some((idx, mut task, slice)) = job else {
+            break;
+        };
+        let before = task.expansions;
+        let status = task.run(core, slice, bound, global, cancel);
+        consumed.fetch_add(task.expansions - before, Ordering::Relaxed);
+        if status == TaskStatus::Cancelled {
+            saw_cancel.store(true, Ordering::Relaxed);
+        }
+        done.lock().expect("done lock").push((idx, task));
+    };
+    if threads == 1 {
+        worker(0);
+    } else {
+        std::thread::scope(|s| {
+            for w in 0..threads {
+                let worker = &worker;
+                s.spawn(move || worker(w));
+            }
+        });
+    }
     for (idx, task) in done.into_inner().expect("done lock") {
         slots[idx] = Some(task);
     }
     (consumed.into_inner(), saw_cancel.into_inner())
 }
 
+/// The branch-and-bound behind both exact schedulers, on `threads`
+/// workers. One thread searches the root as one unsplit task; more
+/// split the root frontier into tasks first.
+pub(crate) fn branch_and_bound(
+    sys: &SystemUnderTest,
+    max_cores: usize,
+    max_expansions: Option<u64>,
+    threads: usize,
+    tuning: &SearchTuning,
+    cancel: Option<&CancelToken>,
+) -> Result<(Schedule, SearchStats), PlanError> {
+    check_guards(sys, max_cores)?;
+    // The opening incumbent (heuristic seed, possibly tightened by a
+    // warm start) bounds the split phase and every task alike; see
+    // `opening_incumbent` for why the tighter warm bound cannot
+    // change the within-budget result.
+    let (seed, seed_value, seed_kind) = opening_incumbent(sys, tuning)?;
+    let core = SearchCore::new(sys);
+    let target = if threads == 1 {
+        1
+    } else {
+        (threads * TASKS_PER_THREAD).min(MAX_FRONTIER)
+    };
+    let split_budget = max_expansions.map_or(u64::MAX, |b| b / 2);
+    let (frontier, leaves, split_cost) = split_frontier(&core, seed_value, target, split_budget);
+    let task_count = frontier.len();
+    let mut slots: Vec<Option<Task>> = frontier
+        .into_iter()
+        .map(|node| Some(Task::new(node, seed_value)))
+        .collect();
+    let global = AtomicU64::new(seed_value);
+    let mut cancelled = false;
+    if let Some(budget) = max_expansions {
+        let mut remaining = budget.saturating_sub(split_cost);
+        let mut round = 0u64;
+        loop {
+            let unfinished: Vec<usize> = slots
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.as_ref().is_some_and(|t| !t.finished))
+                .map(|(i, _)| i)
+                .collect();
+            if unfinished.is_empty() || remaining == 0 {
+                break;
+            }
+            let rounds_left = BUDGET_ROUNDS.saturating_sub(round).max(1);
+            let round_budget = (remaining / rounds_left).clamp(1, remaining);
+            let n = unfinished.len() as u64;
+            let base = round_budget / n;
+            let extra = round_budget % n;
+            let work: Vec<(usize, u64)> = unfinished
+                .iter()
+                .enumerate()
+                .map(|(j, &idx)| (idx, base + u64::from((j as u64) < extra)))
+                .filter(|&(_, slice)| slice > 0)
+                .collect();
+            // Freeze the cross-task bound for the whole round: every
+            // task prunes against the same value no matter which worker
+            // runs it or in what order, so exhausted runs stay
+            // deterministic.
+            let frozen = BoundMode::Frozen(global.load(Ordering::Relaxed));
+            let (consumed, saw_cancel) =
+                run_round(&core, &mut slots, &work, threads, frozen, &global, cancel);
+            remaining = remaining.saturating_sub(consumed);
+            round += 1;
+            if saw_cancel {
+                cancelled = true;
+                break;
+            }
+            if consumed == 0 {
+                break;
+            }
+        }
+    } else {
+        // Exhaustive search: no pause points, so tasks may read the
+        // incumbent cell live for the sharpest possible pruning.
+        let work: Vec<(usize, u64)> = (0..slots.len()).map(|i| (i, u64::MAX)).collect();
+        let (_, saw_cancel) = run_round(
+            &core,
+            &mut slots,
+            &work,
+            threads,
+            BoundMode::Live(&global),
+            &global,
+            cancel,
+        );
+        cancelled = saw_cancel;
+    }
+    if cancelled {
+        // A cancelled search reports Cancelled rather than its
+        // incumbent: the caller asked for the job to stop, and a
+        // half-refined "best so far" would be indistinguishable from a
+        // completed budgeted search.
+        return Err(PlanError::Cancelled);
+    }
+    let tasks: Vec<Task> = slots
+        .into_iter()
+        .map(|t| t.expect("every task returned"))
+        .collect();
+    let exhausted = tasks.iter().any(|t| !t.finished);
+    let expansions = split_cost + tasks.iter().map(|t| t.expansions).sum::<u64>();
+    // Ordered merge: minimum by (makespan, canonical subtree id).
+    let mut winner: Option<(u64, &[u32], &[ScheduledTest])> = None;
+    for leaf in &leaves {
+        let key = (leaf.value, leaf.path.as_slice());
+        if winner.is_none_or(|(v, p, _)| key < (v, p)) {
+            winner = Some((leaf.value, &leaf.path, &leaf.entries));
+        }
+    }
+    for task in &tasks {
+        if let Some(entries) = &task.best_entries {
+            let key = (task.local_best, task.path.as_slice());
+            if winner.is_none_or(|(v, p, _)| key < (v, p)) {
+                winner = Some((task.local_best, &task.path, entries));
+            }
+        }
+    }
+    let schedule = match winner {
+        Some((_, _, entries)) => Schedule::new(entries.to_vec()),
+        None => seed,
+    };
+    Ok((
+        schedule,
+        SearchStats {
+            expansions,
+            exhausted,
+            threads,
+            tasks: task_count,
+            seed: seed_kind,
+        },
+    ))
+}
+
 /// Work-stealing parallel version of [`OptimalScheduler`].
 ///
+/// [`OptimalScheduler`]: crate::sched::OptimalScheduler
+///
 /// Registry name `optimal-par`. Within budget the schedule is
-/// byte-identical to the serial `optimal` search at *any* thread count;
+/// byte-identical to the one-thread `optimal` search at *any* thread count;
 /// budget-exhausted runs return a valid incumbent that is deterministic
 /// at a fixed thread count. See the [module docs](self) for how both
 /// properties survive work stealing.
@@ -740,7 +902,7 @@ impl ParallelOptimalScheduler {
     /// # Errors
     ///
     /// [`PlanError::Cancelled`] when `cancel` fires mid-search;
-    /// otherwise exactly the errors of the serial `optimal` search
+    /// otherwise exactly the errors of `optimal`
     /// (empty interface set, exponential-size guard).
     pub fn schedule_with_stats(
         &self,
@@ -748,134 +910,14 @@ impl ParallelOptimalScheduler {
         tuning: &SearchTuning,
         cancel: Option<&CancelToken>,
     ) -> Result<(Schedule, SearchStats), PlanError> {
-        check_guards(sys, self.max_cores)?;
-        let threads = self.resolve_threads(tuning);
-        if threads <= 1 {
-            // One worker: run the serial search itself, so T=1 is
-            // byte-identical to `optimal` by construction.
-            let serial = OptimalScheduler {
-                max_cores: self.max_cores,
-                max_expansions: self.max_expansions,
-            };
-            return serial.schedule_with_stats(sys, tuning, cancel);
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(PlanError::Cancelled);
-        }
-        // The opening incumbent (heuristic seed, possibly tightened by a
-        // warm start) bounds the split phase and every shard alike; see
-        // `opening_incumbent` for why the tighter warm bound cannot
-        // change the within-budget result.
-        let (seed, seed_value, seed_kind) = opening_incumbent(sys, tuning)?;
-        let core = SearchCore::new(sys);
-        let target = (threads * TASKS_PER_THREAD).min(MAX_FRONTIER);
-        let split_budget = self.max_expansions.map_or(u64::MAX, |b| b / 2);
-        let (frontier, leaves, split_cost) =
-            split_frontier(&core, seed_value, target, split_budget);
-        let task_count = frontier.len();
-        let mut slots: Vec<Option<Task>> = frontier
-            .into_iter()
-            .map(|node| Some(Task::new(node, seed_value)))
-            .collect();
-        let global = AtomicU64::new(seed_value);
-        let mut cancelled = false;
-        if let Some(budget) = self.max_expansions {
-            let mut remaining = budget.saturating_sub(split_cost);
-            let mut round = 0u64;
-            loop {
-                let unfinished: Vec<usize> = slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.as_ref().is_some_and(|t| !t.finished))
-                    .map(|(i, _)| i)
-                    .collect();
-                if unfinished.is_empty() || remaining == 0 {
-                    break;
-                }
-                let rounds_left = BUDGET_ROUNDS.saturating_sub(round).max(1);
-                let round_budget = (remaining / rounds_left).clamp(1, remaining);
-                let n = unfinished.len() as u64;
-                let base = round_budget / n;
-                let extra = round_budget % n;
-                let work: Vec<(usize, u64)> = unfinished
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &idx)| (idx, base + u64::from((j as u64) < extra)))
-                    .filter(|&(_, slice)| slice > 0)
-                    .collect();
-                // Freeze the cross-shard bound for the whole round: every
-                // shard prunes against the same value no matter which
-                // worker runs it or in what order, so exhausted runs stay
-                // deterministic.
-                let frozen = BoundMode::Frozen(global.load(Ordering::Relaxed));
-                let (consumed, saw_cancel) =
-                    run_round(&core, &mut slots, &work, threads, frozen, &global, cancel);
-                remaining = remaining.saturating_sub(consumed);
-                round += 1;
-                if saw_cancel {
-                    cancelled = true;
-                    break;
-                }
-                if consumed == 0 {
-                    break;
-                }
-            }
-        } else {
-            // Exhaustive search: no pause points, so shards may read the
-            // incumbent cell live for the sharpest possible pruning.
-            let work: Vec<(usize, u64)> = (0..slots.len()).map(|i| (i, u64::MAX)).collect();
-            let (_, saw_cancel) = run_round(
-                &core,
-                &mut slots,
-                &work,
-                threads,
-                BoundMode::Live(&global),
-                &global,
-                cancel,
-            );
-            cancelled = saw_cancel;
-        }
-        if cancelled {
-            // Match the serial search: a cancelled job reports Cancelled,
-            // never a half-refined incumbent.
-            return Err(PlanError::Cancelled);
-        }
-        let tasks: Vec<Task> = slots
-            .into_iter()
-            .map(|t| t.expect("every task returned"))
-            .collect();
-        let exhausted = tasks.iter().any(|t| !t.finished);
-        let expansions = split_cost + tasks.iter().map(|t| t.expansions).sum::<u64>();
-        // Ordered merge: minimum by (makespan, canonical subtree id).
-        let mut winner: Option<(u64, &[u32], &[ScheduledTest])> = None;
-        for leaf in &leaves {
-            let key = (leaf.value, leaf.path.as_slice());
-            if winner.is_none_or(|(v, p, _)| key < (v, p)) {
-                winner = Some((leaf.value, &leaf.path, &leaf.entries));
-            }
-        }
-        for task in &tasks {
-            if let Some(entries) = &task.best_entries {
-                let key = (task.local_best, task.path.as_slice());
-                if winner.is_none_or(|(v, p, _)| key < (v, p)) {
-                    winner = Some((task.local_best, &task.path, entries));
-                }
-            }
-        }
-        let schedule = match winner {
-            Some((_, _, entries)) => Schedule::new(entries.to_vec()),
-            None => seed,
-        };
-        Ok((
-            schedule,
-            SearchStats {
-                expansions,
-                exhausted,
-                threads,
-                tasks: task_count,
-                seed: seed_kind,
-            },
-        ))
+        branch_and_bound(
+            sys,
+            self.max_cores,
+            self.max_expansions,
+            self.resolve_threads(tuning),
+            tuning,
+            cancel,
+        )
     }
 }
 
@@ -1090,6 +1132,7 @@ impl Scheduler for PortfolioScheduler {
 mod tests {
     use super::*;
     use crate::sched::optimal::seed_schedule;
+    use crate::sched::OptimalScheduler;
     use crate::system::SystemBuilder;
     use noctest_cpu::ProcessorProfile;
 
