@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI smoke gate for the plan-serve NDJSON daemon: pipe eleven lines —
+# CI smoke gate for the plan-serve NDJSON daemon: pipe twelve lines —
 # including one request with an unknown scheduler (in-band `failed`
-# event), one non-JSON line and two requests with unusable power values
-# (daemon-level `error` events) and one cancellation — through the binary
+# event), one non-JSON line, two requests with unusable power values and
+# a last line of 200000 `[` (daemon-level `error` events) and one
+# cancellation — through the binary
 # on one worker thread, then byte-check the deterministic fields of the
 # event stream (per-job terminal kinds in job order, the stable
 # unknown-scheduler and power messages, the closing `done` line).
@@ -29,6 +30,9 @@ for i in 1 2 3 4 5 6 7; do CORES="$CORES, $(core $i)"; done
 # it is cancelled.
 BASE='"soc": {"benchmark": "d695"}, "mesh": {"width": 4, "height": 4}, "processors": {"family": "plasma", "total": 2, "reused": 2}'
 D695="$BASE, \"budget\": {\"fraction\": 0.6}"
+# Nested past the JSON depth limit; parsed recursively, it once overflowed
+# the daemon's stack.
+DEEP="$(printf '%*s' 200000 '' | tr ' ' '[')"
 OUT="$("$BIN" --threads 1 <<EOF
 {"name": "slow", "soc": {"name": "hard", "cores": [$CORES]}, "mesh": {"width": 4, "height": 4}, "processors": {"family": "plasma", "total": 2, "reused": 2}, "scheduler": "optimal"}
 {"name": "doomed", $D695, "scheduler": "greedy"}
@@ -41,6 +45,7 @@ this is not json
 {"name": "s", $D695, "scheduler": "smart"}
 {"name": "base", $D695, "scheduler": "serial"}
 {"name": "g2", $D695, "scheduler": "greedy"}
+$DEEP
 EOF
 )"
 
@@ -78,11 +83,13 @@ printf '%s\n' "$OUT" | grep -qF \
 printf '%s\n' "$OUT" | grep -q '"event":"error","line":5' \
     || { echo "plan_serve_smoke: missing daemon error for line 5" >&2; exit 1; }
 
-# Each unusable power value is refused at decode with exactly one
-# daemon-level error naming its line, never a job or a panic.
+# Each unusable power value, and the over-deep line, is refused at decode
+# with exactly one daemon-level error naming its line, never a job, a
+# panic or an abort.
 for expect in \
     '"event":"error","line":6,"error":"json error at byte 0: `budget.fraction` must be positive and finite"' \
-    '"event":"error","line":7,"error":"json error at byte 0: core `c0` power must be finite and non-negative"'; do
+    '"event":"error","line":7,"error":"json error at byte 0: core `c0` power must be finite and non-negative"' \
+    '"event":"error","line":12,"error":"json error at byte 256: nesting deeper than 256 levels"'; do
     line="$(printf '%s' "$expect" | sed -nE 's/.*"line":([0-9]+),.*/\1/p')"
     if [ "$(printf '%s\n' "$OUT" | grep -c "\"event\":\"error\",\"line\":$line,")" != 1 ] \
         || ! printf '%s\n' "$OUT" | grep -qF "{$expect}"; then

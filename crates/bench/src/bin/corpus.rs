@@ -138,6 +138,10 @@ fn main() -> ExitCode {
         },
     );
     let report = run.report;
+    let (simulated, shared) = run.replays;
+    if simulated + shared > 0 {
+        eprintln!("corpus: fidelity replays: {simulated} simulated, {shared} shared");
+    }
 
     let mut failed = false;
     if run.aborted {

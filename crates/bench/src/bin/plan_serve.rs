@@ -18,7 +18,9 @@
 //! (`queued`, `started`, `stage_finished`, `completed` with the embedded
 //! outcome, `failed`, `cancelled` — see `noctest_core::plan::exec`), plus
 //! daemon-level lines: `{"event":"error","line":N,"error":"..."}` for
-//! input that cannot be parsed (the daemon keeps serving),
+//! input that cannot be parsed — including a line longer than
+//! [`MAX_LINE_BYTES`], one that is not UTF-8, and JSON nested deeper than
+//! `noctest_core::json::MAX_DEPTH` (the daemon keeps serving),
 //! `{"event":"rejected",...}` when admission control refuses a request,
 //! and a final `{"event":"done","jobs":N}` once stdin closes and every
 //! accepted job is terminal.
@@ -60,7 +62,7 @@
 //!   | cargo run -p noctest-bench --bin plan-serve -- --threads 2
 //! ```
 
-use std::io::BufRead;
+use std::io::{self, BufRead, Read};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -76,6 +78,34 @@ const USAGE: &str =
      [--plan-cache N]\n\
      reads NDJSON PlanRequests (or {\"cancel\": id|name}) on stdin,\n\
      emits NDJSON lifecycle events on stdout";
+
+/// The longest input line the daemon reads, in bytes (newline excluded).
+/// A longer line is skipped without being buffered and answered with an
+/// `error` line.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Reads the next line of `input` into `line`, without its newline.
+/// Returns `None` at the end of the input and `Some(false)` for a line
+/// longer than [`MAX_LINE_BYTES`], which is consumed and left out of
+/// `line`.
+fn read_line(input: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    line.clear();
+    let read = input
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', line)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_LINE_BYTES {
+        line.clear();
+        input.skip_until(b'\n')?;
+        return Ok(Some(false));
+    }
+    Ok(Some(true))
+}
 
 /// Parses the value of a `--shards` / `--queue-depth` style flag.
 fn parse_count(flag: &str, value: Option<String>) -> Result<usize, String> {
@@ -182,8 +212,9 @@ fn main() -> ExitCode {
         }
     };
 
-    for (index, line) in std::io::stdin().lock().lines().enumerate() {
-        let lineno = (index + 1) as u64;
+    let mut input = io::stdin().lock();
+    let mut buffer = Vec::new();
+    for lineno in 1u64.. {
         if sink.failed() {
             // Nobody is reading the event stream (broken pipe, full
             // disk): stop accepting work and cancel whatever is pending
@@ -191,8 +222,16 @@ fn main() -> ExitCode {
             tier.cancel_all();
             break;
         }
-        let line = match line {
-            Ok(line) => line,
+        match read_line(&mut input, &mut buffer) {
+            Ok(Some(true)) => {}
+            Ok(Some(false)) => {
+                sink.write_line(&wire::error_line(
+                    lineno,
+                    &format!("line longer than {MAX_LINE_BYTES} bytes"),
+                ));
+                continue;
+            }
+            Ok(None) => break,
             Err(error) => {
                 sink.write_line(&wire::error_line(
                     lineno,
@@ -200,6 +239,10 @@ fn main() -> ExitCode {
                 ));
                 break;
             }
+        }
+        let Ok(line) = std::str::from_utf8(&buffer) else {
+            sink.write_line(&wire::error_line(lineno, "line is not valid UTF-8"));
+            continue;
         };
         let text = line.trim();
         if text.is_empty() {
@@ -271,4 +314,26 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lines_past_the_cap_are_skipped_whole() {
+        let long = "x".repeat(MAX_LINE_BYTES + 1);
+        let fits = "y".repeat(MAX_LINE_BYTES);
+        let text = format!("a\r\n{long}\n{fits}\nlast");
+        let mut input = text.as_bytes();
+        let mut line = Vec::new();
+        let mut lines = Vec::new();
+        while let Some(fit) = read_line(&mut input, &mut line).unwrap() {
+            lines.push((fit, line.len()));
+        }
+        assert_eq!(
+            lines,
+            vec![(true, 2), (false, 0), (true, MAX_LINE_BYTES), (true, 4)]
+        );
+    }
 }

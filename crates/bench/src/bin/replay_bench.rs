@@ -2,7 +2,7 @@
 //!
 //! Plans a corpus fidelity sweep — the full generated corpus plus the
 //! degraded-mesh smoke corpus, or trimmed smoke variants of both under
-//! `--smoke` — with replay work *deferred*, then drains the collected
+//! `--smoke` — without replaying, then replays the planned
 //! (system, schedule) pairs three ways, all on the live engine:
 //!
 //! * **sequential** — one schedule at a time through
@@ -45,9 +45,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use noctest_core::json::Json;
-use noctest_core::plan::exec::{Executor, JobResult};
-use noctest_core::plan::DeferredFidelity;
-use noctest_core::{replay_schedule, ReplayBatch, ScheduleReplay};
+use noctest_core::{
+    replay_schedule, ReplayBatch, Schedule, ScheduleReplay, SchedulerRegistry, SystemUnderTest,
+};
 use noctest_gen::CorpusSpec;
 use noctest_noc::NocError;
 
@@ -127,34 +127,44 @@ fn specs(config: &Config) -> Vec<(&'static str, CorpusSpec)> {
     }
 }
 
-/// Plans one corpus with replay deferred and returns the collected work,
-/// labelled by request name, in deterministic submission order.
-fn collect(spec: &CorpusSpec) -> Result<(usize, Vec<(String, DeferredFidelity)>), String> {
-    let requests = spec.requests();
-    let executor = Executor::builder().defer_fidelity(true).build();
-    let handles: Vec<_> = requests
-        .iter()
-        .map(|r| executor.submit(r.clone()))
-        .collect();
-    executor.join();
+/// One planned fidelity scenario, ready to replay.
+struct Work {
+    sys: SystemUnderTest,
+    schedule: Schedule,
+    patterns_cap: u32,
+}
+
+/// Plans one corpus on the caller's thread, stage by stage as
+/// `Campaign::run` does but without replaying, and returns the number of
+/// scenarios that failed to plan plus the replay work of the rest,
+/// labelled by request name, in request order.
+fn collect(spec: &CorpusSpec) -> (usize, Vec<(String, Work)>) {
+    let registry = SchedulerRegistry::with_defaults();
     let mut failed = 0usize;
-    for handle in &handles {
-        match handle.wait() {
-            JobResult::Completed(_) => {}
-            JobResult::Failed(_) => failed += 1,
-            JobResult::Cancelled => return Err("a corpus job was cancelled".to_owned()),
+    let mut items = Vec::new();
+    for request in spec.requests() {
+        let planned = registry.get(&request.scheduler).and_then(|scheduler| {
+            let sys = request.build_system()?;
+            let schedule = scheduler.schedule_tuned(&sys, &request.search, None)?;
+            if request.validate {
+                schedule.validate(&sys)?;
+            }
+            Ok((sys, schedule))
+        });
+        match (planned, &request.fidelity) {
+            (Ok((sys, schedule)), Some(fidelity)) => items.push((
+                request.name,
+                Work {
+                    sys,
+                    schedule,
+                    patterns_cap: fidelity.patterns_cap,
+                },
+            )),
+            (Ok(_), None) => {}
+            (Err(_), _) => failed += 1,
         }
     }
-    let first_id = handles.first().map_or(1, |h| h.id().0);
-    let items = executor
-        .take_deferred_fidelity()
-        .into_iter()
-        .map(|(job, work)| {
-            let index = (job.0 - first_id) as usize;
-            (requests[index].name.clone(), work)
-        })
-        .collect();
-    Ok((failed, items))
+    (failed, items)
 }
 
 /// FNV-1a, 64-bit: the digest primitive for the deterministic section.
@@ -205,28 +215,22 @@ fn main() -> ExitCode {
         }
     };
 
-    // Plan both corpora with replay deferred; this is setup, not part of
-    // either timed section.
-    let mut items: Vec<(String, DeferredFidelity)> = Vec::new();
+    // Plan both corpora without replaying; this is setup, not part of
+    // any timed section.
+    let mut items: Vec<(String, Work)> = Vec::new();
     let mut planned = 0usize;
     let mut plan_failed = 0usize;
     for (label, spec) in specs(&config) {
         planned += spec.scenario_count();
-        match collect(&spec) {
-            Ok((failed, mut work)) => {
-                plan_failed += failed;
-                for (name, item) in work.drain(..) {
-                    items.push((format!("{label}/{name}"), item));
-                }
-            }
-            Err(message) => {
-                eprintln!("replay-bench: planning the {label} corpus failed: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let (failed, work) = collect(&spec);
+        plan_failed += failed;
+        items.extend(
+            work.into_iter()
+                .map(|(name, item)| (format!("{label}/{name}"), item)),
+        );
     }
     if items.is_empty() {
-        eprintln!("replay-bench: the corpora deferred no replay work");
+        eprintln!("replay-bench: the corpora produced no replay work");
         return ExitCode::FAILURE;
     }
 

@@ -42,6 +42,11 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. A
+/// deeper document is refused with a [`JsonError`] instead of recursing
+/// until the stack overflows, which would abort the process.
+pub const MAX_DEPTH: usize = 256;
+
 fn err(at: usize, message: impl Into<String>) -> JsonError {
     JsonError {
         at,
@@ -72,11 +77,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    /// Returns a [`JsonError`] with the byte offset of the first problem,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -338,6 +345,8 @@ fn write_seq<T>(
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -366,8 +375,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -376,6 +385,24 @@ impl Parser<'_> {
             Some(b) => Err(err(self.pos, format!("unexpected byte `{}`", b as char))),
             None => Err(err(self.pos, "unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(err(
+                self.pos,
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &'static str, value: Json) -> Result<Json, JsonError> {
@@ -632,6 +659,22 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).compact(), "null");
         let doc = Json::obj(vec![("x", Json::Num(f64::NEG_INFINITY))]);
         assert!(Json::parse(&doc.compact()).is_ok());
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_before_the_stack_runs_out() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let hostile = "[".repeat(200_000);
+        assert_eq!(
+            Json::parse(&hostile).unwrap_err().to_string(),
+            "json error at byte 256: nesting deeper than 256 levels"
+        );
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert_eq!(
+            Json::parse(&objects).unwrap_err().to_string(),
+            "json error at byte 1280: nesting deeper than 256 levels"
+        );
     }
 
     #[test]

@@ -4,11 +4,11 @@ use std::time::Instant;
 
 use crate::error::PlanError;
 use crate::plan::error::CampaignError;
-use crate::plan::exec::{DeferredFidelity, Executor, JobResult};
+use crate::plan::exec::{Executor, JobResult};
 use crate::plan::outcome::{PlanOutcome, Stage, StageTiming};
 use crate::plan::registry::SchedulerRegistry;
 use crate::plan::request::PlanRequest;
-use crate::replay::replay_schedule;
+use crate::replay::{replay_schedule, ReplayMemo};
 use crate::sched::CancelToken;
 
 /// Validates a worker-thread count: zero workers cannot make progress, so
@@ -34,24 +34,20 @@ pub(crate) fn validate_thread_count(threads: usize) -> Result<usize, CampaignErr
 /// is polled between stages and threaded into
 /// [`crate::sched::Scheduler::schedule_cancellable`].
 ///
-/// With `cancel = None` and `defer_fidelity = false` this is
-/// byte-for-byte the behaviour [`Campaign::run`] always had.
+/// With `cancel = None` and `replays = None` this is byte-for-byte the
+/// behaviour [`Campaign::run`] always had.
 ///
-/// With `defer_fidelity = true` a fidelity-opted request skips the
-/// inline replay stage: the outcome comes back with `fidelity = None`
-/// and `replay_micros = 0`, and the second tuple member carries the
-/// built system + schedule as a [`DeferredFidelity`] so the caller can
-/// batch many replays through one
-/// [`noctest_noc::BatchNetwork`]-backed
-/// [`crate::replay::ReplayBatch`]. Requests without a fidelity spec
-/// never produce deferred work.
+/// With a [`ReplayMemo`], a fidelity-opted request replays through it:
+/// the request that simulates records its wall time as the replay stage,
+/// and a twin that clones an earlier result records no replay stage and
+/// `replay_micros = 0`. The fidelity section is identical either way.
 pub(crate) fn run_pipeline(
     registry: &SchedulerRegistry,
     request: &PlanRequest,
     cancel: Option<&CancelToken>,
     on_stage: &mut dyn FnMut(Stage, u64),
-    defer_fidelity: bool,
-) -> Result<(PlanOutcome, Option<DeferredFidelity>), CampaignError> {
+    replays: Option<&ReplayMemo>,
+) -> Result<PlanOutcome, CampaignError> {
     fn check(cancel: Option<&CancelToken>) -> Result<(), CampaignError> {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             Err(CampaignError::Plan(PlanError::Cancelled))
@@ -91,15 +87,24 @@ pub(crate) fn run_pipeline(
     };
 
     let (fidelity, replay_micros) = match &request.fidelity {
-        Some(spec) if !defer_fidelity => {
+        Some(spec) => {
             check(cancel)?;
             let replay_start = Instant::now();
-            let replay = replay_schedule(&sys, &schedule, spec.patterns_cap)?;
-            let micros = replay_start.elapsed().as_micros() as u64;
-            on_stage(Stage::Replay, micros);
+            let (replay, simulated) = match replays {
+                Some(memo) => memo.replay(&sys, &schedule, spec.patterns_cap),
+                None => (replay_schedule(&sys, &schedule, spec.patterns_cap), true),
+            };
+            let replay = replay?;
+            let micros = if simulated {
+                let micros = replay_start.elapsed().as_micros() as u64;
+                on_stage(Stage::Replay, micros);
+                micros
+            } else {
+                0
+            };
             (Some(replay), micros)
         }
-        _ => (None, 0),
+        None => (None, 0),
     };
 
     let mut outcome = PlanOutcome::from_schedule(
@@ -118,15 +123,7 @@ pub(crate) fn run_pipeline(
         },
     );
     outcome.fidelity = fidelity;
-    let deferred = match &request.fidelity {
-        Some(spec) if defer_fidelity => Some(DeferredFidelity {
-            sys,
-            schedule,
-            patterns_cap: spec.patterns_cap,
-        }),
-        _ => None,
-    };
-    Ok((outcome, deferred))
+    Ok(outcome)
 }
 
 /// Executes planning requests against a [`SchedulerRegistry`].
@@ -226,8 +223,7 @@ impl Campaign {
     /// Any [`CampaignError`] from resolution, construction, scheduling,
     /// validation or the fidelity replay.
     pub fn run(&self, request: &PlanRequest) -> Result<PlanOutcome, CampaignError> {
-        run_pipeline(&self.registry, request, None, &mut |_, _| {}, false)
-            .map(|(outcome, _)| outcome)
+        run_pipeline(&self.registry, request, None, &mut |_, _| {}, None)
     }
 
     /// Runs a request matrix, parallelised over worker threads. Results

@@ -22,6 +22,11 @@
 //! * [`OutcomeStream`] — an iterator over terminal results in completion
 //!   order, with deterministic tie-breaking (lowest [`JobId`] first among
 //!   results that are simultaneously ready).
+//! * Shared replays — an executor built with
+//!   [`ExecutorBuilder::share_replays`] holds one [`ReplayMemo`] for its
+//!   lifetime. A fidelity replay runs on the worker of the first job that
+//!   needs it, and jobs with the same replay key clone that result, so a
+//!   corpus run replays on every worker while it plans.
 //!
 //! ```
 //! use noctest_core::plan::exec::{Executor, JobResult};
@@ -46,26 +51,8 @@ use crate::plan::error::CampaignError;
 use crate::plan::outcome::{PlanOutcome, Stage};
 use crate::plan::registry::SchedulerRegistry;
 use crate::plan::request::PlanRequest;
-use crate::sched::{CancelToken, Schedule};
-use crate::system::SystemUnderTest;
-
-/// Fidelity replay work a deferring executor put aside: the built system
-/// and schedule of one completed, fidelity-opted job, held so a batch
-/// runner can replay many jobs lane-parallel through
-/// [`crate::replay::ReplayBatch`] instead of one at a time inside each
-/// worker. Produced only by executors built with
-/// [`ExecutorBuilder::defer_fidelity`]`(true)`; collected via
-/// [`Executor::take_deferred_fidelity`].
-#[derive(Debug, Clone)]
-pub struct DeferredFidelity {
-    /// The system the schedule was planned for (owns the mesh geometry,
-    /// timing model and fault set the replay needs).
-    pub sys: SystemUnderTest,
-    /// The schedule to replay.
-    pub schedule: Schedule,
-    /// The per-session pattern cap from the request's fidelity spec.
-    pub patterns_cap: u32,
-}
+use crate::replay::ReplayMemo;
+use crate::sched::CancelToken;
 
 /// Locks a mutex, recovering the guard if a previous holder panicked —
 /// one panicking job must not poison the pool for every job after it.
@@ -642,10 +629,9 @@ struct Shared {
     /// global order.
     emit_lock: Mutex<()>,
     next_id: AtomicU64,
-    /// When set, fidelity-opted jobs skip their inline replay stage and
-    /// stash the system + schedule here for batched replay.
-    defer_fidelity: bool,
-    deferred: Mutex<Vec<(JobId, DeferredFidelity)>>,
+    /// When set, fidelity-opted jobs replay through this one memo, so a
+    /// replay key is simulated once per executor.
+    replays: Option<ReplayMemo>,
 }
 
 impl Shared {
@@ -754,16 +740,11 @@ impl Shared {
                         micros,
                     });
                 },
-                self.defer_fidelity,
+                self.replays.as_ref(),
             )
         }));
         let result = match result {
-            Ok(Ok((outcome, deferred))) => {
-                if let Some(work) = deferred {
-                    lock(&self.deferred).push((JobId(inner.id), work));
-                }
-                JobResult::Completed(Box::new(outcome))
-            }
+            Ok(Ok(outcome)) => JobResult::Completed(Box::new(outcome)),
             // `Cancelled` is only a cancellation if *this job's* token
             // tripped; a user scheduler returning it spontaneously is an
             // ordinary failure (callers like `run_all` rely on cancelled
@@ -806,7 +787,7 @@ pub struct ExecutorBuilder {
     campaign: Campaign,
     threads: Option<usize>,
     sinks: Vec<Arc<dyn EventSink>>,
-    defer_fidelity: bool,
+    share_replays: bool,
 }
 
 impl std::fmt::Debug for ExecutorBuilder {
@@ -815,7 +796,7 @@ impl std::fmt::Debug for ExecutorBuilder {
             .field("campaign", &self.campaign)
             .field("threads", &self.threads)
             .field("sinks", &self.sinks.len())
-            .field("defer_fidelity", &self.defer_fidelity)
+            .field("share_replays", &self.share_replays)
             .finish()
     }
 }
@@ -856,17 +837,18 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Defers fidelity replay (default `false`). When set, fidelity-opted
-    /// jobs complete *without* their replay stage — the outcome carries
-    /// `fidelity = None`, no `Replay` stage event is emitted — and the
-    /// built system + schedule are stashed as [`DeferredFidelity`] work
-    /// for the caller to drain via [`Executor::take_deferred_fidelity`]
-    /// and replay lane-parallel through
-    /// [`crate::replay::ReplayBatch`]. Single-request serving keeps the
-    /// default so wire digests are untouched.
+    /// Shares fidelity replays between jobs (default `false`). When set,
+    /// the executor holds one [`ReplayMemo`] for its lifetime: the first
+    /// job with a given replay key simulates it on its own worker and
+    /// charges the wall time to its `Replay` stage, and every later job
+    /// with the same key clones that result and records no replay stage
+    /// (`replay_micros = 0`). Fidelity sections are byte-identical to
+    /// [`Campaign::run`]'s either way; [`Executor::replay_counts`] reports
+    /// how many replays were simulated and shared. Single-request serving
+    /// keeps the default, where every job replays on its own.
     #[must_use]
-    pub fn defer_fidelity(mut self, defer: bool) -> Self {
-        self.defer_fidelity = defer;
+    pub fn share_replays(mut self, share: bool) -> Self {
+        self.share_replays = share;
         self
     }
 
@@ -893,8 +875,7 @@ impl ExecutorBuilder {
             sinks: self.sinks,
             emit_lock: Mutex::new(()),
             next_id: AtomicU64::new(1),
-            defer_fidelity: self.defer_fidelity,
-            deferred: Mutex::new(Vec::new()),
+            replays: self.share_replays.then(ReplayMemo::default),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -1020,17 +1001,15 @@ impl Executor {
         }
     }
 
-    /// Drains the fidelity replay work deferred so far (executors built
-    /// with [`ExecutorBuilder::defer_fidelity`]`(true)` only; always
-    /// empty otherwise), sorted by [`JobId`] so the batch composition is
-    /// deterministic regardless of worker completion order. Call after
-    /// [`Executor::join`] (or after draining [`Executor::outcomes`]) to
-    /// see every completed job's work.
+    /// `(simulated, shared)` fidelity replays so far: replays a job
+    /// simulated, and replays a job cloned from an earlier one. Always
+    /// `(0, 0)` unless built with [`ExecutorBuilder::share_replays`].
     #[must_use]
-    pub fn take_deferred_fidelity(&self) -> Vec<(JobId, DeferredFidelity)> {
-        let mut deferred = std::mem::take(&mut *lock(&self.shared.deferred));
-        deferred.sort_by_key(|(job, _)| *job);
-        deferred
+    pub fn replay_counts(&self) -> (u64, u64) {
+        self.shared
+            .replays
+            .as_ref()
+            .map_or((0, 0), ReplayMemo::counts)
     }
 
     /// Jobs submitted so far.
@@ -1510,42 +1489,61 @@ mod tests {
     }
 
     #[test]
-    fn deferred_fidelity_is_stashed_and_replays_identically_to_inline() {
+    fn shared_replays_simulate_once_and_match_inline() {
         let request = d695("greedy").with_fidelity(2);
-        // Inline (the default): the outcome carries the replay section.
         let inline = Campaign::new().run(&request).unwrap();
-        let inline_fidelity = inline.fidelity.clone().expect("inline replay ran");
-        // Deferred: the job completes without the section...
+        let inline_fidelity = inline.fidelity.expect("inline replay ran");
+        let collector = Arc::new(EventCollector::new());
         let executor = Executor::builder()
             .threads(2)
             .unwrap()
-            .defer_fidelity(true)
+            .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
+            .share_replays(true)
             .build();
-        let handle = executor.submit(request.clone());
-        let JobResult::Completed(outcome) = handle.wait() else {
-            panic!("job failed");
-        };
-        assert!(outcome.fidelity.is_none());
-        assert_eq!(outcome.timing.replay_micros, 0);
-        // ...and the replay work waits in the stash, keyed by job id.
-        let deferred = executor.take_deferred_fidelity();
-        assert_eq!(deferred.len(), 1);
-        assert_eq!(deferred[0].0, handle.id());
-        let mut batch = crate::replay::ReplayBatch::new();
-        for (_, work) in &deferred {
-            batch.push(&work.sys, &work.schedule, work.patterns_cap);
+        // Three requests with one replay key (names are not part of it).
+        let handles: Vec<JobHandle> = (0..3)
+            .map(|i| executor.submit(request.clone().with_name(format!("twin{i}"))))
+            .collect();
+        executor.join();
+        assert_eq!(executor.replay_counts(), (1, 2));
+        // Exactly one job simulated; it alone reports a replay stage.
+        let replay_events: Vec<JobId> = collector
+            .take()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    PlanEvent::StageFinished {
+                        stage: Stage::Replay,
+                        ..
+                    }
+                )
+            })
+            .map(PlanEvent::job)
+            .collect();
+        assert_eq!(replay_events.len(), 1, "{replay_events:?}");
+        for handle in &handles {
+            let JobResult::Completed(outcome) = handle.wait() else {
+                panic!("job failed");
+            };
+            assert_eq!(
+                outcome.fidelity.as_ref(),
+                Some(&inline_fidelity),
+                "a shared replay must be byte-identical to the inline one"
+            );
+            if handle.id() != replay_events[0] {
+                assert_eq!(outcome.timing.replay_micros, 0);
+            }
         }
-        let replayed = batch.run().pop().unwrap().expect("batched replay runs");
-        assert_eq!(
-            replayed, inline_fidelity,
-            "deferred replay must be byte-identical"
-        );
-        // The stash drains exactly once, and non-deferring executors
-        // never populate it.
-        assert!(executor.take_deferred_fidelity().is_empty());
+        // An executor that does not share replays each job on its own
+        // and counts nothing.
         let plain = Executor::builder().threads(1).unwrap().build();
-        let _ = plain.submit(request).wait();
-        assert!(plain.take_deferred_fidelity().is_empty());
+        let outcome = plain.submit(request).wait();
+        assert_eq!(
+            outcome.outcome().and_then(|o| o.fidelity.as_ref()),
+            Some(&inline_fidelity)
+        );
+        assert_eq!(plain.replay_counts(), (0, 0));
     }
 
     #[test]

@@ -67,8 +67,8 @@ mod request;
 pub use campaign::Campaign;
 pub use error::CampaignError;
 pub use exec::{
-    CompletedJob, DeferredFidelity, EventCollector, EventSink, Executor, ExecutorBuilder,
-    JobHandle, JobId, JobResult, JobStatus, NdjsonSink, OutcomeStream, PlanEvent, SubmitSpec,
+    CompletedJob, EventCollector, EventSink, Executor, ExecutorBuilder, JobHandle, JobId,
+    JobResult, JobStatus, NdjsonSink, OutcomeStream, PlanEvent, SubmitSpec,
 };
 pub use matrix::RequestMatrix;
 pub use outcome::{PlanOutcome, SessionOutcome, Stage, StageTiming};

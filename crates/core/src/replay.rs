@@ -13,7 +13,7 @@
 //! source, not the network, so the stimulus stream is the part where the
 //! analytic and simulated worlds must agree.
 //!
-//! Four granularities are available:
+//! Five granularities are available:
 //!
 //! * [`replay_stimulus_stream`] — one session in isolation;
 //! * [`replay_concurrent_streams`] — two sessions, solo and together, for
@@ -33,8 +33,15 @@
 //!   byte-identical to what [`replay_schedule`] would have produced for
 //!   the same request, because both paths share the staging, simulation
 //!   core and re-association code.
+//! * [`ReplayMemo`] — **many plans, on many threads**: each whole-schedule
+//!   replay runs through [`replay_schedule`] on the thread that asks for
+//!   it first, and requests with the same replay key clone that result.
+//!   The executor uses it so a corpus run replays on every worker while
+//!   it plans.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use noctest_noc::{
     BatchNetwork, DeliveredPacket, LinkId, Network, NocConfig, NocError, NodeId, Packet,
@@ -591,6 +598,80 @@ impl FidelityClass {
     }
 }
 
+/// One replay result, shared by every request with the same [`ReplayKey`].
+type SharedReplay = Arc<OnceLock<Result<ScheduleReplay, NocError>>>;
+
+/// Whole-schedule replays shared between threads as they are requested.
+///
+/// [`ReplayMemo::replay`] has the request shape of [`replay_schedule`].
+/// The first call with a given replay key simulates through
+/// [`replay_schedule`] on the caller's thread. Every later call with the
+/// same key clones that result; a call that races the simulating one
+/// blocks until the result exists. Keys are the ones [`ReplayBatch`]
+/// deduplicates on, so a memo simulates exactly
+/// [`ReplayBatch::unique_replays`] times for the same requests, and every
+/// result is byte-identical to [`replay_schedule`]'s.
+///
+/// The job executor holds one memo per executor when built with
+/// [`crate::plan::ExecutorBuilder::share_replays`], so a corpus run
+/// replays on all of its workers while it plans. Nothing is evicted: a
+/// memo lives as long as the run it serves.
+#[derive(Debug, Default)]
+pub struct ReplayMemo {
+    replays: Mutex<BTreeMap<ReplayKey, SharedReplay>>,
+    simulated: AtomicU64,
+    shared: AtomicU64,
+}
+
+impl ReplayMemo {
+    /// The replay of `schedule` on `sys` under `patterns_cap`, exactly as
+    /// [`replay_schedule`] returns it, and `true` when this call ran the
+    /// simulation (`false` when it cloned an earlier call's result).
+    pub fn replay(
+        &self,
+        sys: &SystemUnderTest,
+        schedule: &Schedule,
+        patterns_cap: u32,
+    ) -> (Result<ScheduleReplay, NocError>, bool) {
+        let key = ReplayKey::of(&BatchItem {
+            sys,
+            schedule,
+            patterns_cap,
+        });
+        let cell = Arc::clone(
+            self.replays
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(key)
+                .or_default(),
+        );
+        let mut simulated = false;
+        let result = cell
+            .get_or_init(|| {
+                simulated = true;
+                replay_schedule(sys, schedule, patterns_cap)
+            })
+            .clone();
+        let counter = if simulated {
+            &self.simulated
+        } else {
+            &self.shared
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (result, simulated)
+    }
+
+    /// `(simulated, shared)`: calls that ran a simulation and calls that
+    /// cloned one.
+    #[must_use]
+    pub fn counts(&self) -> (u64, u64) {
+        (
+            self.simulated.load(Ordering::Relaxed),
+            self.shared.load(Ordering::Relaxed),
+        )
+    }
+}
+
 /// A set of pending whole-schedule fidelity replays, drained lane-parallel.
 ///
 /// Requests are grouped by fidelity class — mesh shape,
@@ -1014,6 +1095,25 @@ mod tests {
             let sequential = replay_schedule(&sys, sched, cap).unwrap();
             assert_eq!(result.as_ref().unwrap(), &sequential);
         }
+    }
+
+    #[test]
+    fn memo_simulates_each_key_once_and_matches_sequential() {
+        use crate::sched::Scheduler as _;
+        let sys = system();
+        let schedule = crate::sched::GreedyScheduler::new().schedule(&sys).unwrap();
+        let empty = Schedule::default();
+        let requests = [(&schedule, 6), (&schedule, 2), (&schedule, 6), (&empty, 8)];
+        let memo = ReplayMemo::default();
+        let mut batch = ReplayBatch::new();
+        for &(sched, cap) in &requests {
+            let (result, _) = memo.replay(&sys, sched, cap);
+            assert_eq!(result.unwrap(), replay_schedule(&sys, sched, cap).unwrap());
+            batch.push(&sys, sched, cap);
+        }
+        assert_eq!(memo.counts(), (batch.unique_replays() as u64, 1));
+        // A twin clones the first result and reports that it did not simulate.
+        assert!(!memo.replay(&sys, &schedule, 2).1);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! [`CorpusSpec::run_streaming`] observes scenarios as they complete and
 //! can abort-and-cancel on the first failure.
 //!
-//! Fidelity-enabled corpora do not replay schedules inline in the
-//! workers: replay work is deferred per job and driven through one
-//! lane-parallel [`ReplayBatch`] (struct-of-arrays
-//! `noctest_noc::BatchNetwork` lanes, grouped by mesh and fault class)
-//! once planning completes, with results re-associated by job id —
-//! byte-identical to the inline path, at batch throughput.
+//! Fidelity-enabled corpora replay each schedule on the worker that
+//! planned it, as soon as it is planned, through one
+//! [`noctest_core::ReplayMemo`] per run: the first scenario with a given
+//! replay key simulates it, and scenarios with the same key clone that
+//! result. The fidelity sections are byte-identical to the inline path of
+//! [`Campaign::run`], and replay overlaps planning on every worker.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,7 +27,7 @@ use noctest_core::plan::{
     profile_cache_stats, ApplicationSpec, Campaign, CampaignError, FidelitySpec, MeshSpec,
     PlanOutcome, PlanRequest, ProcessorSpec, RequestMatrix, SocSource, TimingSpec,
 };
-use noctest_core::{BudgetSpec, PriorityPolicy, ReplayBatch};
+use noctest_core::{BudgetSpec, PriorityPolicy};
 use noctest_faults::{FaultRecipe, FaultSet};
 use noctest_noc::rng::SplitMix64;
 use noctest_noc::{Mesh, RoutingKind};
@@ -212,10 +212,10 @@ impl CorpusSpec {
                 BudgetSpec::Fraction(0.35),
             ],
             schedulers: vec!["serial".to_owned(), "greedy".to_owned(), "smart".to_owned()],
-            // Fidelity is on by default: the batched replay path amortises
-            // the cycle-level simulation across lanes (see BENCH_replay.json
-            // for the measured batched-vs-sequential gate), so even the
-            // 2160-scenario sweep can afford a per-session cross-check.
+            // Fidelity is on by default: each distinct replay is simulated
+            // once, on the worker that first needs it (2160 scenarios share
+            // 794 simulations at seed 2005), so even the full sweep can
+            // afford a per-session cross-check.
             fidelity_patterns_cap: Some(2),
         }
     }
@@ -447,14 +447,12 @@ impl CorpusSpec {
     /// [`StreamOptions::sinks`] receive the full per-job lifecycle stream
     /// (NDJSON event logs, progress UIs).
     ///
-    /// Fidelity-enabled corpora do **not** replay inside the workers:
-    /// each job defers its replay work, and once every scenario is
-    /// terminal the collected (system, schedule) pairs are driven
-    /// lane-parallel through one [`ReplayBatch`] (grouped by mesh and
-    /// fault class) and re-associated with their outcomes by job id.
-    /// The replay sections this produces are byte-identical to the
-    /// inline path; a scenario whose replay fails is converted to the
-    /// same [`CampaignError`] the inline path would have failed with.
+    /// Fidelity-enabled corpora share replays across the run (see
+    /// [`noctest_core::plan::ExecutorBuilder::share_replays`]): each
+    /// distinct replay is simulated once, by the first worker that needs
+    /// it, and its twins clone the result. A scenario whose replay fails
+    /// fails with the same [`CampaignError`] as on the inline path, and
+    /// counts toward [`StreamOptions::abort_on_failure`].
     #[must_use]
     pub fn run_streaming(
         &self,
@@ -468,7 +466,7 @@ impl CorpusSpec {
 
         let mut builder = Executor::builder()
             .campaign(campaign.clone())
-            .defer_fidelity(self.fidelity_patterns_cap.is_some());
+            .share_replays(self.fidelity_patterns_cap.is_some());
         for sink in options.sinks {
             builder = builder.sink(sink);
         }
@@ -497,40 +495,6 @@ impl CorpusSpec {
                 }
             }
         }
-        // Every scenario is terminal; drain the deferred fidelity work
-        // and replay it in one lane-parallel batch. The batch groups
-        // lanes by (mesh, fault class) internally, so degraded scenarios
-        // batch within their fault class and healthy ones with each
-        // other.
-        let deferred = executor.take_deferred_fidelity();
-        if !deferred.is_empty() {
-            let replay_started = Instant::now();
-            let mut batch = ReplayBatch::new();
-            for (_, work) in &deferred {
-                batch.push(&work.sys, &work.schedule, work.patterns_cap);
-            }
-            let replays = batch.run();
-            // One wall-clock measurement covers the whole batch; each
-            // outcome records its amortised share (the per-scenario cost
-            // that actually remains once replays share an engine).
-            let per_item_micros =
-                (replay_started.elapsed().as_micros() as u64) / deferred.len() as u64;
-            for ((job, _), replay) in deferred.iter().zip(replays) {
-                let slot = &mut results[(job.0 - first_id) as usize];
-                match replay {
-                    Ok(fidelity) => {
-                        if let Some(Ok(outcome)) = slot.as_mut() {
-                            outcome.fidelity = Some(fidelity);
-                            outcome.timing.replay_micros = per_item_micros;
-                        }
-                    }
-                    // The inline path fails the whole scenario on a
-                    // replay error; the batched path must surface the
-                    // identical failure.
-                    Err(error) => *slot = Some(Err(CampaignError::from(error))),
-                }
-            }
-        }
         let elapsed_micros = started.elapsed().as_micros() as u64;
         let cache = profile_cache_stats().since(cache_before);
         let cancelled = results.iter().filter(|r| r.is_none()).count();
@@ -539,6 +503,7 @@ impl CorpusSpec {
             report,
             cancelled,
             aborted,
+            replays: executor.replay_counts(),
         }
     }
 
@@ -640,6 +605,9 @@ pub struct CorpusRun {
     pub cancelled: usize,
     /// `true` if [`StreamOptions::abort_on_failure`] tripped.
     pub aborted: bool,
+    /// `(simulated, shared)` fidelity replays: distinct simulations run,
+    /// and scenarios that cloned one of them.
+    pub replays: (u64, u64),
 }
 
 /// Per-scheduler aggregation state.
@@ -718,6 +686,8 @@ impl Accumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noctest_core::plan::exec::PlanEvent;
+    use std::collections::HashMap;
 
     fn tiny_spec() -> CorpusSpec {
         CorpusSpec {
@@ -859,33 +829,76 @@ mod tests {
     }
 
     #[test]
-    fn deferred_batch_fidelity_matches_inline_replay() {
-        // The corpus path defers replays and batches them lane-parallel;
-        // the per-scheduler worst fidelity error it aggregates must be
-        // bit-identical (f64 equality, not tolerance) to replaying every
-        // scenario inline through `Campaign::run`.
-        let mut spec = tiny_spec();
-        spec.fidelity_patterns_cap = Some(2);
+    fn shared_replay_fidelity_matches_inline_replay() {
+        // The corpus path shares replays across its workers; every
+        // scenario's fidelity section must equal replaying it inline
+        // through `Campaign::run` (f64 equality, not tolerance), and the
+        // run must simulate exactly the distinct replays a `ReplayBatch`
+        // of the same work would.
         let campaign = Campaign::new();
-        let report = spec.run(&campaign);
+        let mut smoke = CorpusSpec::smoke(1);
+        // The exact searches take seconds per scenario in a debug build
+        // and hand the replay path schedules just as the heuristics do,
+        // so this test plans the smoke corpus under the degraded smoke's
+        // three schedulers.
+        smoke.schedulers = CorpusSpec::degraded_smoke(3).schedulers;
+        for spec in [smoke, CorpusSpec::degraded_smoke(3)] {
+            let collector = Arc::new(noctest_core::plan::EventCollector::new());
+            let run = spec.run_streaming(
+                &campaign,
+                StreamOptions {
+                    abort_on_failure: false,
+                    sinks: vec![Arc::clone(&collector) as Arc<dyn EventSink>],
+                },
+                |_, _, _| {},
+            );
+            let mut shared: HashMap<String, PlanOutcome> = HashMap::new();
+            for event in collector.take() {
+                if let PlanEvent::Completed {
+                    request, outcome, ..
+                } = event
+                {
+                    shared.insert(request, *outcome);
+                }
+            }
 
-        let requests = spec.requests();
-        let scheds = spec.schedulers.len();
-        let mut inline_worst: Vec<Option<f64>> = vec![None; scheds];
-        for (i, request) in requests.iter().enumerate() {
-            let outcome = campaign.run(request).expect("inline scenario plans");
-            let error = outcome
-                .fidelity
-                .expect("inline replay ran")
-                .worst_relative_error();
-            let slot = &mut inline_worst[i % scheds];
-            *slot = Some(slot.map_or(error, |w| w.max(error)));
-        }
-        for (summary, expected) in report.schedulers.iter().zip(inline_worst) {
+            let requests = spec.requests();
+            let built: Vec<_> = requests
+                .iter()
+                .filter_map(|request| {
+                    let sys = request.build_system().ok()?;
+                    let schedule = campaign
+                        .registry()
+                        .get(&request.scheduler)
+                        .ok()?
+                        .schedule_tuned(&sys, &request.search, None)
+                        .ok()?;
+                    schedule.validate(&sys).ok()?;
+                    Some((sys, schedule))
+                })
+                .collect();
+            let mut batch = noctest_core::ReplayBatch::new();
+            for (sys, schedule) in &built {
+                batch.push(sys, schedule, spec.fidelity_patterns_cap.unwrap());
+            }
+            let (simulated, cloned) = run.replays;
+            assert_eq!(simulated, batch.unique_replays() as u64);
+            assert_eq!(simulated + cloned, built.len() as u64);
+            assert!(cloned > 0, "the corpus shares no replay");
+
+            for request in &requests {
+                match campaign.run(request) {
+                    Ok(inline) => {
+                        let outcome = &shared[&request.name];
+                        assert_eq!(outcome.fidelity, inline.fidelity, "{}", request.name);
+                        assert!(inline.fidelity.is_some(), "{}", request.name);
+                    }
+                    Err(_) => assert!(!shared.contains_key(&request.name), "{}", request.name),
+                }
+            }
             assert_eq!(
-                summary.worst_fidelity_error, expected,
-                "{}: batched and inline fidelity diverge",
-                summary.name
+                shared.len(),
+                spec.scenario_count() - run.report.failures.len()
             );
         }
     }
