@@ -3,20 +3,16 @@
 //! Plans a corpus fidelity sweep — the full generated corpus plus the
 //! degraded-mesh smoke corpus, or trimmed smoke variants of both under
 //! `--smoke` — without replaying, then replays the planned
-//! (system, schedule) pairs three ways, all on the live engine:
+//! (system, schedule) pairs two ways:
 //!
 //! * **sequential** — one schedule at a time through
 //!   [`noctest_core::replay_schedule`], the path `plan-serve` takes;
-//! * **1-lane** — every schedule through one [`ReplayBatch`] capped at a
-//!   single lane, so identical replays are merged but nothing runs
-//!   lane-parallel;
-//! * **batched** — the same [`ReplayBatch`] at `--lanes` lanes (grouped
-//!   by mesh and fault class, one `BatchNetwork` per chunk).
+//! * **batched** — every schedule through one [`ReplayBatch`], which
+//!   simulates each distinct replay once and clones it for its twins.
 //!
-//! The measured section reports the two factors separately: the
-//! **dedup factor** (sequential ÷ 1-lane, the gain from simulating each
-//! distinct replay once) and the **lane factor** (1-lane ÷ batched, the
-//! gain from lanes), with the machine's core count beside them.
+//! The measured section reports the **speedup** (sequential ÷ batched,
+//! the gain from simulating each distinct replay once), with the
+//! machine's core count beside it.
 //!
 //! `BENCH_replay.json` carries two sections:
 //!
@@ -25,12 +21,12 @@
 //!   binary batches **twice** and gates on digest equality, and
 //!   `ci/bench_smoke.sh` repeats the byte-check across processes. The
 //!   section is printed alone on stdout.
-//! * `measured` — wall-clock sequential, 1-lane and batched replay times
-//!   (the faster of two passes each, discarding host scheduling stalls),
-//!   the two factors and the overall speedup, machine-dependent.
+//! * `measured` — wall-clock sequential and batched replay times (the
+//!   faster of two passes each, discarding host scheduling stalls) and
+//!   their ratio, machine-dependent.
 //!
-//! Internal gates (exit 1): any 1-lane or batched result differing from
-//! its sequential twin (the byte-identity wall), nondeterminism between
+//! Internal gates (exit 1): any batched result differing from its
+//! sequential twin (the byte-identity wall), nondeterminism between
 //! the two batched runs, fewer than 2.5 pushed replays per distinct
 //! simulation (deterministic), and — in full mode only, where the
 //! committed artefact is produced — a batched-vs-sequential speedup
@@ -55,7 +51,6 @@ use noctest_noc::NocError;
 struct Config {
     smoke: bool,
     seed: u64,
-    lanes: usize,
     out: String,
 }
 
@@ -64,7 +59,6 @@ impl Default for Config {
         Config {
             smoke: false,
             seed: 2005,
-            lanes: 32,
             out: "BENCH_replay.json".to_owned(),
         }
     }
@@ -82,22 +76,15 @@ fn parse_args() -> Result<Option<Config>, String> {
                     .and_then(|v| v.parse().ok())
                     .ok_or("--seed needs an unsigned integer")?;
             }
-            "--lanes" => {
-                config.lanes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or("--lanes needs a positive integer")?;
-            }
             "--out" => {
                 config.out = args.next().ok_or("--out needs a path")?;
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: replay-bench [--smoke] [--seed S] [--lanes N] [--out PATH]\n\
-                     replays the corpus fidelity sweep sequentially, through a 1-lane and an\n\
-                     N-lane ReplayBatch, byte-checks all three, and writes BENCH_replay.json\n\
-                     (per-scenario digests + measured dedup and lane factors, 2x gate)"
+                    "usage: replay-bench [--smoke] [--seed S] [--out PATH]\n\
+                     replays the corpus fidelity sweep sequentially and through a ReplayBatch,\n\
+                     byte-checks the two, and writes BENCH_replay.json\n\
+                     (per-scenario digests + measured speedup, 2x gate)"
                 );
                 return Ok(None);
             }
@@ -244,32 +231,29 @@ fn main() -> ExitCode {
             .map(|(_, work)| replay_schedule(&work.sys, &work.schedule, work.patterns_cap))
             .collect::<Vec<_>>()
     });
-    let assemble = |lanes: usize| {
-        let mut batch = ReplayBatch::with_max_lanes(lanes);
+    let assemble = || {
+        let mut batch = ReplayBatch::new();
         for (_, work) in &items {
             batch.push(&work.sys, &work.schedule, work.patterns_cap);
         }
         batch
     };
     let pushed = items.len();
-    let unique_replays = assemble(config.lanes).unique_replays();
-    let (one_lane, _, one_lane_micros) = timed_twice(|| assemble(1).run());
-    let (batched, rerun, batched_micros) = timed_twice(|| assemble(config.lanes).run());
+    let unique_replays = assemble().unique_replays();
+    let (batched, rerun, batched_micros) = timed_twice(|| assemble().run());
     let mut failures = 0u32;
 
-    // The byte-identity wall: every 1-lane and batched result must equal
-    // its sequential twin exactly (per-session fields included).
-    for (path, results) in [("1-lane", &one_lane), ("batched", &batched)] {
-        for ((name, _), (seq, got)) in items.iter().zip(sequential.iter().zip(results)) {
-            let identical = match (seq, got) {
-                (Ok(a), Ok(b)) => a == b,
-                (Err(a), Err(b)) => format!("{a:?}") == format!("{b:?}"),
-                _ => false,
-            };
-            if !identical {
-                eprintln!("replay-bench: {path} replay diverges from sequential on `{name}`");
-                failures += 1;
-            }
+    // The byte-identity wall: every batched result must equal its
+    // sequential twin exactly (per-session fields included).
+    for ((name, _), (seq, got)) in items.iter().zip(sequential.iter().zip(&batched)) {
+        let identical = match (seq, got) {
+            (Ok(a), Ok(b)) => a == b,
+            (Err(a), Err(b)) => format!("{a:?}") == format!("{b:?}"),
+            _ => false,
+        };
+        if !identical {
+            eprintln!("replay-bench: batched replay diverges from sequential on `{name}`");
+            failures += 1;
         }
     }
 
@@ -299,8 +283,6 @@ fn main() -> ExitCode {
         );
         failures += 1;
     }
-    let dedup_factor = ratio(sequential_micros, one_lane_micros);
-    let lane_factor = ratio(one_lane_micros, batched_micros);
     let speedup = ratio(sequential_micros, batched_micros);
     // The throughput gate applies to the full sweep (the committed
     // artefact): the smoke run exists to byte-check determinism in CI,
@@ -324,7 +306,6 @@ fn main() -> ExitCode {
                     Json::str(if config.smoke { "smoke" } else { "full" }),
                 ),
                 ("seed", Json::int(config.seed)),
-                ("lanes", Json::int(config.lanes as u64)),
             ]),
         ),
         (
@@ -361,10 +342,7 @@ fn main() -> ExitCode {
             Json::obj(vec![
                 ("cores", Json::int(cores as u64)),
                 ("sequential_micros", Json::int(sequential_micros)),
-                ("one_lane_micros", Json::int(one_lane_micros)),
                 ("batched_micros", Json::int(batched_micros)),
-                ("dedup_factor", Json::Num(dedup_factor)),
-                ("lane_factor", Json::Num(lane_factor)),
                 ("speedup", Json::Num(speedup)),
                 (
                     "sequential_scenarios_per_second",
@@ -387,10 +365,9 @@ fn main() -> ExitCode {
     println!("{}", deterministic.compact());
     eprintln!(
         "replay-bench: {pushed} replays ({unique_replays} unique) on {cores} core(s): \
-         {sequential_micros}us sequential, {one_lane_micros}us 1-lane, \
-         {batched_micros}us {} lanes (dedup {dedup_factor:.2}x, lanes {lane_factor:.2}x, \
-         overall {speedup:.2}x) -> {}",
-        config.lanes, config.out
+         {sequential_micros}us sequential, {batched_micros}us batched \
+         ({speedup:.2}x) -> {}",
+        config.out
     );
     if failures > 0 {
         eprintln!("replay-bench: {failures} gate failure(s)");

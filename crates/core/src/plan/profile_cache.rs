@@ -20,18 +20,23 @@ use crate::plan::request::{ApplicationSpec, ProcessorSpec};
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// A snapshot of the process-wide profile-cache counters.
+/// A snapshot of a cache's hit, miss and eviction counters — the
+/// process-wide profile cache's here, and `noctest-replan`'s bounded plan
+/// cache's through its re-export.
 ///
-/// A *miss* is a full ISS characterisation run; a *hit* returns the
-/// memoised profile. Corpus runs use the difference of two snapshots to
-/// prove characterisation is paid once per distinct
+/// For the profile cache a *miss* is a full ISS characterisation run and
+/// a *hit* returns the memoised profile. Corpus runs use the difference
+/// of two snapshots to prove characterisation is paid once per distinct
 /// `(family, calibration, application)` key, not once per scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to characterise (and then populated the cache).
+    /// Lookups that found nothing (and then populated the cache).
     pub misses: u64,
+    /// Entries dropped to respect a capacity bound. The profile cache is
+    /// unbounded and always reports 0.
+    pub evictions: u64,
 }
 
 impl CacheStats {
@@ -42,6 +47,7 @@ impl CacheStats {
         CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
             misses: self.misses.saturating_sub(earlier.misses),
+            evictions: self.evictions.saturating_sub(earlier.evictions),
         }
     }
 
@@ -58,6 +64,7 @@ pub fn stats() -> CacheStats {
     CacheStats {
         hits: HITS.load(Ordering::Relaxed),
         misses: MISSES.load(Ordering::Relaxed),
+        evictions: 0,
     }
 }
 

@@ -26,26 +26,24 @@
 //!   overlapping sessions; this is where that prediction meets the
 //!   simulator. Results feed the `fidelity` section of
 //!   [`crate::plan::PlanOutcome`].
-//! * [`ReplayBatch`] — **many plans at once**: pending whole-schedule
-//!   replays grouped by fidelity class (mesh shape, timing, routing and
-//!   fault set — degraded meshes batch within their fault class) and
-//!   drained lane-parallel through [`BatchNetwork`]. Each result is
-//!   byte-identical to what [`replay_schedule`] would have produced for
-//!   the same request, because both paths share the staging, simulation
-//!   core and re-association code.
 //! * [`ReplayMemo`] — **many plans, on many threads**: each whole-schedule
 //!   replay runs through [`replay_schedule`] on the thread that asks for
 //!   it first, and requests with the same replay key clone that result.
 //!   The executor uses it so a corpus run replays on every worker while
 //!   it plans.
+//! * [`ReplayBatch`] — **many plans, collected first**: queued
+//!   whole-schedule replays drained in push order through one
+//!   [`ReplayMemo`], so identical requests simulate once. Each result is
+//!   byte-identical to what [`replay_schedule`] returns for the same
+//!   request.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use noctest_noc::{
-    BatchNetwork, DeliveredPacket, LinkId, Network, NocConfig, NocError, NodeId, Packet,
-    ReferenceNetwork, RouteTable, RoutingKind,
+    DeliveredPacket, LinkId, Network, NocConfig, NocError, NodeId, Packet, ReferenceNetwork,
+    RouteTable, RoutingKind,
 };
 
 use crate::cut::CutId;
@@ -53,10 +51,9 @@ use crate::interface::InterfaceId;
 use crate::sched::{Schedule, ScheduledTest};
 use crate::system::SystemUnderTest;
 
-/// The fault-application surface shared by the sequential, the batched
-/// and the reference simulator, so [`apply_faults`] is written once and
-/// cannot drift between the paths. Faults on a batch are batch-wide:
-/// every lane of a batch shares one fault class by construction.
+/// The fault-application surface shared by the live and the reference
+/// simulator, so [`apply_faults`] is written once and cannot drift
+/// between the two.
 trait FaultSink {
     fn kill_router(&mut self, node: NodeId) -> Result<(), NocError>;
     fn kill_link(&mut self, link: LinkId) -> Result<(), NocError>;
@@ -79,7 +76,7 @@ macro_rules! fault_sink {
     )*};
 }
 
-fault_sink!(Network, BatchNetwork, ReferenceNetwork);
+fault_sink!(Network, ReferenceNetwork);
 
 /// Applies the system's fault set (and its detour route table) to a fresh
 /// simulator, so the replay degrades exactly as the planner assumed. A
@@ -412,16 +409,11 @@ struct StagedSchedule {
     budget: u64,
 }
 
-/// Expands every session of `schedule` into tagged packets through
-/// `inject_at` and builds the per-session records. This is the one place
-/// the whole-schedule traffic shape is defined — [`replay_schedule`]
-/// injects into a sequential [`Network`], [`ReplayBatch`] into one lane of
-/// a [`BatchNetwork`], and both observe identical streams.
 /// Per-session traffic facts derived from one schedule entry: everything
 /// that determines both the injected stimulus stream and the session's
-/// replay record. [`stage_schedule`] stages from this and [`ReplayBatch`]
-/// keys its replay memoisation on it, so the staged traffic and the
-/// memoisation key cannot drift apart.
+/// replay record. [`stage_schedule`] stages from this and [`ReplayKey`]
+/// is built from it, so the staged traffic and the memoisation key
+/// cannot drift apart.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct EntryTraffic {
     cut: u32,
@@ -454,6 +446,11 @@ fn entry_traffic(sys: &SystemUnderTest, entry: &ScheduledTest, patterns_cap: u32
     }
 }
 
+/// Expands every session of `schedule` into tagged packets through
+/// `inject_at` and builds the per-session records. This is the one place
+/// the whole-schedule traffic shape is defined — [`replay_schedule`]
+/// injects into the live [`Network`], [`replay_schedule_reference`] into
+/// the [`ReferenceNetwork`], and both observe identical streams.
 fn stage_schedule(
     sys: &SystemUnderTest,
     schedule: &Schedule,
@@ -489,7 +486,7 @@ fn stage_schedule(
 
 /// Re-associates delivered packets with their sessions by tag block and
 /// assembles the [`ScheduleReplay`] — the shared back half of
-/// [`replay_schedule`] and [`ReplayBatch`].
+/// [`replay_schedule`] and [`replay_schedule_reference`].
 fn finish_schedule(
     patterns_cap: u32,
     mut sessions: Vec<SessionReplay>,
@@ -525,8 +522,8 @@ fn finish_schedule(
 /// transport and fault set), the pattern cap, the drain budget, and the
 /// complete derived stimulus traffic ([`EntryTraffic`] per session, the
 /// exact facts [`stage_schedule`] stages from). Requests with equal keys
-/// are *the same simulation*, so [`ReplayBatch::run`] executes one and
-/// clones its result — the memoisation analogue of the planner's
+/// are *the same simulation*, so [`ReplayMemo`] executes one and clones
+/// its result — the memoisation analogue of the planner's
 /// content-addressed plan cache.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct ReplayKey {
@@ -537,25 +534,24 @@ struct ReplayKey {
 }
 
 impl ReplayKey {
-    fn of(item: &BatchItem<'_>) -> Self {
+    fn of(sys: &SystemUnderTest, schedule: &Schedule, patterns_cap: u32) -> Self {
         ReplayKey {
-            class: FidelityClass::of(item.sys),
-            patterns_cap: item.patterns_cap,
-            makespan: item.schedule.makespan(),
-            traffic: item
-                .schedule
+            class: FidelityClass::of(sys),
+            patterns_cap,
+            makespan: schedule.makespan(),
+            traffic: schedule
                 .entries()
                 .iter()
-                .map(|entry| entry_traffic(item.sys, entry, item.patterns_cap.max(1)))
+                .map(|entry| entry_traffic(sys, entry, patterns_cap.max(1)))
                 .collect(),
         }
     }
 }
 
-/// Everything that must agree for two whole-schedule replays to share one
-/// [`BatchNetwork`]: mesh shape, transport timing, routing algorithm and
-/// the exact fault set. Degraded systems thus batch *within* their fault
-/// class and never contaminate healthy lanes.
+/// The simulated transport of a whole-schedule replay: mesh shape,
+/// transport timing, routing algorithm and the exact fault set. Part of
+/// [`ReplayKey`], so a degraded replay never shares a result with a
+/// healthy one, or with one degraded differently.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct FidelityClass {
     width: u16,
@@ -588,7 +584,7 @@ impl FidelityClass {
                 RoutingKind::Yx => 1,
                 RoutingKind::WestFirst => 2,
                 // `RoutingKind` is non-exhaustive; an unknown variant gets
-                // its own class, which is merely conservative batching.
+                // its own class, which merely shares less.
                 _ => u8::MAX,
             },
             dead_routers,
@@ -607,8 +603,7 @@ type SharedReplay = Arc<OnceLock<Result<ScheduleReplay, NocError>>>;
 /// The first call with a given replay key simulates through
 /// [`replay_schedule`] on the caller's thread. Every later call with the
 /// same key clones that result; a call that races the simulating one
-/// blocks until the result exists. Keys are the ones [`ReplayBatch`]
-/// deduplicates on, so a memo simulates exactly
+/// blocks until the result exists. A memo therefore simulates exactly
 /// [`ReplayBatch::unique_replays`] times for the same requests, and every
 /// result is byte-identical to [`replay_schedule`]'s.
 ///
@@ -633,11 +628,7 @@ impl ReplayMemo {
         schedule: &Schedule,
         patterns_cap: u32,
     ) -> (Result<ScheduleReplay, NocError>, bool) {
-        let key = ReplayKey::of(&BatchItem {
-            sys,
-            schedule,
-            patterns_cap,
-        });
+        let key = ReplayKey::of(sys, schedule, patterns_cap);
         let cell = Arc::clone(
             self.replays
                 .lock()
@@ -672,17 +663,15 @@ impl ReplayMemo {
     }
 }
 
-/// A set of pending whole-schedule fidelity replays, drained lane-parallel.
+/// A set of pending whole-schedule fidelity replays.
 ///
-/// Requests are grouped by fidelity class — mesh shape,
-/// timing, routing and fault set — and each group is chunked onto a
-/// [`BatchNetwork`] with one lane per request (at most
-/// [`ReplayBatch::DEFAULT_MAX_LANES`] lanes per chunk, tunable via
-/// [`ReplayBatch::with_max_lanes`]). Results come back in push order and
-/// are **byte-identical** to calling [`replay_schedule`] per request: the
-/// staging, the simulation core and the re-association are the same code,
-/// and `tests/batch_replay.rs` holds the two paths together differentially
-/// across seeds, lane counts and fault classes.
+/// [`ReplayBatch::run`] replays the queued requests in push order through
+/// one [`ReplayMemo`]: the first request with a given replay key (fidelity
+/// class, pattern cap, drain budget and the full derived stimulus
+/// traffic) simulates through [`replay_schedule`], and later twins clone
+/// its result. Every result is therefore **byte-identical** to calling
+/// [`replay_schedule`] per request, and `tests/batch_replay.rs` holds the
+/// two together differentially across seeds and fault classes.
 ///
 /// ```no_run
 /// # use noctest_core::replay::ReplayBatch;
@@ -701,7 +690,6 @@ impl ReplayMemo {
 #[derive(Debug)]
 pub struct ReplayBatch<'a> {
     items: Vec<BatchItem<'a>>,
-    max_lanes: usize,
 }
 
 #[derive(Debug)]
@@ -712,25 +700,10 @@ struct BatchItem<'a> {
 }
 
 impl<'a> ReplayBatch<'a> {
-    /// Default cap on lanes per [`BatchNetwork`] chunk. Bounds the
-    /// struct-of-arrays footprint (FIFO rings scale with lanes × nodes)
-    /// while keeping enough lanes in flight to amortise per-wave overhead.
-    pub const DEFAULT_MAX_LANES: usize = 32;
-
-    /// An empty batch with the default lane cap.
+    /// An empty batch.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_max_lanes(Self::DEFAULT_MAX_LANES)
-    }
-
-    /// An empty batch replaying at most `max_lanes` schedules per
-    /// simulator instance (raised to 1 if 0).
-    #[must_use]
-    pub fn with_max_lanes(max_lanes: usize) -> Self {
-        ReplayBatch {
-            items: Vec::new(),
-            max_lanes: max_lanes.max(1),
-        }
+        ReplayBatch { items: Vec::new() }
     }
 
     /// Queues one whole-schedule replay (the same request shape as
@@ -764,122 +737,32 @@ impl<'a> ReplayBatch<'a> {
 
     /// Number of *distinct* simulations [`ReplayBatch::run`] will execute
     /// for the currently queued requests: requests whose replay keys
-    /// coincide share one lane and one result.
+    /// coincide share one result.
     #[must_use]
     pub fn unique_replays(&self) -> usize {
-        let keys: std::collections::BTreeSet<ReplayKey> =
-            self.items.iter().map(ReplayKey::of).collect();
+        let keys: std::collections::BTreeSet<ReplayKey> = self
+            .items
+            .iter()
+            .map(|item| ReplayKey::of(item.sys, item.schedule, item.patterns_cap))
+            .collect();
         keys.len()
     }
 
-    /// Drains the batch: deduplicates identical requests, groups the
-    /// remainder by fidelity class, replays each group lane-parallel, and
-    /// returns per-request results **in push order**, each exactly what
-    /// [`replay_schedule`] would have returned.
+    /// Drains the batch and returns per-request results **in push order**,
+    /// each exactly what [`replay_schedule`] would have returned.
     ///
-    /// Deduplication is the batch-only half of the speedup: corpus sweeps
+    /// Deduplication is where the speedup comes from: corpus sweeps
     /// replay the same (system, schedule, cap) triple under many planner
-    /// configurations that turn out not to change it, and collecting the
-    /// requests first makes the coincidence visible. Two requests share a
-    /// simulation only when their replay keys — fidelity class, pattern
-    /// cap, drain budget and the full derived stimulus traffic — are
-    /// equal, which makes their results equal by construction.
+    /// configurations that turn out not to change it. Two requests share
+    /// a simulation only when their replay keys are equal, which makes
+    /// their results equal by construction.
     #[must_use]
     pub fn run(self) -> Vec<Result<ScheduleReplay, NocError>> {
-        let mut results: Vec<Option<Result<ScheduleReplay, NocError>>> =
-            self.items.iter().map(|_| None).collect();
-        let keys: Vec<ReplayKey> = self.items.iter().map(ReplayKey::of).collect();
-        // First queued request with a given key simulates; later twins
-        // clone its result.
-        let mut rep_of: Vec<usize> = (0..self.items.len()).collect();
-        {
-            let mut seen: BTreeMap<&ReplayKey, usize> = BTreeMap::new();
-            for (i, key) in keys.iter().enumerate() {
-                rep_of[i] = *seen.entry(key).or_insert(i);
-            }
-        }
-        let mut groups: BTreeMap<&FidelityClass, Vec<usize>> = BTreeMap::new();
-        for (i, key) in keys.iter().enumerate() {
-            if rep_of[i] == i {
-                groups.entry(&key.class).or_default().push(i);
-            }
-        }
-        for indices in groups.values() {
-            for chunk in indices.chunks(self.max_lanes) {
-                self.run_chunk(chunk, &mut results);
-            }
-        }
-        for i in 0..rep_of.len() {
-            if rep_of[i] != i {
-                results[i] = results[rep_of[i]].clone();
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every request resolved"))
-            .collect()
-    }
-
-    /// Replays one same-class chunk, one lane per request.
-    fn run_chunk(&self, chunk: &[usize], results: &mut [Option<Result<ScheduleReplay, NocError>>]) {
-        // All chunk members share one fidelity class, so the first
-        // request's system describes the mesh and faults for every lane.
-        let setup = (|| {
-            let sys = self.items[chunk[0]].sys;
-            let mut net = BatchNetwork::new(transport_config(sys)?, chunk.len())?;
-            apply_faults(sys, &mut net)?;
-            Ok::<_, NocError>(net)
-        })();
-        let Ok(mut net) = setup else {
-            // Config or fault application failed — it would fail for every
-            // member identically. Fall back to the sequential path so each
-            // request surfaces exactly the error replay_schedule reports.
-            for &i in chunk {
-                let item = &self.items[i];
-                results[i] = Some(replay_schedule(item.sys, item.schedule, item.patterns_cap));
-            }
-            return;
-        };
-
-        let mut staged: Vec<Option<StagedSchedule>> = Vec::with_capacity(chunk.len());
-        for (lane, &i) in chunk.iter().enumerate() {
-            let item = &self.items[i];
-            let outcome = stage_schedule(
-                item.sys,
-                item.schedule,
-                item.patterns_cap.max(1),
-                |packet, at| net.inject_at(lane, packet, at).map(|_| ()),
-            );
-            match outcome {
-                Ok(s) => staged.push(Some(s)),
-                Err(e) => {
-                    // The lane may hold a partially staged stream, but
-                    // lanes are fully independent: the stray traffic can
-                    // only burn this lane's budget, never touch another's.
-                    results[i] = Some(Err(e));
-                    staged.push(None);
-                }
-            }
-        }
-
-        let budgets: Vec<u64> = staged
+        let memo = ReplayMemo::default();
+        self.items
             .iter()
-            .map(|s| s.as_ref().map_or(1, |s| s.budget))
-            .collect();
-        let mut lane_results = net.run_all_until_idle(&budgets).into_iter();
-        for (lane, &i) in chunk.iter().enumerate() {
-            let run = lane_results.next().expect("one result per lane");
-            let Some(stage) = staged[lane].take() else {
-                continue; // staging error already recorded
-            };
-            results[i] = Some(run.map(|delivered| {
-                finish_schedule(
-                    self.items[i].patterns_cap.max(1),
-                    stage.sessions,
-                    &delivered,
-                )
-            }));
-        }
+            .map(|item| memo.replay(item.sys, item.schedule, item.patterns_cap).0)
+            .collect()
     }
 }
 
@@ -1074,9 +957,9 @@ mod tests {
         use crate::sched::Scheduler as _;
         let sys = system();
         let schedule = crate::sched::GreedyScheduler::new().schedule(&sys).unwrap();
-        // Mixed caps, duplicates, and an empty schedule, chunked three
-        // lanes at a time: every result must equal the sequential replay
-        // of the same request, field for field.
+        // Mixed caps, duplicates, and an empty schedule: every result
+        // must equal the sequential replay of the same request, field for
+        // field.
         let empty = Schedule::default();
         let requests = [
             (&schedule, 6),
@@ -1085,7 +968,7 @@ mod tests {
             (&empty, 8),
             (&schedule, 1),
         ];
-        let mut batch = ReplayBatch::with_max_lanes(3);
+        let mut batch = ReplayBatch::new();
         for &(sched, cap) in &requests {
             batch.push(&sys, sched, cap);
         }

@@ -407,6 +407,7 @@ impl CorpusReport {
                 cache: CacheStats {
                     hits: field(m, "cache_hits", "an integer", Json::as_u64)?,
                     misses: field(m, "cache_misses", "an integer", Json::as_u64)?,
+                    evictions: 0,
                 },
             },
         };
@@ -527,6 +528,7 @@ mod tests {
                 cache: CacheStats {
                     hits: 159,
                     misses: 1,
+                    evictions: 0,
                 },
             },
         }
@@ -584,6 +586,7 @@ mod tests {
         b.measured.cache = CacheStats {
             hits: 0,
             misses: 160,
+            evictions: 0,
         };
         assert_ne!(a, b);
         assert_eq!(a.deterministic_json(), b.deterministic_json());

@@ -10,12 +10,11 @@
 //! * dimension-ordered **XY routing** (plus YX and West-First variants for
 //!   ablation studies) in [`routing`],
 //! * **wormhole switching** with credit-based flow control in [`router`] and
-//!   [`network`] — driven by one event-driven core ([`batch`], with
-//!   [`Network`] as its one-lane view) that gives idle routers, empty FIFOs
-//!   and paced injectors zero per-cycle cost and fast-forwards fully idle
-//!   spans (the full-scan cycle-stepped loop survives in [`mod@reference`]
-//!   as the executable specification the core is differentially tested
-//!   against),
+//!   [`network`] — simulated by one event-driven engine, [`Network`], that
+//!   gives idle routers, empty FIFOs and paced injectors zero per-cycle
+//!   cost and jumps over spans in which nothing can fire (the full-scan
+//!   cycle-stepped loop survives in [`mod@reference`] as the executable
+//!   specification the engine is differentially tested against),
 //! * a configurable performance characterisation — *routing latency* (the
 //!   intra-router cycles needed to set up a connection for a header flit) and
 //!   *flow-control latency* (the inter-router cycles needed to forward each
@@ -53,7 +52,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batch;
 pub mod characterize;
 pub mod config;
 pub mod error;
@@ -70,7 +68,6 @@ pub mod table;
 pub mod topology;
 pub mod traffic;
 
-pub use batch::BatchNetwork;
 pub use characterize::{characterize, NocCharacterization};
 pub use config::{NocConfig, NocConfigBuilder};
 pub use error::NocError;

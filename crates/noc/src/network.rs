@@ -1,17 +1,17 @@
-//! The cycle-level network simulator: the 1-lane view over the batch core.
+//! The cycle-level network simulator: one event-driven engine.
 //!
 //! Per simulated cycle the network performs, in order:
 //!
 //! 1. **Scheduled releases** — packets queued with [`Network::inject_at`]
 //!    whose release cycle has arrived join their source node's injection
-//!    queue (a monotonic event queue orders the releases).
+//!    queue, in (cycle, packet id) order.
 //! 2. **Injection** — each node's pending flit stream feeds the source
 //!    router's `Local` input FIFO, paced at one flit per flow-control
 //!    latency (the core's network interface cannot outrun the channel).
-//! 3. **Route computation** — header flits at unrouted input-FIFO heads
-//!    tick their route-computation countdown (the paper's *routing
-//!    latency*); finished headers claim their output via the configured
-//!    routing algorithm.
+//! 3. **Route computation** — a header flit at an unrouted input-FIFO
+//!    head claims its output once the paper's *routing latency* has
+//!    elapsed, via the configured routing algorithm or an installed
+//!    [`RouteTable`].
 //! 4. **Switch traversal** — every output port that is not pacing picks the
 //!    locked input (wormhole) or arbitrates round-robin among routed
 //!    headers, then forwards one flit if the downstream FIFO has a credit.
@@ -24,45 +24,84 @@
 //!
 //! # One simulator, one oracle
 //!
-//! The simulation loop lives in [`crate::batch::BatchNetwork`]; `Network`
-//! is its single-lane view, so the sequential path exercised by planners
-//! and the batched path used by corpus-wide fidelity replay are the *same
-//! code*, not a fork. One engine anchors it differentially:
+//! `Network` is the only live engine; planners, fidelity replay and the
+//! benchmarks all drive it. It owes byte-identity to one oracle,
 //! [`crate::reference::ReferenceNetwork`], the full-scan executable
-//! specification, which models the same faults, route tables and
-//! scheduled releases.
+//! specification of the semantics above: differential tests hold the
+//! two to the same [`DeliveredPacket`] records, energy charges, link
+//! counters and statistics, on raw traffic and on whole-schedule replays
+//! over degraded meshes.
 //!
-//! The event-driven core keeps two worklists — `active` (routers with
-//! buffered flits) and `feeding` (nodes with pending injection flits) —
-//! and each cycle touches exactly their members, in ascending index order
-//! so arbitration and staging decisions are **bit-identical** to scanning
-//! every router. A router enters `active` when a flit is pushed into any
-//! of its input FIFOs and leaves it once they all drain; wormhole locks and
-//! route state persist across the idle span, so mid-packet stalls are safe.
+//! # Layout
 //!
-//! When `active` is empty every FIFO in the mesh is empty and nothing can
-//! move until the next event: the earliest paced injection (`feeding`) or
-//! the earliest scheduled release. [`Network::run`] and
-//! [`Network::run_until_idle`] then fast-forward straight to that cycle,
-//! charging leakage and the cycle counter in bulk
-//! ([`crate::EnergyLedger::tick_many`]) and recording the span in
-//! [`crate::NetworkStats::idle_cycles`]. When `active` is *not* empty but
-//! every port is merely waiting out a pacing or route-computation
-//! countdown, the core skips straight to the earliest cycle anything can
-//! fire, folding the countdown decrements in bulk — see the
-//! [batch module docs](crate::batch) for the proof obligations. Idle
-//! routers, empty FIFOs and paced injectors thus cost zero work — the
-//! property whole-schedule test replay relies on, where sessions start
-//! millions of cycles apart.
+//! Router, FIFO and injector state live in flat arrays — one allocation
+//! per field, not one object per router:
+//!
+//! * input FIFOs are fixed-depth rings in a single `Vec<Flit>`, with
+//!   per-port head/length cursors;
+//! * route deadlines, routed outputs, wormhole locks, pacing deadlines and
+//!   round-robin pointers are parallel arrays indexed by
+//!   `node * 5 + port`;
+//! * link-flit counters are a dense array (four cardinal directions plus
+//!   the ejection link per node), materialised into the public
+//!   [`LinkId`]-keyed map on demand;
+//! * the `feeding` worklist and the per-cycle due set are bitsets whose
+//!   ascending scan order matches the reference engine's router scan,
+//!   keeping arbitration bit-identical.
+//!
+//! Scheduled releases sit on an event heap whose flit payloads live in an
+//! arena of recycled buffers — draining a release hands its buffer back
+//! to the arena, so steady-state replay stops allocating.
+//!
+//! # Time
+//!
+//! The engine is driven **event-first**: it never scans the mesh to
+//! discover work — work announces itself.
+//!
+//! * Every pacing deadline is stored as an **absolute cycle**
+//!   (`out_ready_at`, `inj_ready_at`, `route_ready_at`), so waiting
+//!   cycles have no per-cycle side effects to replay. Route-computation
+//!   deadlines in particular are armed eagerly — at the instant a header
+//!   flit becomes the head of an unrouted FIFO — with the exact cycle the
+//!   reference engine's per-cycle countdown reaches zero.
+//! * Near-future router wake-ups land in a **wake ring** of `RING`
+//!   per-cycle bitset slots (indexed `cycle % RING`); only deadlines
+//!   beyond the ring fall back to an **attention heap** of
+//!   `(cycle, router)` entries, which stays empty on the hot path. Credit
+//!   stalls don't poll: the deny site flags the full downstream port
+//!   (`wait_pop`) and the pop that frees it wakes the blocked upstream
+//!   router precisely.
+//! * A processed cycle touches only the routers named by this cycle's
+//!   ring slot, due attention entries and this cycle's injections — in
+//!   ascending router order, through the stage order above — so a cycle
+//!   costs work proportional to the routers that can actually fire, not
+//!   to every router holding flits.
+//! * Between candidate cycles [`Network::run`] and
+//!   [`Network::run_until_idle`] **jump**: busy spans (flits buffered
+//!   somewhere) count as simulated cycles, all-idle spans as
+//!   [`NetworkStats::idle_cycles`], and leakage flows through
+//!   [`EnergyLedger::tick_many`], keeping deliveries, energy and link
+//!   counters bit-identical to stepping each cycle. Idle routers, empty
+//!   FIFOs and paced injectors thus cost zero work — the property
+//!   whole-schedule test replay relies on, where sessions start millions
+//!   of cycles apart.
+//!
+//! The conservative invariant that makes the jumps safe: any cycle at
+//! which stepping would move a flit, assign a route, inject or release is
+//! covered by a wake-ring bit, an attention entry, an injection deadline,
+//! a release deadline or a credit-wait flag. Candidate cycles at which
+//! nothing fires merely cost one cheap processed cycle.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 
-use crate::batch::BatchNetwork;
 use crate::config::NocConfig;
 use crate::error::NocError;
-use crate::flit::{Packet, PacketId};
+use crate::flit::{Flit, FlitKind, Packet, PacketId};
+use crate::geometry::Direction;
 use crate::power::EnergyLedger;
+use crate::router::paced_ready_at;
 use crate::stats::NetworkStats;
 use crate::table::RouteTable;
 use crate::topology::{LinkId, Mesh, NodeId};
@@ -123,20 +162,170 @@ impl InFlight {
     }
 }
 
-/// The simulator. See the [module docs](self) for the cycle semantics and
-/// the event-driven core; the implementation is lane 0 of a 1-lane
-/// [`BatchNetwork`].
+/// Sentinel for "no routed output / no wormhole lock" in the `u8` arrays.
+const NO_PORT: u8 = u8::MAX;
+/// Sentinel for "no route computation pending" in the absolute
+/// route-ready array.
+const ROUTE_NONE: u64 = u64::MAX;
+/// Local port index (injection FIFO / ejection output).
+const LOCAL: usize = 4;
+/// Wake-ring depth in cycles: near-future router wake-ups (retry next
+/// cycle, pacing at `+flow`, route completion at `+1+latency`) land in a
+/// ring of `RING` bitset slots indexed by `cycle % RING`; only deadlines
+/// further out fall back to the attention heap. 16 covers every deadline
+/// the engine arms under realistic latencies, so the heap stays empty on
+/// the hot path.
+const RING: usize = 16;
+/// Per-node dense link-counter slots: E/W/N/S cardinal + ejection.
+const LINK_SLOTS: usize = 5;
+
+/// A packet waiting on the event heap for its release cycle; the flit
+/// payload lives in the arena under `slot`.
+#[derive(Debug, Clone, Copy)]
+struct ScheduledEvent {
+    at: u64,
+    id: PacketId,
+    node: u32,
+    slot: u32,
+}
+
+// Releases are ordered by (cycle, packet id); node and arena slot are
+// cargo, not identity — the same ordering the reference engine uses.
+impl PartialEq for ScheduledEvent {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.id) == (other.at, other.id)
+    }
+}
+impl Eq for ScheduledEvent {}
+impl PartialOrd for ScheduledEvent {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for ScheduledEvent {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.id).cmp(&(other.at, other.id))
+    }
+}
+
+/// A staged flit movement, decided against start-of-cycle state.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    Hop {
+        from_router: usize,
+        from_input: usize,
+        out_dir: Direction,
+        to_router: usize,
+    },
+    Eject {
+        from_router: usize,
+        from_input: usize,
+    },
+}
+
+/// The simulator. See the [module docs](self) for the cycle semantics,
+/// the array layout and the event-driven time advance.
 pub struct Network {
-    core: BatchNetwork,
+    config: NocConfig,
+    nodes: usize,
+    depth: usize,
+    /// Bitset words for `feeding`, `due_bits` and each ring slot.
+    words: usize,
+
+    // Router state, indexed node * 5 + port.
+    fifo: Vec<Flit>,
+    fifo_head: Vec<u32>,
+    fifo_len: Vec<u32>,
+    /// Absolute cycle at which the port's pending route computation
+    /// completes (`ROUTE_NONE` when no header is waiting to route).
+    route_ready_at: Vec<u64>,
+    routed_output: Vec<u8>,
+    out_locked: Vec<u8>,
+    out_ready_at: Vec<u64>,
+    out_rr: Vec<u8>,
+
+    // Injector state, indexed by node.
+    inj_flits: Vec<VecDeque<Flit>>,
+    inj_ready_at: Vec<u64>,
+    inj_queued: Vec<VecDeque<PacketId>>,
+
+    // Dense link-flit counters, indexed node * LINK_SLOTS + direction
+    // (Local slot = ejection link).
+    link_count: Vec<u64>,
+
+    /// Nodes with pending injection flits, as a bitset.
+    feeding: Vec<u64>,
+    /// Near-future wake-ups as a ring of per-cycle router bitsets,
+    /// indexed `(cycle % RING) * words + word`. Slot `now % RING` is
+    /// drained into the due set at the start of each processed cycle.
+    ring: Vec<u64>,
+    /// Set bits currently in the ring (lets the candidate scan skip an
+    /// empty ring outright).
+    ring_count: u32,
+    /// Per-port credit-wait flags: set when switch traversal denies a hop
+    /// for lack of downstream credit, cleared by the pop that frees the
+    /// port, which wakes the blocked upstream router precisely.
+    wait_pop: Vec<u8>,
+    /// Per-port count of hops staged *this cycle* into the port's FIFO,
+    /// valid only while `pend_stamp` matches the current cycle. Gives the
+    /// credit check its same-cycle reservations in O(1) instead of
+    /// rescanning the staged-move list.
+    pend_cnt: Vec<u8>,
+    /// Cycle stamp (now + 1, so zero never matches) qualifying `pend_cnt`.
+    pend_stamp: Vec<u64>,
+    /// Per-(router, output) bitmask of input ports whose head packet is
+    /// routed to that output — `bit i` set iff
+    /// `routed_output[input i] == output`. Lets arbitration skip an
+    /// uncontested output on one load instead of probing all five
+    /// inputs.
+    out_inputs: Vec<u8>,
+    /// Flits buffered per node across all five input FIFOs — the due-set
+    /// occupancy filter without summing five lengths.
+    node_flits: Vec<u32>,
+    /// Scratch bitset assembling the due set for the cycle being
+    /// processed.
+    due_bits: Vec<u64>,
+
+    now: u64,
+    next_packet: u64,
+    total_in_flight: usize,
+    /// Flits currently buffered in router FIFOs: zero means the network
+    /// is idle (only paced injections or scheduled releases remain).
+    busy_flits: u64,
+    in_flight: Vec<Option<InFlight>>,
+    delivered: Vec<DeliveredPacket>,
+    energy: EnergyLedger,
+    stats: NetworkStats,
+    scheduled: BinaryHeap<Reverse<ScheduledEvent>>,
+    /// Future cycles at which a router's pacing or routing deadline can
+    /// first matter, as `(cycle, router)` min-entries.
+    attention: BinaryHeap<Reverse<(u64, u32)>>,
+
+    // Event arena: recycled flit buffers for scheduled releases.
+    arena: Vec<Vec<Flit>>,
+    arena_free: Vec<u32>,
+
+    // Fault and routing state.
+    dead_routers: BTreeSet<usize>,
+    /// Per-node mask of faulty outgoing cardinal links (bit = direction
+    /// index), the fault state the switch stage reads.
+    dead_out: Vec<u8>,
+    route_table: Option<RouteTable>,
+
+    // Reused per-cycle scratch.
+    scratch: Vec<usize>,
+    feed_scratch: Vec<usize>,
+    moves: Vec<Move>,
+    flit_scratch: Vec<Flit>,
 }
 
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
-            .field("mesh", self.config().mesh())
-            .field("now", &self.now())
-            .field("in_flight", &self.in_flight())
-            .field("delivered", &self.delivered().len())
+            .field("mesh", self.config.mesh())
+            .field("now", &self.now)
+            .field("in_flight", &self.total_in_flight)
+            .field("delivered", &self.delivered.len())
             .finish_non_exhaustive()
     }
 }
@@ -149,65 +338,136 @@ impl Network {
     /// Currently infallible for a valid [`NocConfig`] but returns `Result`
     /// so resource limits can be enforced later without a breaking change.
     pub fn new(config: NocConfig) -> Result<Self, NocError> {
+        let nodes = config.mesh().len();
+        let depth = config.buffer_depth() as usize;
+        let words = nodes.div_ceil(64);
+        let ports = nodes * 5;
+        let placeholder = Flit {
+            packet: PacketId(0),
+            kind: FlitKind::Head,
+            dest: NodeId::new(0),
+            seq: 0,
+            data: 0,
+        };
         Ok(Network {
-            core: BatchNetwork::new(config, 1)?,
+            nodes,
+            depth,
+            words,
+            fifo: vec![placeholder; ports * depth],
+            fifo_head: vec![0; ports],
+            fifo_len: vec![0; ports],
+            route_ready_at: vec![ROUTE_NONE; ports],
+            routed_output: vec![NO_PORT; ports],
+            out_locked: vec![NO_PORT; ports],
+            out_ready_at: vec![0; ports],
+            out_rr: vec![0; ports],
+            inj_flits: (0..nodes).map(|_| VecDeque::new()).collect(),
+            inj_ready_at: vec![0; nodes],
+            inj_queued: (0..nodes).map(|_| VecDeque::new()).collect(),
+            link_count: vec![0; nodes * LINK_SLOTS],
+            feeding: vec![0; words],
+            ring: vec![0; RING * words],
+            ring_count: 0,
+            wait_pop: vec![0; ports],
+            pend_cnt: vec![0; ports],
+            pend_stamp: vec![0; ports],
+            out_inputs: vec![0; ports],
+            node_flits: vec![0; nodes],
+            due_bits: vec![0; words],
+            now: 0,
+            next_packet: 0,
+            total_in_flight: 0,
+            busy_flits: 0,
+            in_flight: Vec::new(),
+            delivered: Vec::new(),
+            energy: EnergyLedger::new(nodes, *config.power()),
+            stats: NetworkStats::default(),
+            scheduled: BinaryHeap::new(),
+            attention: BinaryHeap::new(),
+            arena: Vec::new(),
+            arena_free: Vec::new(),
+            dead_routers: BTreeSet::new(),
+            dead_out: vec![0; nodes],
+            route_table: None,
+            scratch: Vec::new(),
+            feed_scratch: Vec::new(),
+            moves: Vec::new(),
+            flit_scratch: Vec::new(),
+            config,
         })
     }
 
     /// The mesh this network simulates.
     #[must_use]
     pub fn topology(&self) -> &Mesh {
-        self.core.topology()
+        self.config.mesh()
     }
 
     /// The configuration the network was built from.
     #[must_use]
     pub fn config(&self) -> &NocConfig {
-        self.core.config()
+        &self.config
     }
 
     /// Current simulation time in cycles.
     #[must_use]
     pub fn now(&self) -> u64 {
-        self.core.now(0)
+        self.now
     }
 
     /// Number of packets injected but not yet fully delivered (scheduled
     /// releases included).
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.core.in_flight(0)
+        self.total_in_flight
     }
 
     /// Energy ledger accumulated so far.
     #[must_use]
     pub fn energy(&self) -> &EnergyLedger {
-        self.core.energy(0)
+        &self.energy
     }
 
     /// Statistics accumulated so far.
     #[must_use]
     pub fn stats(&self) -> &NetworkStats {
-        self.core.stats(0)
+        &self.stats
     }
 
     /// Packets delivered so far (not drained by [`Network::take_delivered`]).
     #[must_use]
     pub fn delivered(&self) -> &[DeliveredPacket] {
-        self.core.delivered(0)
+        &self.delivered
     }
 
     /// Removes and returns all delivery records collected so far.
     pub fn take_delivered(&mut self) -> Vec<DeliveredPacket> {
-        self.core.take_delivered(0)
+        std::mem::take(&mut self.delivered)
     }
 
     /// Flits forwarded over each directed link so far (local ejection
     /// links included). Links that never carried a flit are absent. The
-    /// map is materialised on demand from the core's dense counters.
+    /// map is materialised on demand from the dense counters.
     #[must_use]
     pub fn link_flits(&self) -> HashMap<LinkId, u64> {
-        self.core.link_flits(0)
+        let mut map = HashMap::new();
+        for node in 0..self.nodes {
+            let base = node * LINK_SLOTS;
+            for slot in 0..LINK_SLOTS {
+                let count = self.link_count[base + slot];
+                if count == 0 {
+                    continue;
+                }
+                let from = NodeId::new(node as u32);
+                let link = if slot == Direction::Local.index() {
+                    LinkId::ejection(from)
+                } else {
+                    LinkId::cardinal(from, Direction::ALL[slot])
+                };
+                map.insert(link, count);
+            }
+        }
+        map
     }
 
     /// Utilisation of a link: flits forwarded divided by the link's
@@ -215,29 +475,50 @@ impl Network {
     /// any cycle has elapsed.
     #[must_use]
     pub fn link_utilization(&self, link: LinkId) -> f64 {
-        self.core.link_utilization(0, link)
+        if self.now == 0 {
+            return 0.0;
+        }
+        let capacity = self.now as f64 / f64::from(self.config.flow_latency());
+        let node = link.from.index();
+        let slot = if link.into_core {
+            Direction::Local.index()
+        } else {
+            link.dir.index()
+        };
+        let count = if node < self.nodes && slot < LINK_SLOTS {
+            self.link_count[node * LINK_SLOTS + slot]
+        } else {
+            0
+        };
+        count as f64 / capacity
     }
 
     /// The most heavily used directed link and its utilisation, if any
     /// traffic flowed.
     #[must_use]
     pub fn hottest_link(&self) -> Option<(LinkId, f64)> {
-        self.core.hottest_link(0)
+        self.link_flits()
+            .iter()
+            .max_by_key(|&(_, &flits)| flits)
+            .map(|(&link, _)| (link, self.link_utilization(link)))
     }
 
     /// Marks `node`'s router as faulty: packets can no longer be sourced
     /// at or addressed to it, and it is expected never to carry through
     /// traffic (install a detour [`RouteTable`] that routes around it).
-    /// A dead router never buffers a flit, so it never enters the active
-    /// worklist and costs zero per-cycle work — faults are free for the
-    /// event core. Must be applied before any traffic is injected.
+    /// A dead router never buffers a flit, so it is never due and costs
+    /// zero per-cycle work. Must be applied before any traffic is
+    /// injected.
     ///
     /// # Errors
     ///
     /// Returns [`NocError::NodeOutOfRange`] for a node outside the mesh
     /// and [`NocError::InvalidParameter`] if traffic was already injected.
     pub fn kill_router(&mut self, node: NodeId) -> Result<(), NocError> {
-        self.core.kill_router(node)
+        self.config.mesh().check(node)?;
+        self.check_pristine()?;
+        self.dead_routers.insert(node.index());
+        Ok(())
     }
 
     /// Marks a directed link as faulty: switch traversal will never stage
@@ -251,7 +532,12 @@ impl Network {
     /// outside the mesh and [`NocError::InvalidParameter`] if traffic was
     /// already injected.
     pub fn kill_link(&mut self, link: LinkId) -> Result<(), NocError> {
-        self.core.kill_link(link)
+        self.config.mesh().check(link.from)?;
+        self.check_pristine()?;
+        if !link.into_core {
+            self.dead_out[link.from.index()] |= 1 << link.dir.index();
+        }
+        Ok(())
     }
 
     /// Installs a per-pair routing table, overriding the configured
@@ -263,7 +549,32 @@ impl Network {
     /// Returns [`NocError::InvalidParameter`] if the table does not cover
     /// this mesh or traffic was already injected.
     pub fn set_route_table(&mut self, table: RouteTable) -> Result<(), NocError> {
-        self.core.set_route_table(table)
+        table.check_len(self.config.mesh().len())?;
+        self.check_pristine()?;
+        self.route_table = Some(table);
+        Ok(())
+    }
+
+    /// Fault marks and route overrides change path semantics; applying
+    /// them mid-flight would corrupt wormhole state, so they are only
+    /// legal before the first injection.
+    fn check_pristine(&self) -> Result<(), NocError> {
+        if self.next_packet > 0 {
+            return Err(NocError::InvalidParameter {
+                name: "faults",
+                reason: "faults and route tables must be applied before traffic is injected",
+            });
+        }
+        Ok(())
+    }
+
+    fn check_endpoints_alive(&self, packet: &Packet) -> Result<(), NocError> {
+        for node in [packet.src(), packet.dest()] {
+            if self.dead_routers.contains(&node.index()) {
+                return Err(NocError::DeadEndpoint { node });
+            }
+        }
+        Ok(())
     }
 
     /// Queues `packet` for immediate injection at its source node.
@@ -275,14 +586,31 @@ impl Network {
     /// faulty router, and [`NocError::InjectionQueueFull`] if the per-node
     /// queue limit is reached.
     pub fn inject(&mut self, packet: Packet) -> Result<PacketId, NocError> {
-        self.core.inject(0, packet)
+        self.config.mesh().check(packet.src())?;
+        self.config.mesh().check(packet.dest())?;
+        self.check_endpoints_alive(&packet)?;
+        let node = packet.src();
+        let n = node.index();
+        if self.inj_queued[n].len() >= self.config.injection_queue_capacity() {
+            return Err(NocError::InjectionQueueFull { node });
+        }
+        let id = self.track(&packet, self.now);
+        let mut buf = std::mem::take(&mut self.flit_scratch);
+        buf.clear();
+        packet.flits_into(id, &mut buf);
+        self.inj_flits[n].extend(buf.drain(..));
+        self.flit_scratch = buf;
+        self.inj_queued[n].push_back(id);
+        Self::bitset_insert(&mut self.feeding, n);
+        Ok(id)
     }
 
     /// Schedules `packet` to join its source node's injection queue at
     /// `cycle` (clamped to the current cycle if already past). Until then
-    /// it sits on the event queue and costs nothing per cycle — this is
-    /// how whole-schedule replay injects every session at its planned
-    /// start without stepping through the idle span.
+    /// it sits on the event heap — its flits in a recycled arena buffer —
+    /// and costs nothing per cycle. This is how whole-schedule replay
+    /// injects every session at its planned start without stepping
+    /// through the idle span.
     ///
     /// Scheduled packets bypass the injection-queue capacity check: the
     /// release instants come from a planner that already paced the
@@ -295,21 +623,62 @@ impl Network {
     /// not in the mesh and [`NocError::DeadEndpoint`] if either endpoint
     /// is a faulty router.
     pub fn inject_at(&mut self, packet: Packet, cycle: u64) -> Result<PacketId, NocError> {
-        self.core.inject_at(0, packet, cycle)
+        self.config.mesh().check(packet.src())?;
+        self.config.mesh().check(packet.dest())?;
+        self.check_endpoints_alive(&packet)?;
+        let at = cycle.max(self.now);
+        let node = packet.src().index() as u32;
+        let id = self.track(&packet, at);
+        let slot = match self.arena_free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.arena.push(Vec::new());
+                (self.arena.len() - 1) as u32
+            }
+        };
+        let buf = &mut self.arena[slot as usize];
+        buf.clear();
+        packet.flits_into(id, buf);
+        self.scheduled
+            .push(Reverse(ScheduledEvent { at, id, node, slot }));
+        Ok(id)
+    }
+
+    fn track(&mut self, packet: &Packet, injected_at: u64) -> PacketId {
+        let id = PacketId(self.next_packet);
+        self.next_packet += 1;
+        self.in_flight.push(Some(InFlight {
+            src: packet.src(),
+            dest: packet.dest(),
+            tag: packet.tag(),
+            injected_at,
+            head_delivered_at: None,
+            flits: packet.total_flits(),
+            flits_delivered: 0,
+        }));
+        self.total_in_flight += 1;
+        id
     }
 
     /// Advances the simulation by exactly one cycle.
     pub fn step(&mut self) {
-        self.core.step(0);
+        self.energy.tick();
+        self.stats.add_cycles(1);
+        self.process_cycle();
+        self.now += 1;
     }
 
-    /// Runs for exactly `cycles` cycles, fast-forwarding over idle spans.
+    /// Runs for exactly `cycles` cycles, jumping over spans in which
+    /// nothing can fire.
     pub fn run(&mut self, cycles: u64) {
-        self.core.run(0, cycles);
+        let mut left = cycles;
+        while left > 0 {
+            left -= self.advance(left);
+        }
     }
 
     /// Runs until every injected packet has been delivered, then returns and
-    /// drains the delivery records. Cycles skipped by the event core count
+    /// drains the delivery records. Cycles jumped by the event core count
     /// against the budget exactly as stepped cycles do.
     ///
     /// # Errors
@@ -317,7 +686,618 @@ impl Network {
     /// Returns [`NocError::Timeout`] if the network has not drained within
     /// `max_cycles`.
     pub fn run_until_idle(&mut self, max_cycles: u64) -> Result<Vec<DeliveredPacket>, NocError> {
-        self.core.run_until_idle(0, max_cycles)
+        let mut spent = 0;
+        while self.total_in_flight > 0 {
+            if spent >= max_cycles {
+                return Err(NocError::Timeout {
+                    budget: max_cycles,
+                    in_flight: self.total_in_flight,
+                });
+            }
+            spent += self.advance(max_cycles - spent);
+        }
+        Ok(self.take_delivered())
+    }
+
+    // ------------------------------------------------------------------
+    // Index helpers.
+
+    #[inline]
+    fn pidx(node: usize, port: usize) -> usize {
+        node * 5 + port
+    }
+
+    // ------------------------------------------------------------------
+    // FIFO rings.
+
+    #[inline]
+    fn fifo_push(&mut self, p: usize, flit: Flit) {
+        let len = self.fifo_len[p] as usize;
+        assert!(len < self.depth, "input FIFO overflow: credit bug");
+        // `head + len` wraps at most once round the ring; a compare-and-
+        // subtract avoids a division by the runtime depth.
+        let mut slot = self.fifo_head[p] as usize + len;
+        if slot >= self.depth {
+            slot -= self.depth;
+        }
+        self.fifo[p * self.depth + slot] = flit;
+        self.fifo_len[p] += 1;
+        self.node_flits[p / 5] += 1;
+    }
+
+    #[inline]
+    fn fifo_pop(&mut self, p: usize) -> Option<Flit> {
+        if self.fifo_len[p] == 0 {
+            return None;
+        }
+        let head = self.fifo_head[p] as usize;
+        let flit = self.fifo[p * self.depth + head];
+        let next = head + 1;
+        self.fifo_head[p] = if next == self.depth { 0 } else { next } as u32;
+        self.fifo_len[p] -= 1;
+        self.node_flits[p / 5] -= 1;
+        Some(flit)
+    }
+
+    // ------------------------------------------------------------------
+    // Worklist bitsets. Ascending bit scans reproduce the reference
+    // engine's ascending router scan exactly.
+
+    #[inline]
+    fn bitset_insert(words: &mut [u64], node: usize) {
+        words[node / 64] |= 1u64 << (node % 64);
+    }
+
+    #[inline]
+    fn bitset_remove(words: &mut [u64], node: usize) {
+        words[node / 64] &= !(1u64 << (node % 64));
+    }
+
+    fn collect_bits(words: &[u64], out: &mut Vec<usize>) {
+        out.clear();
+        for (wi, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                out.push(wi * 64 + b);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Time advancement.
+
+    /// Advances the network by at least one and at most `budget` cycles.
+    /// Returns the cycles consumed.
+    fn advance(&mut self, budget: u64) -> u64 {
+        debug_assert!(budget > 0);
+        match self.next_candidate() {
+            Some(at) if at <= self.now => {
+                self.step();
+                1
+            }
+            Some(at) => {
+                let skip = (at - self.now).min(budget);
+                self.skip_span(skip);
+                skip
+            }
+            None => {
+                // Nothing pending at all: either fully drained, or a
+                // corrupt wormhole state that can never fire again.
+                // Stepping would burn the caller's budget one cycle at a
+                // time; consume it in one identical hop.
+                self.skip_span(budget);
+                budget
+            }
+        }
+    }
+
+    /// The earliest cycle at which anything can fire.
+    ///
+    /// A busy network (flits buffered in some router FIFO) consults the wake
+    /// ring, the attention heap, unblocked paced injections and pending
+    /// releases. An idle one consults only injections and releases — with
+    /// every FIFO empty, leftover ring bits and attention entries are
+    /// expired pacing deadlines that cannot matter before new traffic
+    /// arrives, and skipping them keeps the idle-cycle accounting
+    /// identical to the reference engine's quiet-span jump.
+    fn next_candidate(&self) -> Option<u64> {
+        let now = self.now;
+        let busy = self.busy_flits > 0;
+        let mut earliest = None;
+        if busy && self.ring_count > 0 {
+            'ring: for d in 0..RING as u64 {
+                let slot = ((now + d) % RING as u64) as usize;
+                let rbase = slot * self.words;
+                for wi in 0..self.words {
+                    if self.ring[rbase + wi] != 0 {
+                        if d == 0 {
+                            // Nothing can beat "due now".
+                            return Some(now);
+                        }
+                        earliest = Some(now + d);
+                        break 'ring;
+                    }
+                }
+            }
+        }
+        if let Some(&Reverse(ev)) = self.scheduled.peek() {
+            earliest = Some(earliest.map_or(ev.at, |e: u64| e.min(ev.at)));
+        }
+        if busy {
+            if let Some(&Reverse((at, _))) = self.attention.peek() {
+                earliest = Some(earliest.map_or(at, |e| e.min(at)));
+            }
+        }
+        for (wi, &word) in self.feeding.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let node = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // A full local FIFO blocks the injector regardless of
+                // pacing; the candidate scan re-checks occupancy live, so
+                // the pop that frees it is picked up without a wake. An
+                // idle network's FIFOs are all empty, so the check only
+                // applies while busy.
+                if busy && self.fifo_len[Self::pidx(node, LOCAL)] >= self.depth as u32 {
+                    continue;
+                }
+                let ready = self.inj_ready_at[node];
+                earliest = Some(earliest.map_or(ready, |e| e.min(ready)));
+            }
+        }
+        earliest
+    }
+
+    /// Jumps `cycles` forward across a span in which nothing can fire,
+    /// keeping every counter bit-identical to stepping: spans with flits
+    /// buffered count as simulated (busy) cycles, all-idle spans as idle
+    /// cycles, and leakage flows through the bulk
+    /// [`EnergyLedger::tick_many`]. Absolute deadlines mean waiting has
+    /// no per-cycle state to fold.
+    fn skip_span(&mut self, cycles: u64) {
+        debug_assert!(cycles > 0);
+        self.energy.tick_many(cycles);
+        self.stats.add_cycles(cycles);
+        if self.busy_flits == 0 {
+            self.stats.add_idle_cycles(cycles);
+        }
+        self.now += cycles;
+    }
+
+    /// Schedules a router re-examination at cycle `at`: a wake-ring bit
+    /// for the near future, an attention-heap entry beyond the ring.
+    /// Deadlines at or before the current cycle clamp to the next cycle —
+    /// the current cycle's ring slot has already been drained, and a
+    /// wake armed mid-cycle can first matter on the following one.
+    #[inline]
+    fn wake_router(&mut self, at: u64, node: usize) {
+        let now = self.now;
+        let at = at.max(now + 1);
+        if at - now < RING as u64 {
+            let slot = (at % RING as u64) as usize;
+            let idx = slot * self.words + node / 64;
+            let bit = 1u64 << (node % 64);
+            if self.ring[idx] & bit == 0 {
+                self.ring[idx] |= bit;
+                self.ring_count += 1;
+            }
+        } else {
+            self.attention.push(Reverse((at, node as u32)));
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // One cycle of real work, in the reference engine's exact stage
+    // order.
+
+    fn process_cycle(&mut self) {
+        self.release_due_packets();
+        let now = self.now;
+        let words = self.words;
+        // Assemble the due set as a bitset: routers in this cycle's ring
+        // slot, routers with an attention deadline that has arrived, and
+        // routers that receive an injected flit this cycle. Everything
+        // else is provably inert this cycle (its next deadline is in the
+        // future or it is blocked on a resource whose release arms a
+        // wake), so skipping it cannot change behaviour.
+        let slot = (now % RING as u64) as usize;
+        let rbase = slot * words;
+        let mut drained = 0;
+        for wi in 0..words {
+            let w = self.ring[rbase + wi];
+            self.due_bits[wi] = w;
+            if w != 0 {
+                drained += w.count_ones();
+                self.ring[rbase + wi] = 0;
+            }
+        }
+        self.ring_count -= drained;
+        while let Some(&Reverse((at, node))) = self.attention.peek() {
+            if at > now {
+                break;
+            }
+            self.attention.pop();
+            Self::bitset_insert(&mut self.due_bits, node as usize);
+        }
+        self.stage_injections();
+        // The ascending bitset scan reproduces the reference engine's
+        // ascending router scan (arbitration identity); the occupancy
+        // filter drops routers with no buffered flit, which that scan
+        // leaves untouched.
+        let mut due = std::mem::take(&mut self.scratch);
+        due.clear();
+        for wi in 0..words {
+            let mut bits = self.due_bits[wi];
+            while bits != 0 {
+                let node = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.node_flits[node] > 0 {
+                    due.push(node);
+                }
+            }
+        }
+        let mut moves = std::mem::take(&mut self.moves);
+        moves.clear();
+        self.stage_routers(&due, &mut moves);
+        self.apply_moves(&moves);
+        self.moves = moves;
+        self.scratch = due;
+    }
+
+    /// Moves every scheduled packet whose release cycle has arrived into
+    /// its node's injection queue, in (cycle, packet id) order, returning
+    /// the drained flit buffers to the arena.
+    fn release_due_packets(&mut self) {
+        let now = self.now;
+        while let Some(Reverse(head)) = self.scheduled.peek() {
+            if head.at > now {
+                break;
+            }
+            let Reverse(release) = self.scheduled.pop().expect("peeked");
+            let node = release.node as usize;
+            let slot = release.slot as usize;
+            self.inj_flits[node].extend(self.arena[slot].drain(..));
+            self.arena_free.push(release.slot);
+            self.inj_queued[node].push_back(release.id);
+            Self::bitset_insert(&mut self.feeding, node);
+        }
+    }
+
+    fn stage_injections(&mut self) {
+        if self.feeding.iter().all(|&w| w == 0) {
+            return;
+        }
+        let now = self.now;
+        let flow = self.config.flow_latency();
+        let latency = u64::from(self.config.routing_latency());
+        // `feeding` nodes always hold flits; iterate a (reused) snapshot
+        // since drained nodes leave the set as they empty.
+        let mut feed_scratch = std::mem::take(&mut self.feed_scratch);
+        Self::collect_bits(&self.feeding, &mut feed_scratch);
+        for &node in &feed_scratch {
+            if now < self.inj_ready_at[node] {
+                continue;
+            }
+            let local = Self::pidx(node, LOCAL);
+            if self.fifo_len[local] >= self.depth as u32 {
+                // Blocked on occupancy, not pacing: the candidate scan
+                // re-checks the FIFO live once the freeing pop lands.
+                continue;
+            }
+            let flit = self.inj_flits[node]
+                .pop_front()
+                .expect("feeding node has flits");
+            if flit.kind.is_tail() {
+                self.inj_queued[node].pop_front();
+            }
+            let was_empty = self.fifo_len[local] == 0;
+            self.fifo_push(local, flit);
+            self.busy_flits += 1;
+            self.inj_ready_at[node] = paced_ready_at(now, flow);
+            if was_empty && flit.kind.is_head() {
+                // A header exposed by injection starts route computation
+                // this very cycle (the reference engine arms it in the
+                // route phase that follows injection).
+                let at = now + latency;
+                self.route_ready_at[local] = at;
+                if latency > 0 {
+                    self.wake_router(at, node);
+                }
+            }
+            Self::bitset_insert(&mut self.due_bits, node);
+            if self.inj_flits[node].is_empty() {
+                Self::bitset_remove(&mut self.feeding, node);
+            }
+        }
+        self.feed_scratch = feed_scratch;
+    }
+
+    fn stage_routers(&mut self, due: &[usize], moves: &mut Vec<Move>) {
+        let routing = self.config.routing();
+        let mesh = self.config.mesh().clone();
+        let now = self.now;
+        let depth = self.depth;
+        // Route computation and switch arbitration are fused per router:
+        // arbitration only reads this router's own routed_output (set just
+        // above) and neighbor occupancy, which staging never changes.
+        // Only the due routers can source a move, and staging never
+        // pops or pushes a FIFO, so reading occupancy live *is* the
+        // start-of-cycle snapshot: a credit freed by a pop this cycle is
+        // not consumed until the next cycle (pops happen in apply_moves).
+        for &router_idx in due {
+            let node = NodeId::new(router_idx as u32);
+            let pbase = Self::pidx(router_idx, 0);
+            for port in 0..5 {
+                let p = pbase + port;
+                if self.routed_output[p] != NO_PORT || self.fifo_len[p] == 0 {
+                    continue;
+                }
+                let at = self.route_ready_at[p];
+                if at == ROUTE_NONE || now < at {
+                    continue;
+                }
+                let head = self.fifo[p * self.depth + self.fifo_head[p] as usize];
+                // A body flit cannot appear at the head of an unrouted
+                // input: the upstream wormhole lock guarantees ordering,
+                // and arming happens only on header exposure.
+                debug_assert!(head.kind.is_head(), "armed route on a body flit");
+                let dest = head.dest;
+                let dir = match &self.route_table {
+                    Some(table) => table
+                        .next_hop(node, dest)
+                        .expect("route table has no route for an injected pair"),
+                    None => routing.next_hop(mesh.position(node), mesh.position(dest)),
+                };
+                self.routed_output[p] = dir.index() as u8;
+                self.out_inputs[pbase + dir.index()] |= 1 << port;
+                self.route_ready_at[p] = ROUTE_NONE;
+                self.energy.charge_route(node);
+            }
+            let dead_mask = self.dead_out[router_idx];
+            for out_dir in Direction::ALL {
+                // Faulty links carry nothing (the per-node mask never has
+                // the Local bit set). A correct detour table never routes
+                // a header onto one.
+                if dead_mask & (1 << out_dir.index()) != 0 {
+                    continue;
+                }
+                let o = pbase + out_dir.index();
+                if now < self.out_ready_at[o] {
+                    continue;
+                }
+                // Select the input to serve: wormhole lock wins, otherwise
+                // round-robin over inputs routed to this output.
+                let serving = match self.out_locked[o] {
+                    NO_PORT => {
+                        let mask = self.out_inputs[o];
+                        if mask == 0 {
+                            continue;
+                        }
+                        let start = self.out_rr[o] as usize;
+                        let mut found = None;
+                        for k in 0..5 {
+                            let mut input = start + k;
+                            if input >= 5 {
+                                input -= 5;
+                            }
+                            if mask & (1 << input) != 0 && self.fifo_len[pbase + input] > 0 {
+                                found = Some(input);
+                                break;
+                            }
+                        }
+                        found
+                    }
+                    locked => Some(locked as usize),
+                };
+                let Some(input) = serving else { continue };
+                let p = pbase + input;
+                if self.fifo_len[p] == 0 {
+                    continue;
+                }
+                debug_assert_eq!(self.routed_output[p], out_dir.index() as u8);
+
+                if out_dir == Direction::Local {
+                    // Ejection link: the core always accepts.
+                    moves.push(Move::Eject {
+                        from_router: router_idx,
+                        from_input: input,
+                    });
+                    self.lock_output(o, input);
+                } else {
+                    let neighbor = mesh
+                        .neighbor(node, out_dir)
+                        .expect("routing never leaves the mesh");
+                    let in_dir = out_dir.opposite();
+                    let q = Self::pidx(neighbor.index(), in_dir.index());
+                    let stamp = now + 1;
+                    let pending_here = if self.pend_stamp[q] == stamp {
+                        self.pend_cnt[q] as usize
+                    } else {
+                        0
+                    };
+                    let occupancy = self.fifo_len[q] as usize;
+                    if occupancy + pending_here >= depth {
+                        // No credit downstream: register for the precise
+                        // wake the freeing pop will deliver.
+                        self.wait_pop[q] = 1;
+                        continue;
+                    }
+                    if self.pend_stamp[q] == stamp {
+                        self.pend_cnt[q] += 1;
+                    } else {
+                        self.pend_stamp[q] = stamp;
+                        self.pend_cnt[q] = 1;
+                    }
+                    moves.push(Move::Hop {
+                        from_router: router_idx,
+                        from_input: input,
+                        out_dir,
+                        to_router: neighbor.index(),
+                    });
+                    self.lock_output(o, input);
+                }
+            }
+        }
+    }
+
+    fn lock_output(&mut self, o: usize, input: usize) {
+        if self.out_locked[o] == NO_PORT {
+            self.out_locked[o] = input as u8;
+            self.out_rr[o] = if input == 4 { 0 } else { (input + 1) as u8 };
+        }
+    }
+
+    fn apply_moves(&mut self, moves: &[Move]) {
+        let flow = self.config.flow_latency();
+        let latency = u64::from(self.config.routing_latency());
+        let now = self.now;
+        for &mv in moves {
+            match mv {
+                Move::Hop {
+                    from_router,
+                    from_input,
+                    out_dir,
+                    to_router,
+                } => {
+                    let p = Self::pidx(from_router, from_input);
+                    let flit = self.fifo_pop(p).expect("staged move lost its flit");
+                    let node = NodeId::new(from_router as u32);
+                    self.energy.charge_flit_hop(node);
+                    let l = from_router * LINK_SLOTS + out_dir.index();
+                    self.link_count[l] = self.link_count[l].saturating_add(1);
+                    let o = Self::pidx(from_router, out_dir.index());
+                    let was_tail = flit.kind.is_tail();
+                    if was_tail {
+                        self.routed_output[p] = NO_PORT;
+                        self.out_inputs[o] &= !(1 << from_input);
+                        self.route_ready_at[p] = ROUTE_NONE;
+                        self.out_locked[o] = NO_PORT;
+                    }
+                    let paced = paced_ready_at(now, flow);
+                    self.out_ready_at[o] = paced;
+                    // The output comes off pacing at `paced`: the next
+                    // flit of this stream (or a lock/arbitration loser)
+                    // may fire then.
+                    self.wake_router(paced, from_router);
+                    self.after_pop(from_router, from_input, p, was_tail, latency);
+                    let in_dir = out_dir.opposite();
+                    let q = Self::pidx(to_router, in_dir.index());
+                    let dest_was_empty = self.fifo_len[q] == 0;
+                    self.fifo_push(q, flit);
+                    if dest_was_empty {
+                        if flit.kind.is_head() {
+                            // A header exposed by arrival is first seen by
+                            // the route phase next cycle.
+                            let at = now + 1 + latency;
+                            self.route_ready_at[q] = at;
+                            self.wake_router(at, to_router);
+                        } else {
+                            // A body flit at a FIFO head continues its
+                            // established wormhole next cycle.
+                            self.wake_router(now + 1, to_router);
+                        }
+                    }
+                }
+                Move::Eject {
+                    from_router,
+                    from_input,
+                } => {
+                    let p = Self::pidx(from_router, from_input);
+                    let flit = self.fifo_pop(p).expect("staged ejection lost its flit");
+                    let node = NodeId::new(from_router as u32);
+                    self.energy.charge_flit_hop(node);
+                    let l = from_router * LINK_SLOTS + Direction::Local.index();
+                    self.link_count[l] = self.link_count[l].saturating_add(1);
+                    let o = Self::pidx(from_router, Direction::Local.index());
+                    let was_tail = flit.kind.is_tail();
+                    if was_tail {
+                        self.routed_output[p] = NO_PORT;
+                        self.out_inputs[o] &= !(1 << from_input);
+                        self.route_ready_at[p] = ROUTE_NONE;
+                        self.out_locked[o] = NO_PORT;
+                    }
+                    let paced = paced_ready_at(now, flow);
+                    self.out_ready_at[o] = paced;
+                    self.wake_router(paced, from_router);
+                    self.after_pop(from_router, from_input, p, was_tail, latency);
+                    self.busy_flits -= 1;
+                    self.record_ejection(flit);
+                }
+            }
+        }
+    }
+
+    /// Wake-up bookkeeping shared by every pop: a tail pop may expose the
+    /// next packet's header, whose route computation the reference
+    /// engine would arm on its next scan, and the freed slot is a
+    /// credit — if an upstream router registered a credit wait on this
+    /// port, it gets its wake now. (A blocked injector needs no wake: the
+    /// candidate scan re-checks local-FIFO occupancy live.)
+    fn after_pop(
+        &mut self,
+        from_router: usize,
+        from_input: usize,
+        p: usize,
+        was_tail: bool,
+        latency: u64,
+    ) {
+        let now = self.now;
+        if was_tail && self.fifo_len[p] > 0 {
+            let at = now + 1 + latency;
+            self.route_ready_at[p] = at;
+            self.wake_router(at, from_router);
+        }
+        if self.wait_pop[p] != 0 {
+            self.wait_pop[p] = 0;
+            debug_assert_ne!(from_input, LOCAL, "credit waits only arm cardinal ports");
+            let node = NodeId::new(from_router as u32);
+            let feeder = self
+                .config
+                .mesh()
+                .neighbor(node, Direction::ALL[from_input])
+                .map(|n| n.index());
+            if let Some(up) = feeder {
+                self.wake_router(now + 1, up);
+            }
+        }
+    }
+
+    fn record_ejection(&mut self, flit: Flit) {
+        let now = self.now;
+        let idx = flit.packet.value() as usize;
+        let entry = self.in_flight[idx]
+            .as_mut()
+            .expect("ejected flit for an already-completed packet");
+        entry.flits_delivered += 1;
+        if flit.kind.is_head() {
+            entry.head_delivered_at = Some(now);
+        }
+        let stats = &mut self.stats;
+        stats.flits_delivered = stats.flits_delivered.saturating_add(1);
+        if flit.kind.is_tail() {
+            debug_assert_eq!(entry.flits_delivered, entry.flits, "flit loss detected");
+            let record = self.in_flight[idx].take().expect("checked above");
+            let head_at = record.head_delivered_at.unwrap_or(now);
+            let delivered = DeliveredPacket {
+                id: flit.packet,
+                src: record.src,
+                dest: record.dest,
+                tag: record.tag,
+                injected_at: record.injected_at,
+                head_delivered_at: head_at,
+                tail_delivered_at: now,
+                hops: record.hops(self.config.mesh(), self.route_table.as_ref()),
+                flits: record.flits,
+            };
+            let stats = &mut self.stats;
+            stats.delivered = stats.delivered.saturating_add(1);
+            stats.packet_latency.record(delivered.latency());
+            stats.header_latency.record(head_at - record.injected_at);
+            self.total_in_flight -= 1;
+            self.delivered.push(delivered);
+        }
     }
 }
 
@@ -748,5 +1728,57 @@ mod tests {
         let err = net.run_until_idle(500).unwrap_err();
         assert!(matches!(err, NocError::Timeout { in_flight: 1, .. }));
         assert!(net.now() <= 500);
+    }
+
+    #[test]
+    fn busy_skip_matches_pure_stepping() {
+        // Drive one copy with step() only and one through the jumping
+        // run_until_idle: deliveries, clocks and energy must agree, and
+        // no jumped busy cycle may be counted as idle.
+        let build = || {
+            let mut n = net(4, 4);
+            for i in 0..8u64 {
+                let src = NodeId::new((i % 16) as u32);
+                let dst = NodeId::new(((i * 7 + 1) % 16) as u32);
+                if src == dst {
+                    continue;
+                }
+                n.inject_at(Packet::new(src, dst, 5).with_tag(i), i * 3)
+                    .unwrap();
+            }
+            n
+        };
+        let mut stepped = build();
+        while stepped.in_flight() > 0 {
+            stepped.step();
+        }
+        let stepped_delivered = stepped.take_delivered();
+        let mut skipped = build();
+        let skipped_delivered = skipped.run_until_idle(1_000_000).unwrap();
+        assert_eq!(skipped_delivered, stepped_delivered);
+        assert_eq!(skipped.now(), stepped.now());
+        assert_eq!(skipped.energy(), stepped.energy());
+        assert_eq!(skipped.link_flits(), stepped.link_flits());
+        // All the traffic overlaps in time: nothing here is an idle span,
+        // so the jumping engine must report the same zero idle cycles the
+        // stepper does even though it jumped over pacing-dead cycles.
+        assert_eq!(skipped.stats().idle_cycles, stepped.stats().idle_cycles);
+        assert_eq!(skipped.stats().cycles, stepped.stats().cycles);
+    }
+
+    #[test]
+    fn arena_recycles_release_buffers() {
+        let mut net = net(2, 1);
+        for round in 0..4u64 {
+            net.inject_at(
+                Packet::new(NodeId::new(0), NodeId::new(1), 6),
+                round * 1_000,
+            )
+            .unwrap();
+        }
+        net.run_until_idle(100_000).unwrap();
+        // Every scheduled release handed its buffer back.
+        assert_eq!(net.arena.len(), net.arena_free.len());
+        assert!(net.arena.len() <= 4);
     }
 }

@@ -4,12 +4,13 @@
 //! [`ReferenceNetwork`] is the original cycle-stepped `Network` loop:
 //! every simulated cycle it scans **every** router and every injection
 //! queue, whether or not anything can move. It is deliberately naive. The
-//! live engine ([`crate::BatchNetwork`], with [`crate::Network`] as its
-//! one-lane view) must produce bit-identical [`DeliveredPacket`] records,
-//! energy charges and link counters on any traffic: the
-//! `event_engine_differential` integration test holds it to that on raw
-//! traffic, and `crates/core/tests/batch_replay.rs` on whole-schedule
-//! replays over healthy and degraded meshes. Do not "optimise" this
+//! live engine, [`crate::Network`], must produce bit-identical
+//! [`DeliveredPacket`] records, energy charges and link counters on any
+//! traffic, and the same [`NetworkStats`] except `idle_cycles` (the live
+//! engine jumps spans this spec steps). The `event_engine_differential`
+//! integration test holds it to that on raw traffic, and
+//! `crates/core/tests/batch_replay.rs` on whole-schedule replays over
+//! healthy and degraded meshes. Do not "optimise" this
 //! module; its value is that each stage reads like the per-cycle
 //! semantics documented in [`crate::network`].
 //!

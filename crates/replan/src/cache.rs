@@ -6,37 +6,10 @@ use std::sync::Mutex;
 use noctest_core::hashing::{canonical_content, ContentHash};
 use noctest_core::plan::{PlanOutcome, PlanRequest};
 
-/// Hit/miss/eviction counters for a [`PlanCache`], mirroring the
-/// profile cache's [`noctest_core::plan::CacheStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that found nothing (or a 64-bit collision — see
-    /// [`PlanCache::lookup`]).
-    pub misses: u64,
-    /// Entries dropped to respect the capacity bound.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Total lookups observed.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// The counter delta since an `earlier` snapshot (saturating, so a
-    /// stale snapshot never underflows).
-    #[must_use]
-    pub fn since(&self, earlier: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-        }
-    }
-}
+/// Hit/miss/eviction counters for a [`PlanCache`]: the same type the
+/// profile cache reports. A 64-bit collision counts as a miss (see
+/// [`PlanCache::lookup`]).
+pub use noctest_core::plan::CacheStats;
 
 /// One cached plan: the request that produced it, its canonical content
 /// text (the collision guard), and the outcome in canonical compact JSON.

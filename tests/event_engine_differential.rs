@@ -2,15 +2,17 @@
 //! bit-for-bit equivalent to the full-scan
 //! [`noctest_noc::ReferenceNetwork`] — identical `DeliveredPacket` records
 //! (ids, tags, injection/head/tail cycles, hops, flit counts, and order),
-//! identical energy charges and identical per-link flit counters — on
+//! identical energy charges, identical per-link flit counters and
+//! identical [`noctest_noc::NetworkStats`] apart from `idle_cycles` — on
 //! seeded random traffic over random mesh shapes, routing algorithms,
 //! latencies and buffer depths, with scheduled releases and degraded
 //! meshes (seeded fault recipes routed by their detour tables) mixed in.
+//! This is the live engine's only oracle wall on raw traffic.
 
 use noctest_faults::{DetourOracle, FaultRecipe, FaultSet};
 use noctest_noc::{
-    DeliveredPacket, Network, NocConfig, NocError, NodeId, Packet, PowerParams, ReferenceNetwork,
-    RouteTable, RoutingKind,
+    DeliveredPacket, Network, NetworkStats, NocConfig, NocError, NodeId, Packet, PowerParams,
+    ReferenceNetwork, RouteTable, RoutingKind,
 };
 use noctest_testkit::Rng;
 
@@ -125,7 +127,8 @@ fn build(s: &Scenario) -> (Network, ReferenceNetwork) {
 }
 
 /// Runs both engines under one budget and asserts identical outcomes,
-/// energy ledgers and link counters; returns the event engine's result.
+/// energy ledgers, link counters, clocks and statistics; returns the
+/// event engine's result.
 fn run_both(
     s: &Scenario,
     budget: u64,
@@ -141,11 +144,21 @@ fn run_both(
         *reference.link_flits(),
         "{context}: links"
     );
-    let flits = (event.stats().flits_delivered, event.now());
+    assert_eq!(event.now(), reference.now(), "{context}: clock");
+    // `idle_cycles` is the one field allowed to differ. The event engine
+    // jumps every span with no flit buffered, paced injections pending or
+    // not; the reference jumps only when its injection queues are empty
+    // too and steps the rest. Three of the 48 seeds differ: on seed
+    // 8049401663548809241 the event engine counts 174 idle cycles and the
+    // reference 155, with every other field equal.
+    let masked = |stats: &NetworkStats| NetworkStats {
+        idle_cycles: 0,
+        ..stats.clone()
+    };
     assert_eq!(
-        flits,
-        (reference.stats().flits_delivered, reference.now()),
-        "{context}"
+        masked(event.stats()),
+        masked(reference.stats()),
+        "{context}: stats"
     );
     (event, from_event)
 }
