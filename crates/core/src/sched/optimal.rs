@@ -661,29 +661,58 @@ mod tests {
                 ]
             )
         );
-        let parallel = ParallelOptimalScheduler::new()
-            .with_threads(2)
-            .with_max_expansions(Some(20_000))
-            .schedule_with_stats(&large, &SearchTuning::default(), None)
-            .unwrap();
+        let parallel = exhausted_parallel_run(&large, 2);
         assert_eq!(parallel.1.tasks, 70);
-        assert_eq!(
-            pin_of(parallel),
-            (
-                20_000,
-                true,
-                vec![
-                    (1, 0, 0, 4848),
-                    (0, 0, 4848, 9696),
-                    (3, 2, 4848, 7354),
-                    (6, 2, 7354, 19258),
-                    (2, 0, 9696, 10224),
-                    (4, 0, 10224, 12384),
-                    (5, 1, 10224, 18339),
-                    (7, 0, 12384, 19092),
-                ]
-            )
-        );
+        assert_eq!(pin_of(parallel), exhausted_parallel_pin());
+    }
+
+    /// `optimal-par` at `threads` under the 20,000-expansion budget of
+    /// the pinned exhausted search.
+    fn exhausted_parallel_run(sys: &SystemUnderTest, threads: usize) -> (Schedule, SearchStats) {
+        ParallelOptimalScheduler::new()
+            .with_threads(threads)
+            .with_max_expansions(Some(20_000))
+            .schedule_with_stats(sys, &SearchTuning::default(), None)
+            .unwrap()
+    }
+
+    fn exhausted_parallel_pin() -> Pin {
+        (
+            20_000,
+            true,
+            vec![
+                (1, 0, 0, 4848),
+                (0, 0, 4848, 9696),
+                (3, 2, 4848, 7354),
+                (6, 2, 7354, 19258),
+                (2, 0, 9696, 10224),
+                (4, 0, 10224, 12384),
+                (5, 1, 10224, 18339),
+                (7, 0, 12384, 19092),
+            ],
+        )
+    }
+
+    /// Many round handoffs between the caller and its helpers, also at
+    /// more threads than the machine may have cores. At 2, 3 and 8
+    /// threads the split yields the same 70 tasks, so every run must
+    /// reproduce the one pinned tree (taken at each count from the
+    /// per-round-spawn code this crew replaced).
+    #[test]
+    fn exhausted_parallel_trees_repeat_under_handoff_stress() {
+        let large = small_system(6, 2);
+        for threads in [2, 3, 8] {
+            for run in 0..50 {
+                let (schedule, stats) = exhausted_parallel_run(&large, threads);
+                assert_eq!(stats.tasks, 70, "{threads} threads, run {run}");
+                let pin = pin_of((schedule, stats));
+                assert_eq!(
+                    pin,
+                    exhausted_parallel_pin(),
+                    "{threads} threads, run {run}"
+                );
+            }
+        }
     }
 
     /// A budgeted one-thread search by `optimal`, or by `optimal-par`

@@ -4,7 +4,7 @@
 //! One explicit-stack depth-first engine searches at every thread count.
 //! [`OptimalScheduler`] runs it on one thread: the root is one unsplit
 //! task, searched on the caller's thread. [`ParallelOptimalScheduler`]
-//! shards the same search across a work-stealing worker pool while
+//! shards the same search across a work-stealing crew of threads while
 //! keeping the result **byte-identical to the one-thread search on
 //! within-budget runs** and **deterministic at any fixed thread count**
 //! when the expansion budget trips. The machinery:
@@ -15,12 +15,20 @@
 //!   depth-first search visits those subtree roots. Each frontier node
 //!   becomes an independent shard task carrying its path (the child
 //!   ordinal at every level) as a canonical subtree id.
+//! - **One crew per search.** A search whose split leaves two or more
+//!   tasks opens one thread scope and spawns `threads - 1` helpers; the
+//!   caller's thread is worker 0. Every budget round runs on that crew:
+//!   between rounds the helpers park on a generation counter, and the
+//!   caller deals, publishes, works, and takes the tasks back once the
+//!   round's last one is done. A round of one task runs on the caller
+//!   without waking anyone, and a search at one thread, or whose split
+//!   leaves at most one task, spawns no thread at all. A helper that
+//!   panics wakes the caller, and the panic reaches it through the scope.
 //! - **Work stealing.** Tasks are dealt round-robin into per-worker
 //!   deques; a worker pops its own deque from the front and steals from
-//!   the tail of a neighbour's when it drains. Stealing order cannot
-//!   affect results (see determinism below), so the pool is free to
-//!   balance however the machine schedules it. A one-thread round runs
-//!   inline on the caller's thread, with no worker spawned.
+//!   the tail of a neighbour's when it drains. Which worker runs a task,
+//!   and in what order, cannot affect results (see determinism below), so
+//!   the crew is free to balance however the machine schedules it.
 //! - **Shared incumbent.** Every improving leaf is published to an
 //!   atomic best-cost cell (`fetch_min`). Shards prune against it with
 //!   *strict* comparison — the cell only ever holds achieved makespans,
@@ -67,8 +75,8 @@
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::cut::{CutId, CutKind};
@@ -636,70 +644,267 @@ fn split_frontier(
     (level, leaves, cost)
 }
 
-/// Runs one round of the given (task index, slice) work items over
-/// `threads` work-stealing workers — inline on the caller's thread when
-/// `threads` is 1 — and returns the expansions consumed and whether any
-/// task observed cancellation.
-fn run_round(
-    core: &SearchCore<'_>,
-    slots: &mut [Option<Task>],
-    work: &[(usize, u64)],
-    threads: usize,
-    bound: BoundMode<'_>,
-    global: &AtomicU64,
-    cancel: Option<&CancelToken>,
-) -> (u64, bool) {
-    let queues: Vec<Mutex<VecDeque<(usize, Task, u64)>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (j, &(idx, slice)) in work.iter().enumerate() {
-        let task = slots[idx].take().expect("task present for round");
-        queues[j % threads]
-            .lock()
-            .expect("queue lock")
-            .push_back((idx, task, slice));
+/// The round handshake shared by a crew's workers.
+struct Round<J> {
+    /// Bumped once per published round; a parked helper waits for it to
+    /// move.
+    generation: u64,
+    shutdown: bool,
+    /// Set by a helper that unwinds: its item will never come back.
+    dead: bool,
+    /// Items dealt this round and not yet in `done`.
+    pending: usize,
+    done: Vec<J>,
+}
+
+/// The threads of one search, paid for once: `workers - 1` helpers plus
+/// the caller's thread as worker 0, sharing per-worker deques. Between
+/// rounds the helpers park on the [`Round`] generation; every worker
+/// runs `work` on each item it takes.
+struct Crew<J, W> {
+    queues: Vec<Mutex<VecDeque<J>>>,
+    round: Mutex<Round<J>>,
+    /// Wakes parked helpers for a new round or shutdown.
+    start: Condvar,
+    /// Wakes the caller when the round's last item is done or a helper
+    /// died.
+    end: Condvar,
+    work: W,
+}
+
+/// Marks the round dead and wakes the caller if a helper unwinds, so the
+/// caller never waits for an item that is not coming back.
+struct HelperGuard<'c, J, W>(&'c Crew<J, W>);
+
+impl<J, W> Drop for HelperGuard<'_, J, W> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut round = self.0.round.lock().unwrap_or_else(PoisonError::into_inner);
+            round.dead = true;
+            self.0.end.notify_one();
+        }
     }
-    let done: Mutex<Vec<(usize, Task)>> = Mutex::new(Vec::new());
-    let consumed = AtomicU64::new(0);
-    let saw_cancel = AtomicBool::new(false);
-    let worker = |w: usize| loop {
-        // Own deque from the front; steal from a neighbour's tail.
-        let mut job = queues[w].lock().expect("queue lock").pop_front();
-        if job.is_none() {
-            for off in 1..threads {
-                job = queues[(w + off) % threads]
+}
+
+/// Releases the helpers when the caller leaves the crew, unwinding
+/// included, so the scope can join them.
+struct ShutdownGuard<'c, J, W>(&'c Crew<J, W>);
+
+impl<J, W> Drop for ShutdownGuard<'_, J, W> {
+    fn drop(&mut self) {
+        let mut round = self.0.round.lock().unwrap_or_else(PoisonError::into_inner);
+        round.shutdown = true;
+        self.0.start.notify_all();
+    }
+}
+
+impl<J: Send, W: Fn(&mut J) + Sync> Crew<J, W> {
+    /// Runs `body` on the caller's thread with a crew of `workers`
+    /// threads: `workers - 1` helpers live in one scope around `body`
+    /// and are joined when it returns. A helper's panic reaches the
+    /// caller through the scope.
+    fn with<R>(workers: usize, work: W, body: impl FnOnce(&Self) -> R) -> R {
+        let crew = Crew {
+            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            round: Mutex::new(Round {
+                generation: 0,
+                shutdown: false,
+                dead: false,
+                pending: 0,
+                done: Vec::new(),
+            }),
+            start: Condvar::new(),
+            end: Condvar::new(),
+            work,
+        };
+        std::thread::scope(|s| {
+            for w in 1..workers {
+                let crew = &crew;
+                s.spawn(move || crew.help(w));
+            }
+            let _shutdown = ShutdownGuard(&crew);
+            body(&crew)
+        })
+    }
+
+    /// Runs every item once and returns them all, in no fixed order. A
+    /// lone item runs on the caller without waking anyone; otherwise the
+    /// items are dealt round-robin into the deques and the caller works
+    /// as worker 0 until the round's last item is done.
+    fn round(&self, mut items: Vec<J>) -> Vec<J> {
+        if items.len() == 1 {
+            (self.work)(&mut items[0]);
+            return items;
+        }
+        {
+            // Deal under the round lock: a helper still scanning the
+            // deques from the last round may take an item at once, and
+            // must not report it done before `pending` counts it.
+            let mut round = self.round.lock().expect("round lock");
+            round.pending = items.len();
+            round.generation += 1;
+            let workers = self.queues.len();
+            for (j, item) in items.drain(..).enumerate() {
+                self.queues[j % workers]
+                    .lock()
+                    .expect("queue lock")
+                    .push_back(item);
+            }
+        }
+        self.start.notify_all();
+        self.drain(0);
+        let mut round = self.round.lock().expect("round lock");
+        while round.pending > 0 && !round.dead {
+            round = self.end.wait(round).expect("round lock");
+        }
+        if round.dead {
+            // Unlock first: a poisoned round lock would panic the
+            // helpers still parked on it.
+            drop(round);
+            panic!("a search helper panicked");
+        }
+        std::mem::swap(&mut items, &mut round.done);
+        items
+    }
+
+    /// Runs items until every deque is empty: the worker's own deque from
+    /// the front, then a neighbour's from the tail.
+    fn drain(&self, me: usize) {
+        let workers = self.queues.len();
+        loop {
+            let mut item = self.queues[me].lock().expect("queue lock").pop_front();
+            for off in 1..workers {
+                if item.is_some() {
+                    break;
+                }
+                item = self.queues[(me + off) % workers]
                     .lock()
                     .expect("queue lock")
                     .pop_back();
-                if job.is_some() {
-                    break;
+            }
+            let Some(mut item) = item else {
+                return;
+            };
+            (self.work)(&mut item);
+            let mut round = self.round.lock().expect("round lock");
+            round.done.push(item);
+            round.pending -= 1;
+            if round.pending == 0 {
+                self.end.notify_one();
+            }
+        }
+    }
+
+    /// A helper's life: park until a round is published, drain it, park
+    /// again; leave on shutdown.
+    fn help(&self, me: usize) {
+        let _guard = HelperGuard(self);
+        let mut seen = 0;
+        loop {
+            {
+                let mut round = self.round.lock().expect("round lock");
+                while round.generation == seen && !round.shutdown {
+                    round = self.start.wait(round).expect("round lock");
                 }
+                if round.shutdown {
+                    return;
+                }
+                seen = round.generation;
             }
+            self.drain(me);
         }
-        let Some((idx, mut task, slice)) = job else {
-            break;
-        };
-        let before = task.expansions;
-        let status = task.run(core, slice, bound, global, cancel);
-        consumed.fetch_add(task.expansions - before, Ordering::Relaxed);
-        if status == TaskStatus::Cancelled {
-            saw_cancel.store(true, Ordering::Relaxed);
-        }
-        done.lock().expect("done lock").push((idx, task));
+    }
+}
+
+/// One task's turn in a round: the task, the slot it returns to, its
+/// expansion slice and the bound it prunes against.
+struct Job<'g> {
+    slot: usize,
+    task: Task,
+    slice: u64,
+    bound: BoundMode<'g>,
+    cancelled: bool,
+}
+
+/// Runs one round of the given (task index, slice) work items through
+/// `run` and returns the expansions consumed and whether any task
+/// observed cancellation.
+fn run_round<'g>(
+    run: &mut dyn FnMut(Vec<Job<'g>>) -> Vec<Job<'g>>,
+    slots: &mut [Option<Task>],
+    work: &[(usize, u64)],
+    bound: BoundMode<'g>,
+) -> (u64, bool) {
+    let jobs: Vec<Job<'g>> = work
+        .iter()
+        .map(|&(slot, slice)| Job {
+            slot,
+            task: slots[slot].take().expect("task present for round"),
+            slice,
+            bound,
+            cancelled: false,
+        })
+        .collect();
+    let before: u64 = jobs.iter().map(|j| j.task.expansions).sum();
+    let jobs = run(jobs);
+    let after: u64 = jobs.iter().map(|j| j.task.expansions).sum();
+    let cancelled = jobs.iter().any(|j| j.cancelled);
+    for job in jobs {
+        slots[job.slot] = Some(job.task);
+    }
+    (after - before, cancelled)
+}
+
+/// Spends the search on the split's tasks, round by round through `run`,
+/// and returns whether a task observed cancellation.
+fn run_rounds<'g>(
+    run: &mut dyn FnMut(Vec<Job<'g>>) -> Vec<Job<'g>>,
+    slots: &mut [Option<Task>],
+    budget: Option<u64>,
+    global: &'g AtomicU64,
+) -> bool {
+    let Some(mut remaining) = budget else {
+        // Exhaustive search: no pause points, so tasks may read the
+        // incumbent cell live for the sharpest possible pruning.
+        let work: Vec<(usize, u64)> = (0..slots.len()).map(|i| (i, u64::MAX)).collect();
+        return run_round(run, slots, &work, BoundMode::Live(global)).1;
     };
-    if threads == 1 {
-        worker(0);
-    } else {
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let worker = &worker;
-                s.spawn(move || worker(w));
-            }
-        });
+    let mut round = 0u64;
+    loop {
+        let unfinished: Vec<usize> = slots
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.as_ref().is_some_and(|t| !t.finished))
+            .map(|(i, _)| i)
+            .collect();
+        if unfinished.is_empty() || remaining == 0 {
+            return false;
+        }
+        let rounds_left = BUDGET_ROUNDS.saturating_sub(round).max(1);
+        let round_budget = (remaining / rounds_left).clamp(1, remaining);
+        let n = unfinished.len() as u64;
+        let base = round_budget / n;
+        let extra = round_budget % n;
+        let work: Vec<(usize, u64)> = unfinished
+            .iter()
+            .enumerate()
+            .map(|(j, &idx)| (idx, base + u64::from((j as u64) < extra)))
+            .filter(|&(_, slice)| slice > 0)
+            .collect();
+        // Freeze the cross-task bound for the whole round: every task
+        // prunes against the same value no matter which worker runs it
+        // or in what order, so exhausted runs stay deterministic.
+        let frozen = BoundMode::Frozen(global.load(Ordering::Relaxed));
+        let (consumed, saw_cancel) = run_round(run, slots, &work, frozen);
+        remaining = remaining.saturating_sub(consumed);
+        round += 1;
+        if saw_cancel {
+            return true;
+        }
+        if consumed == 0 {
+            return false;
+        }
     }
-    for (idx, task) in done.into_inner().expect("done lock") {
-        slots[idx] = Some(task);
-    }
-    (consumed.into_inner(), saw_cancel.into_inner())
 }
 
 /// The branch-and-bound behind both exact schedulers, on `threads`
@@ -733,63 +938,24 @@ pub(crate) fn branch_and_bound(
         .map(|node| Some(Task::new(node, seed_value)))
         .collect();
     let global = AtomicU64::new(seed_value);
-    let mut cancelled = false;
-    if let Some(budget) = max_expansions {
-        let mut remaining = budget.saturating_sub(split_cost);
-        let mut round = 0u64;
-        loop {
-            let unfinished: Vec<usize> = slots
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.as_ref().is_some_and(|t| !t.finished))
-                .map(|(i, _)| i)
-                .collect();
-            if unfinished.is_empty() || remaining == 0 {
-                break;
-            }
-            let rounds_left = BUDGET_ROUNDS.saturating_sub(round).max(1);
-            let round_budget = (remaining / rounds_left).clamp(1, remaining);
-            let n = unfinished.len() as u64;
-            let base = round_budget / n;
-            let extra = round_budget % n;
-            let work: Vec<(usize, u64)> = unfinished
-                .iter()
-                .enumerate()
-                .map(|(j, &idx)| (idx, base + u64::from((j as u64) < extra)))
-                .filter(|&(_, slice)| slice > 0)
-                .collect();
-            // Freeze the cross-task bound for the whole round: every
-            // task prunes against the same value no matter which worker
-            // runs it or in what order, so exhausted runs stay
-            // deterministic.
-            let frozen = BoundMode::Frozen(global.load(Ordering::Relaxed));
-            let (consumed, saw_cancel) =
-                run_round(&core, &mut slots, &work, threads, frozen, &global, cancel);
-            remaining = remaining.saturating_sub(consumed);
-            round += 1;
-            if saw_cancel {
-                cancelled = true;
-                break;
-            }
-            if consumed == 0 {
-                break;
-            }
-        }
+    let budget = max_expansions.map(|b| b.saturating_sub(split_cost));
+    let work = |job: &mut Job<'_>| {
+        job.cancelled =
+            job.task.run(&core, job.slice, job.bound, &global, cancel) == TaskStatus::Cancelled;
+    };
+    // Threads are paid for once per search, and only when there are
+    // tasks to share: one crew serves every round.
+    let cancelled = if threads > 1 && slots.len() > 1 {
+        Crew::with(threads, work, |crew| {
+            run_rounds(&mut |jobs| crew.round(jobs), &mut slots, budget, &global)
+        })
     } else {
-        // Exhaustive search: no pause points, so tasks may read the
-        // incumbent cell live for the sharpest possible pruning.
-        let work: Vec<(usize, u64)> = (0..slots.len()).map(|i| (i, u64::MAX)).collect();
-        let (_, saw_cancel) = run_round(
-            &core,
-            &mut slots,
-            &work,
-            threads,
-            BoundMode::Live(&global),
-            &global,
-            cancel,
-        );
-        cancelled = saw_cancel;
-    }
+        let inline = &mut |mut jobs: Vec<_>| {
+            jobs.iter_mut().for_each(work);
+            jobs
+        };
+        run_rounds(inline, &mut slots, budget, &global)
+    };
     if cancelled {
         // A cancelled search reports Cancelled rather than its
         // incumbent: the caller asked for the job to stop, and a
@@ -1135,6 +1301,7 @@ mod tests {
     use crate::sched::OptimalScheduler;
     use crate::system::SystemBuilder;
     use noctest_cpu::ProcessorProfile;
+    use std::sync::Barrier;
 
     fn small_system(cores: usize, procs: usize) -> SystemUnderTest {
         let mut b = SystemBuilder::new("small", 3, 3);
@@ -1235,6 +1402,56 @@ mod tests {
             .schedule_cancellable(&sys, &token)
             .unwrap_err();
         assert!(matches!(err, PlanError::Cancelled));
+    }
+
+    #[test]
+    fn cancellation_from_another_thread_stops_a_running_search() {
+        // Unbudgeted, this search runs about 4.4M expansions over 117
+        // tasks at two threads: far past one poll period per task, and
+        // far longer than the delay before the cancel.
+        let sys = small_system(7, 3);
+        let token = CancelToken::new();
+        let go = Barrier::new(2);
+        let delay = Duration::from_millis(20);
+        let (result, elapsed) = std::thread::scope(|s| {
+            s.spawn(|| {
+                go.wait();
+                std::thread::sleep(delay);
+                token.cancel();
+            });
+            go.wait();
+            let started = std::time::Instant::now();
+            let result = ParallelOptimalScheduler::new()
+                .with_threads(2)
+                .with_max_expansions(None)
+                .schedule_cancellable(&sys, &token);
+            (result, started.elapsed())
+        });
+        assert!(matches!(result, Err(PlanError::Cancelled)), "{result:?}");
+        // The call was still running when the token tripped; its crew's
+        // scope joined every helper before it returned.
+        assert!(elapsed >= delay, "returned after {elapsed:?}");
+    }
+
+    #[test]
+    fn a_panicking_helper_unwinds_the_caller() {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let both_started = Barrier::new(2);
+            // Item 0 is dealt to the caller's deque and item 1 to the
+            // helper's. Neither can finish until both run, so the caller
+            // never reaches item 1: it panics on the helper.
+            let work = |item: &mut u32| {
+                both_started.wait();
+                assert_ne!(*item, 1, "item 1 fails");
+            };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Crew::with(2, work, |crew| crew.round(vec![0, 1]))
+            }));
+            tx.send(result.is_err()).expect("test waits for the result");
+        });
+        let unwound = rx.recv_timeout(Duration::from_secs(60));
+        assert_eq!(unwound, Ok(true), "the call must unwind, not block");
     }
 
     #[test]
