@@ -7,7 +7,7 @@
 //! Modes:
 //!
 //! * `--smoke` — the CI gate: 20 small SoCs × 2 budgets × every
-//!   default-registry scheduler (160 scenarios, fidelity replay on). The
+//!   default-registry scheduler (240 scenarios, fidelity replay on). The
 //!   corpus is executed **twice** and the run fails unless the two
 //!   deterministic report sections are byte-identical and every scenario
 //!   produced a valid schedule.
@@ -20,7 +20,9 @@
 //! `--threads N` pins the worker pool; `--events PATH` writes the
 //! executor's NDJSON lifecycle stream (one line per event) to a file;
 //! `--abort-on-failure` cancels every remaining scenario as soon as one
-//! fails. Live progress goes to stderr as scenarios complete.
+//! fails. Live progress goes to stderr as scenarios complete, and so do
+//! the first run's shared-work counts: `fidelity replays: N simulated, M
+//! shared` and `builds: N systems built, M shared; P SoCs parsed`.
 //! Exit status: 0 on success, 1 on invalid schedules or a
 //! non-reproducible report, 2 on usage errors.
 
@@ -142,6 +144,8 @@ fn main() -> ExitCode {
     if simulated + shared > 0 {
         eprintln!("corpus: fidelity replays: {simulated} simulated, {shared} shared");
     }
+    let ((built, shared), (parsed, _)) = (run.builds.systems, run.builds.socs);
+    eprintln!("corpus: builds: {built} systems built, {shared} shared; {parsed} SoCs parsed");
 
     let mut failed = false;
     if run.aborted {

@@ -1,8 +1,10 @@
 //! [`Campaign`]: the runner turning [`PlanRequest`]s into [`PlanOutcome`]s.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::PlanError;
+use crate::plan::build_memo::BuildMemo;
 use crate::plan::error::CampaignError;
 use crate::plan::exec::{Executor, JobResult};
 use crate::plan::outcome::{PlanOutcome, Stage, StageTiming};
@@ -34,8 +36,12 @@ pub(crate) fn validate_thread_count(threads: usize) -> Result<usize, CampaignErr
 /// is polled between stages and threaded into
 /// [`crate::sched::Scheduler::schedule_cancellable`].
 ///
-/// With `cancel = None` and `replays = None` this is byte-for-byte the
+/// With `cancel`, `builds` and `replays` all `None` this is byte-for-byte the
 /// behaviour [`Campaign::run`] always had.
+///
+/// With a [`BuildMemo`], the system comes from it: the request that
+/// builds it and a request that reuses it both record the time they spent
+/// getting it as the build stage. The system is identical either way.
 ///
 /// With a [`ReplayMemo`], a fidelity-opted request replays through it:
 /// the request that simulates records its wall time as the replay stage,
@@ -46,6 +52,7 @@ pub(crate) fn run_pipeline(
     request: &PlanRequest,
     cancel: Option<&CancelToken>,
     on_stage: &mut dyn FnMut(Stage, u64),
+    builds: Option<&BuildMemo>,
     replays: Option<&ReplayMemo>,
 ) -> Result<PlanOutcome, CampaignError> {
     fn check(cancel: Option<&CancelToken>) -> Result<(), CampaignError> {
@@ -62,7 +69,10 @@ pub(crate) fn run_pipeline(
 
     check(cancel)?;
     let build_start = Instant::now();
-    let sys = request.build_system()?;
+    let sys = match builds {
+        Some(memo) => memo.system(request)?,
+        None => Arc::new(request.build_system()?),
+    };
     let build_micros = build_start.elapsed().as_micros() as u64;
     on_stage(Stage::Build, build_micros);
 
@@ -223,7 +233,7 @@ impl Campaign {
     /// Any [`CampaignError`] from resolution, construction, scheduling,
     /// validation or the fidelity replay.
     pub fn run(&self, request: &PlanRequest) -> Result<PlanOutcome, CampaignError> {
-        run_pipeline(&self.registry, request, None, &mut |_, _| {}, None)
+        run_pipeline(&self.registry, request, None, &mut |_, _| {}, None, None)
     }
 
     /// Runs a request matrix, parallelised over worker threads. Results
@@ -231,12 +241,14 @@ impl Campaign {
     /// independently.
     ///
     /// This is a compatibility wrapper over the job executor of
-    /// [`crate::plan::exec`]: every request is submitted as one job and
-    /// the handles are awaited in request order, which reproduces the
-    /// historical blocking-batch behaviour exactly (same outcomes, same
-    /// ordering, independent failures). Callers that want results *as
-    /// they complete*, priorities or cancellation use the [`Executor`]
-    /// directly.
+    /// [`crate::plan::exec`], at any worker count: every request is
+    /// submitted as one job and the handles are awaited in request order,
+    /// which reproduces the historical blocking-batch behaviour exactly
+    /// (same outcomes, same ordering, independent failures). Requests
+    /// that differ only in scheduler, name, search tuning, validation or
+    /// fidelity share one built system through the executor's build memo.
+    /// Callers that want results *as they complete*, priorities or
+    /// cancellation use the [`Executor`] directly.
     ///
     /// A user-registered scheduler that *panics* fails its own request
     /// with [`CampaignError::Invalid`] instead of propagating the panic
@@ -248,22 +260,6 @@ impl Campaign {
             return Vec::new();
         }
         let workers = self.effective_threads().min(requests.len());
-        if workers <= 1 {
-            // One worker degenerates to the caller's thread: no pool to
-            // spin up, identical results — including the executor's panic
-            // containment, so behaviour does not depend on thread count.
-            return requests
-                .iter()
-                .map(|r| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run(r)))
-                        .unwrap_or_else(|payload| {
-                            Err(CampaignError::Invalid(
-                                crate::plan::exec::panic_description(&*payload),
-                            ))
-                        })
-                })
-                .collect();
-        }
         let executor = Executor::builder()
             .campaign(self.clone())
             .threads(workers)

@@ -27,6 +27,12 @@
 //!   lifetime. A fidelity replay runs on the worker of the first job that
 //!   needs it, and jobs with the same replay key clone that result, so a
 //!   corpus run replays on every worker while it plans.
+//! * Shared builds — every executor holds one bounded build memo. The
+//!   first job with a given system input (SoC, mesh, processors, budget,
+//!   priority, faults, timing) builds the system on its own worker, and
+//!   jobs with the same input reuse it, so the schedulers of a corpus
+//!   group build their system once. [`Executor::build_counts`] counts
+//!   both.
 //!
 //! ```
 //! use noctest_core::plan::exec::{Executor, JobResult};
@@ -46,6 +52,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::error::PlanError;
 use crate::json::Json;
+use crate::plan::build_memo::{BuildCounts, BuildMemo};
 use crate::plan::campaign::{run_pipeline, validate_thread_count, Campaign};
 use crate::plan::error::CampaignError;
 use crate::plan::outcome::{PlanOutcome, Stage};
@@ -61,9 +68,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Renders a caught panic payload as the `CampaignError::Invalid`
-/// message of the failed job (also used by `Campaign::run_all`'s
-/// single-worker fast path, which must contain panics identically).
-pub(crate) fn panic_description(payload: &(dyn std::any::Any + Send)) -> String {
+/// message of the failed job.
+fn panic_description(payload: &(dyn std::any::Any + Send)) -> String {
     let message = payload
         .downcast_ref::<&str>()
         .copied()
@@ -629,6 +635,9 @@ struct Shared {
     /// global order.
     emit_lock: Mutex<()>,
     next_id: AtomicU64,
+    /// Every job's system comes from this memo, so jobs that describe
+    /// the same system build it once.
+    builds: BuildMemo,
     /// When set, fidelity-opted jobs replay through this one memo, so a
     /// replay key is simulated once per executor.
     replays: Option<ReplayMemo>,
@@ -740,6 +749,7 @@ impl Shared {
                         micros,
                     });
                 },
+                Some(&self.builds),
                 self.replays.as_ref(),
             )
         }));
@@ -875,6 +885,7 @@ impl ExecutorBuilder {
             sinks: self.sinks,
             emit_lock: Mutex::new(()),
             next_id: AtomicU64::new(1),
+            builds: BuildMemo::new(threads),
             replays: self.share_replays.then(ReplayMemo::default),
         });
         let workers = (0..threads)
@@ -1010,6 +1021,16 @@ impl Executor {
             .replays
             .as_ref()
             .map_or((0, 0), ReplayMemo::counts)
+    }
+
+    /// Systems and SoCs the executor's build memo built and shared so
+    /// far. Every job gets its system through the memo: the first job
+    /// with a given [`PlanRequest::build_system`] input builds it, and
+    /// later jobs with the same input reuse it (their outcomes are
+    /// byte-identical to [`Campaign::run`]'s either way).
+    #[must_use]
+    pub fn build_counts(&self) -> BuildCounts {
+        self.shared.builds.counts()
     }
 
     /// Jobs submitted so far.
@@ -1157,6 +1178,49 @@ mod tests {
         let direct = Campaign::new().run(&d695("greedy")).unwrap();
         assert_eq!(streamed.makespan, direct.makespan);
         assert_eq!(streamed.sessions, direct.sessions);
+    }
+
+    #[test]
+    fn a_job_reusing_a_system_still_reports_its_build_stage() {
+        let collector = Arc::new(EventCollector::new());
+        let executor = Executor::builder()
+            .threads(1)
+            .unwrap()
+            .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
+            .build();
+        let handles = [
+            d695("greedy"),
+            d695("smart"),
+            d695("greedy").with_name("again"),
+        ]
+        .map(|request| executor.submit(request));
+        executor.join();
+        let events = collector.take();
+        for handle in &handles {
+            let JobResult::Completed(outcome) = handle.wait() else {
+                panic!("job failed");
+            };
+            let build: Vec<u64> = events
+                .iter()
+                .filter_map(|e| match e {
+                    PlanEvent::StageFinished {
+                        job,
+                        stage: Stage::Build,
+                        micros,
+                        ..
+                    } if *job == handle.id() => Some(*micros),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(build, vec![outcome.timing.build_micros]);
+        }
+        assert_eq!(
+            executor.build_counts(),
+            BuildCounts {
+                systems: (1, 2),
+                socs: (1, 0),
+            }
+        );
     }
 
     #[test]

@@ -55,6 +55,7 @@
 //! # Ok::<(), noctest_core::CampaignError>(())
 //! ```
 
+mod build_memo;
 mod campaign;
 mod error;
 pub mod exec;
@@ -64,6 +65,7 @@ mod profile_cache;
 mod registry;
 mod request;
 
+pub use build_memo::BuildCounts;
 pub use campaign::Campaign;
 pub use error::CampaignError;
 pub use exec::{

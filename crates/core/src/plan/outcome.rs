@@ -85,7 +85,9 @@ impl std::fmt::Display for Stage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTiming {
     /// System resolution + placement (includes ISS calibration on a cache
-    /// miss).
+    /// miss). A job on the executor that reuses a system an earlier job
+    /// built records the time it spent getting it: the memo lookup, plus
+    /// any wait for a build still running on another worker.
     pub build_micros: u64,
     /// Scheduling proper.
     pub schedule_micros: u64,

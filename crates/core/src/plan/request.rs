@@ -22,7 +22,7 @@ fn usize_of(v: &Json) -> Option<usize> {
 }
 use crate::plan::error::CampaignError;
 use crate::sched::SearchTuning;
-use crate::system::{BudgetSpec, PriorityPolicy, SystemBuilder, SystemUnderTest};
+use crate::system::{BudgetSpec, PriorityPolicy, SocCores, SystemBuilder, SystemUnderTest};
 use crate::timing::{GenerationModel, TimingModel};
 
 /// Why a core's test power is unusable: power is a draw, so it must be
@@ -219,6 +219,97 @@ pub struct PlanRequest {
     pub fidelity: Option<FidelitySpec>,
 }
 
+/// Exactly the request fields [`PlanRequest::build_system`] reads: two
+/// requests with equal keys build the same system, whatever their name,
+/// scheduler, search tuning, validation or fidelity. The job executor's
+/// build memo shares one system between them.
+#[derive(Debug, Clone)]
+pub(crate) struct BuildKey {
+    soc: SocSource,
+    mesh: MeshSpec,
+    processors: Option<ProcessorSpec>,
+    budget: BudgetSpec,
+    priority: PriorityPolicy,
+    faults: FaultSet,
+    timing: TimingSpec,
+}
+
+impl BuildKey {
+    pub(crate) fn of(request: &PlanRequest) -> Self {
+        // Exhaustive on purpose: a new request field fails to compile
+        // here until it is classified as a build input or not.
+        let PlanRequest {
+            name: _,
+            soc,
+            mesh,
+            processors,
+            budget,
+            scheduler: _,
+            priority,
+            faults,
+            timing,
+            search: _,
+            validate: _,
+            fidelity: _,
+        } = request;
+        BuildKey {
+            soc: soc.clone(),
+            mesh: *mesh,
+            processors: processors.clone(),
+            budget: *budget,
+            priority: *priority,
+            faults: faults.clone(),
+            timing: *timing,
+        }
+    }
+
+    /// Every float in the key, as bits.
+    fn float_bits(&self) -> impl Iterator<Item = u64> + '_ {
+        let budget = match self.budget {
+            BudgetSpec::Unlimited => None,
+            BudgetSpec::Fraction(v) | BudgetSpec::Absolute(v) => Some(v),
+        };
+        let density = match self.processors.as_ref().map(|p| p.application) {
+            Some(ApplicationSpec::Decompression { care_density }) => Some(care_density),
+            _ => None,
+        };
+        let powers: &[CoreRequest] = match &self.soc {
+            SocSource::Cores { cores, .. } => cores,
+            _ => &[],
+        };
+        budget
+            .into_iter()
+            .chain(density)
+            .chain(powers.iter().map(|c| c.power))
+            .map(f64::to_bits)
+    }
+}
+
+impl PartialEq for BuildKey {
+    fn eq(&self, other: &Self) -> bool {
+        let BuildKey {
+            soc,
+            mesh,
+            processors,
+            budget,
+            priority,
+            faults,
+            timing,
+        } = self;
+        // `f64 ==` holds between 0.0 and -0.0, which can build different
+        // systems (a core's power sign reaches the outcome), so floats
+        // must also agree bit for bit.
+        *soc == other.soc
+            && *mesh == other.mesh
+            && *processors == other.processors
+            && *budget == other.budget
+            && *priority == other.priority
+            && *faults == other.faults
+            && *timing == other.timing
+            && self.float_bits().eq(other.float_bits())
+    }
+}
+
 impl PlanRequest {
     /// A request for a named benchmark on a `width x height` mesh with the
     /// default greedy scheduler and no power limit.
@@ -350,6 +441,17 @@ impl PlanRequest {
     /// and finite; otherwise any [`CampaignError`] from SoC/profile
     /// resolution or system construction.
     pub fn build_system(&self) -> Result<SystemUnderTest, CampaignError> {
+        self.build_system_on(|| self.soc_cores())
+    }
+
+    /// [`PlanRequest::build_system`] with the SoC half supplied by `cores`,
+    /// which must return what [`PlanRequest::soc_cores`] would. The job
+    /// executor's build memo passes a shared copy here, so a memoised
+    /// system and a direct build run the same code.
+    pub(crate) fn build_system_on(
+        &self,
+        cores: impl FnOnce() -> Result<SocCores, CampaignError>,
+    ) -> Result<SystemUnderTest, CampaignError> {
         // The decoder rejects these; a request built in code gets the same
         // verdict instead of a panic or a negative power total.
         if let SocSource::Cores { cores, .. } = &self.soc {
@@ -363,24 +465,7 @@ impl PlanRequest {
         if let Some(msg) = budget_error(self.budget) {
             return Err(CampaignError::Invalid(msg));
         }
-        let mut builder = match (&self.soc, self.resolve_soc()?) {
-            (_, Some(soc)) => {
-                SystemBuilder::from_benchmark(&soc, self.mesh.width, self.mesh.height)
-            }
-            (SocSource::Cores { name, cores }, None) => {
-                let mut b = SystemBuilder::new(
-                    if name.is_empty() { "custom" } else { name },
-                    self.mesh.width,
-                    self.mesh.height,
-                );
-                for c in cores {
-                    b = b.core(c.name.clone(), c.bits_in, c.bits_out, c.patterns, c.power);
-                }
-                b
-            }
-            _ => unreachable!("resolve_soc returns Some for benchmark/text sources"),
-        };
-        builder = builder
+        let mut builder = SystemBuilder::from_cores(cores()?, self.mesh.width, self.mesh.height)
             .routing(self.mesh.routing)
             .budget(self.budget)
             .priority(self.priority)
@@ -390,6 +475,24 @@ impl PlanRequest {
             builder = builder.processors(&profile, spec.total, spec.reused);
         }
         Ok(builder.build()?)
+    }
+
+    /// The SoC half of a build: the request's cores as
+    /// [`SystemBuilder`] places them, which depend on [`PlanRequest::soc`]
+    /// alone.
+    ///
+    /// # Errors
+    ///
+    /// As [`PlanRequest::resolve_soc`].
+    pub(crate) fn soc_cores(&self) -> Result<SocCores, CampaignError> {
+        Ok(match (&self.soc, self.resolve_soc()?) {
+            (_, Some(soc)) => SocCores::from_benchmark(&soc),
+            (SocSource::Cores { name, cores }, None) => cores.iter().fold(
+                SocCores::new(if name.is_empty() { "custom" } else { name }),
+                |built, c| built.core(c.name.clone(), c.bits_in, c.bits_out, c.patterns, c.power),
+            ),
+            _ => unreachable!("resolve_soc returns Some for benchmark/text sources"),
+        })
     }
 
     /// Decodes a request from its JSON form (see [`PlanRequest::to_json`]).

@@ -67,6 +67,98 @@ struct CoreSpec {
     shift_out_bound: u32,
 }
 
+impl CoreSpec {
+    /// A hand-specified core: no wrapper modelling, so the shift bounds
+    /// are zero.
+    fn hand(name: String, bits_in: u32, bits_out: u32, patterns: u32, power: f64) -> Self {
+        CoreSpec {
+            name,
+            bits_in,
+            bits_out,
+            patterns,
+            power,
+            shift_in_bound: 0,
+            shift_out_bound: 0,
+        }
+    }
+}
+
+/// The cores of one SoC as the builder places them: names, test data and
+/// wrapper shift bounds. This is everything a system takes from its SoC
+/// alone, before any mesh, processor, budget or fault set, so systems
+/// built from the same SoC can share one.
+#[derive(Debug, Clone)]
+pub(crate) struct SocCores {
+    name: String,
+    cores: Vec<CoreSpec>,
+}
+
+impl SocCores {
+    /// No cores yet; add hand-specified ones with [`SocCores::core`].
+    pub(crate) fn new(name: impl Into<String>) -> Self {
+        SocCores {
+            name: name.into(),
+            cores: Vec::new(),
+        }
+    }
+
+    /// The wrapper-designed cores of an ITC'02 benchmark.
+    pub(crate) fn from_benchmark(soc: &SocDesc) -> Self {
+        let cores = soc
+            .cores()
+            .map(|m| {
+                // Wrapper with at most 16 chains: a typical TAM-width
+                // class, and enough that the shift bound only binds for
+                // cores with very few internal chains.
+                let wrapper = WrapperDesign::design(
+                    m.scan_chains(),
+                    m.inputs() + m.bidirs(),
+                    m.outputs() + m.bidirs(),
+                    16,
+                );
+                CoreSpec {
+                    name: format!("{}.m{}", soc.name(), m.id().0),
+                    bits_in: m.pattern_bits_in(),
+                    bits_out: m.pattern_bits_out(),
+                    patterns: m
+                        .tests()
+                        .iter()
+                        .filter(|t| t.tam_use == noctest_itc02::TamUse::Yes)
+                        .map(|t| t.patterns)
+                        .sum(),
+                    power: m.power().unwrap_or(0.0),
+                    shift_in_bound: wrapper.max_in(),
+                    shift_out_bound: wrapper.max_out(),
+                }
+            })
+            .collect();
+        SocCores {
+            name: soc.name().to_owned(),
+            cores,
+        }
+    }
+
+    /// Adds a hand-specified core (no wrapper modelling: the shift bounds
+    /// are zero).
+    pub(crate) fn core(
+        mut self,
+        name: impl Into<String>,
+        bits_in: u32,
+        bits_out: u32,
+        patterns: u32,
+        power: f64,
+    ) -> Self {
+        self.cores.push(CoreSpec::hand(
+            name.into(),
+            bits_in,
+            bits_out,
+            patterns,
+            power,
+        ));
+        self
+    }
+}
+
 /// Builder for [`SystemUnderTest`].
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
@@ -114,32 +206,13 @@ impl SystemBuilder {
     /// processors with [`SystemBuilder::processors`]).
     #[must_use]
     pub fn from_benchmark(soc: &SocDesc, width: u16, height: u16) -> Self {
-        let mut b = SystemBuilder::new(soc.name(), width, height);
-        for m in soc.cores() {
-            // Wrapper with at most 16 chains: a typical TAM-width class,
-            // and enough that the shift bound only binds for cores with
-            // very few internal chains.
-            let wrapper = WrapperDesign::design(
-                m.scan_chains(),
-                m.inputs() + m.bidirs(),
-                m.outputs() + m.bidirs(),
-                16,
-            );
-            b.core_specs.push(CoreSpec {
-                name: format!("{}.m{}", soc.name(), m.id().0),
-                bits_in: m.pattern_bits_in(),
-                bits_out: m.pattern_bits_out(),
-                patterns: m
-                    .tests()
-                    .iter()
-                    .filter(|t| t.tam_use == noctest_itc02::TamUse::Yes)
-                    .map(|t| t.patterns)
-                    .sum(),
-                power: m.power().unwrap_or(0.0),
-                shift_in_bound: wrapper.max_in(),
-                shift_out_bound: wrapper.max_out(),
-            });
-        }
+        SystemBuilder::from_cores(SocCores::from_benchmark(soc), width, height)
+    }
+
+    /// Starts a system from cores already derived from their SoC.
+    pub(crate) fn from_cores(cores: SocCores, width: u16, height: u16) -> Self {
+        let mut b = SystemBuilder::new(cores.name, width, height);
+        b.core_specs = cores.cores;
         b
     }
 
@@ -155,15 +228,13 @@ impl SystemBuilder {
         patterns: u32,
         power: f64,
     ) -> Self {
-        self.core_specs.push(CoreSpec {
-            name: name.into(),
+        self.core_specs.push(CoreSpec::hand(
+            name.into(),
             bits_in,
             bits_out,
             patterns,
             power,
-            shift_in_bound: 0,
-            shift_out_bound: 0,
-        });
+        ));
         self
     }
 

@@ -24,8 +24,8 @@ use std::time::Instant;
 
 use noctest_core::plan::exec::{CompletedJob, EventSink, Executor, JobResult};
 use noctest_core::plan::{
-    profile_cache_stats, ApplicationSpec, Campaign, CampaignError, FidelitySpec, MeshSpec,
-    PlanOutcome, PlanRequest, ProcessorSpec, RequestMatrix, SocSource, TimingSpec,
+    profile_cache_stats, ApplicationSpec, BuildCounts, Campaign, CampaignError, FidelitySpec,
+    MeshSpec, PlanOutcome, PlanRequest, ProcessorSpec, RequestMatrix, SocSource, TimingSpec,
 };
 use noctest_core::{BudgetSpec, PriorityPolicy};
 use noctest_faults::{FaultRecipe, FaultSet};
@@ -129,7 +129,7 @@ impl CorpusSpec {
     /// The CI smoke corpus: 20 small SoCs (all five families, sized so
     /// even the exponential `optimal` scheduler stays inside its guard)
     /// crossed with two budgets under **every** default-registry
-    /// scheduler — 160 scenarios, seconds in release mode.
+    /// scheduler — 240 scenarios, seconds in release mode.
     #[must_use]
     pub fn smoke(seed: u64) -> Self {
         CorpusSpec {
@@ -504,6 +504,7 @@ impl CorpusSpec {
             cancelled,
             aborted,
             replays: executor.replay_counts(),
+            builds: executor.build_counts(),
         }
     }
 
@@ -608,6 +609,10 @@ pub struct CorpusRun {
     /// `(simulated, shared)` fidelity replays: distinct simulations run,
     /// and scenarios that cloned one of them.
     pub replays: (u64, u64),
+    /// Systems and SoCs the run built and shared: each distinct system is
+    /// built once, by the first scenario that needs it, and each SoC is
+    /// parsed once while its systems stay in the executor's build memo.
+    pub builds: BuildCounts,
 }
 
 /// Per-scheduler aggregation state.

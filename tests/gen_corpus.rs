@@ -111,17 +111,18 @@ fn every_scheduler_validates_over_twenty_generated_socs() {
     assert!(by_name("portfolio").makespan.mean <= by_name("smart").makespan.mean);
 
     // The profile cache pays plasma/BIST characterisation once for the
-    // whole corpus: every scenario resolves a processor spec, and at most
-    // one lookup of this run's delta may miss (zero when an earlier run
-    // in this process already cached the key).
+    // whole corpus: every built system resolves a processor spec (a
+    // group's schedulers share one system through the executor's build
+    // memo), and at most one lookup of this run's delta may miss (zero
+    // when an earlier run in this process already cached the key).
     let cache = report.measured.cache;
     assert_eq!(
         cache.lookups(),
-        report.scenario_count as u64,
-        "one profile lookup per scenario"
+        report.group_count as u64,
+        "one profile lookup per built system"
     );
     assert!(cache.misses <= 1, "{} misses", cache.misses);
-    assert!(cache.hits >= report.scenario_count as u64 - 1);
+    assert!(cache.hits >= report.group_count as u64 - 1);
 
     // Throughput is reported (nonzero scenarios over nonzero time).
     assert!(report.measured.scenarios_per_second > 0.0);
