@@ -26,7 +26,8 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 JOURNAL="$WORK/journal.ndjson"
 FIFO="$WORK/stdin.fifo"
-mkfifo "$FIFO"
+EVENTS="$WORK/stdout.fifo"
+mkfifo "$FIFO" "$EVENTS"
 
 SEED='{"name": "seed", "soc": {"benchmark": "d695"}, "mesh": {"width": 4, "height": 4}, "scheduler": "greedy"}'
 # The same 8-core `optimal` search the classic smoke uses to pin a worker
@@ -39,24 +40,34 @@ for i in 1 2 3 4 5 6 7; do CORES="$CORES, $(core $i)"; done
 SLOW="{\"name\": \"slow\", \"soc\": {\"name\": \"hard\", \"cores\": [$CORES]}, \"mesh\": {\"width\": 4, \"height\": 4}, \"processors\": {\"family\": \"plasma\", \"total\": 2, \"reused\": 2}, \"scheduler\": \"optimal\"}"
 
 # --- First lifetime: journaled daemon, killed mid-plan -------------------
-"$BIN" --threads 1 --journal "$JOURNAL" <"$FIFO" >"$WORK/out1" &
+# The daemon's stdout is a FIFO read line by line, so the kill lands the
+# moment job 2's `started` line arrives, not after a polling interval the
+# slow job may already have finished in. Each FIFO open blocks until its
+# other end opens, and the daemon opens stdin before stdout: fd 3 (the
+# stdin writer) must be opened before fd 4 (the stdout reader).
+"$BIN" --threads 1 --journal "$JOURNAL" <"$FIFO" >"$EVENTS" &
 DAEMON=$!
 exec 3>"$FIFO" # hold the write end open so stdin does not EOF
+exec 4<"$EVENTS"
 printf '%s\n' "$SEED" >&3
 printf '%s\n' "$SLOW" >&3
 
-for _ in $(seq 1 120); do
-    grep -q '"event":"started","job":2,' "$WORK/out1" 2>/dev/null && break
-    sleep 0.25
+: >"$WORK/out1"
+while IFS= read -r -t 60 line <&4; do
+    printf '%s\n' "$line" >>"$WORK/out1"
+    case "$line" in *'"event":"started","job":2,'*) break ;; esac
 done
-grep -q '"event":"started","job":2,' "$WORK/out1" \
-    || { echo "plan_serve_restart_smoke: slow job never started" >&2; exit 1; }
-grep -q '"event":"completed","job":1,' "$WORK/out1" \
-    || { echo "plan_serve_restart_smoke: seed job did not complete before the kill" >&2; exit 1; }
 
 kill -9 "$DAEMON" 2>/dev/null || true
 wait "$DAEMON" 2>/dev/null || true
 exec 3>&-
+cat <&4 >>"$WORK/out1" # drain what the daemon wrote before it died
+exec 4<&-
+
+grep -q '"event":"started","job":2,' "$WORK/out1" \
+    || { echo "plan_serve_restart_smoke: slow job never started" >&2; exit 1; }
+grep -q '"event":"completed","job":1,' "$WORK/out1" \
+    || { echo "plan_serve_restart_smoke: seed job did not complete before the kill" >&2; exit 1; }
 
 # --- Second lifetime: same journal, replay + dedupe ----------------------
 printf '%s\n' "$SEED" | "$BIN" --threads 1 --journal "$JOURNAL" >"$WORK/out2"

@@ -3,16 +3,17 @@
 //! Runs the fault-axis corpus ([`CorpusSpec::degraded_smoke`]-shaped):
 //! every generated SoC planned healthy and under uniform link failures,
 //! a dead-router cluster, and the column cut that severs the mesh, then
-//! writes `BENCH_degraded.json` with two sections:
+//! writes `BENCH_degraded.json` through the shared [`BenchArtifact`]:
+//! `config` (mode, seed, cores, scenarios) plus two sections:
 //!
-//! * `report.…deterministic` — per-scheduler makespan inflation vs fault
-//!   rate (the `fault_axis` section), win rates and the typed failures.
-//!   Everything is a pure function of the seed: the binary runs the
-//!   corpus **twice** and gates on the two deterministic sections being
-//!   byte-identical, and `ci/bench_smoke.sh` repeats the check
-//!   across processes. The section is printed alone on stdout.
-//! * `report.measured` — wall-clock throughput and profile-cache
-//!   counters, machine-dependent and never part of any gate.
+//! * `deterministic` — per-scheduler makespan inflation vs fault rate
+//!   (the `fault_axis` section), win rates and the typed failures.
+//!   Everything is a pure function of the seed: the artifact runs the
+//!   corpus twice in-process and byte-compares the two sections, and
+//!   `ci/bench_smoke.sh` repeats the check across processes on the
+//!   stdout copy.
+//! * `measured` — wall-clock throughput and profile-cache counters,
+//!   machine-dependent and never part of any gate.
 //!
 //! Internal gates (exit 1): no unreachable-core instance in the corpus
 //! (the severed-mesh path went unexercised), an unreachable core that
@@ -20,7 +21,8 @@
 //! makespan inflation (a detour "shortened" a session — concurrent
 //! schedulers are exempt, since detoured routes change link-conflict
 //! structure and can legitimately repack better), a healthy-baseline
-//! failure, or nondeterminism between the two runs. Usage errors exit 2.
+//! failure, or nondeterminism between the two in-process runs. Usage
+//! errors exit 2.
 //!
 //! ```text
 //! cargo run --release -p noctest-bench --bin plan-degraded -- --smoke
@@ -29,65 +31,20 @@
 
 use std::process::ExitCode;
 
+use noctest_bench::artifact::{BenchArgs, BenchArtifact, BenchRun};
 use noctest_core::json::Json;
 use noctest_core::plan::Campaign;
 use noctest_gen::{CorpusReport, CorpusSpec};
 
-#[derive(Debug, Clone)]
-struct Config {
-    smoke: bool,
-    seed: u64,
-    out: String,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            smoke: false,
-            seed: 2005,
-            out: "BENCH_degraded.json".to_owned(),
-        }
-    }
-}
-
-fn spec(config: &Config) -> CorpusSpec {
-    let mut spec = CorpusSpec::degraded_smoke(config.seed);
-    if !config.smoke {
+fn spec(args: &BenchArgs) -> CorpusSpec {
+    let mut spec = CorpusSpec::degraded_smoke(args.seed);
+    if !args.smoke {
         // The full sweep doubles the population and adds a 4x4 mesh; the
         // fault axis itself is the same five-point ramp.
         spec.socs_per_recipe = 4;
         spec.meshes = vec![(3, 3), (4, 4)];
     }
     spec
-}
-
-fn parse_args() -> Result<Option<Config>, String> {
-    let mut config = Config::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => config.smoke = true,
-            "--seed" => {
-                config.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an unsigned integer")?;
-            }
-            "--out" => {
-                config.out = args.next().ok_or("--out needs a path")?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: plan-degraded [--smoke] [--seed S] [--out PATH]\n\
-                     plans the fault-axis corpus (healthy vs degraded meshes) and writes\n\
-                     BENCH_degraded.json (makespan inflation vs fault rate + typed failures)"
-                );
-                return Ok(None);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(Some(config))
 }
 
 /// Every gate over the deterministic section; returns the failure count.
@@ -163,68 +120,37 @@ fn check_gates(report: &CorpusReport) -> u32 {
 }
 
 fn main() -> ExitCode {
-    let config = match parse_args() {
-        Ok(Some(config)) => config,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("plan-degraded: {message}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let spec = spec(&config);
-    let campaign = Campaign::new();
-    let report = spec.run(&campaign);
-    let mut failures = check_gates(&report);
-
-    // In-process determinism: the same spec re-run must reproduce the
-    // deterministic section byte for byte (the CI smoke then repeats the
-    // comparison across two processes).
-    let rerun = spec.run(&campaign);
-    if report.deterministic_json() != rerun.deterministic_json() {
-        eprintln!("plan-degraded: two runs of the same spec disagree in the deterministic section");
-        failures += 1;
+    BenchArtifact {
+        name: "plan-degraded",
+        out: "BENCH_degraded.json",
+        about: "plans the fault-axis corpus (healthy vs degraded meshes) and writes\n\
+                BENCH_degraded.json (makespan inflation vs fault rate + typed failures)",
+        threads: false,
     }
+    .main(workload)
+}
 
-    let full = Json::parse(&report.to_json_string()).expect("reports emit valid JSON");
-    let out = Json::obj(vec![
-        (
-            "config",
-            Json::obj(vec![
-                (
-                    "mode",
-                    Json::str(if config.smoke { "smoke" } else { "full" }),
-                ),
-                ("seed", Json::int(config.seed)),
-                ("scenarios", Json::int(spec.scenario_count() as u64)),
-            ]),
+fn workload(args: &BenchArgs) -> BenchRun {
+    let spec = spec(args);
+    let report = spec.run(&Campaign::new());
+    BenchRun {
+        config: vec![("scenarios", Json::int(spec.scenario_count() as u64))],
+        deterministic: Json::parse(&report.deterministic_json()).expect("reports emit valid JSON"),
+        measured: report
+            .to_json()
+            .get("measured")
+            .cloned()
+            .expect("reports carry a measured section"),
+        failures: check_gates(&report),
+        summary: format!(
+            "{} scenarios, {} typed failures ({} unreachable)",
+            report.scenario_count,
+            report.failures.len(),
+            report
+                .failures
+                .iter()
+                .filter(|f| f.error.contains("unreachable"))
+                .count()
         ),
-        ("report", full),
-    ]);
-    if let Err(error) = std::fs::write(&config.out, format!("{}\n", out.pretty())) {
-        eprintln!("plan-degraded: cannot write {}: {error}", config.out);
-        return ExitCode::FAILURE;
     }
-
-    // Stdout carries the deterministic section alone, as one compact
-    // line: the smoke script runs the binary twice and byte-compares.
-    let det = Json::parse(&report.deterministic_json()).expect("reports emit valid JSON");
-    println!("{}", det.compact());
-    eprint!("{}", report.table());
-    eprintln!(
-        "plan-degraded: {} scenarios, {} typed failures ({} unreachable) -> {}",
-        report.scenario_count,
-        report.failures.len(),
-        report
-            .failures
-            .iter()
-            .filter(|f| f.error.contains("unreachable"))
-            .count(),
-        config.out
-    );
-    if failures > 0 {
-        eprintln!("plan-degraded: {failures} gate failure(s)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }

@@ -22,15 +22,18 @@
 //! the warm-started search are byte-identity-gated against cold results,
 //! so the reduction is pure reuse, never a quality trade.
 //!
-//! `BENCH_delta.json` carries two sections:
+//! `BENCH_delta.json` is written through the shared [`BenchArtifact`]:
+//! `config` (mode, seed, cores, pairs, rounds, budget) plus two sections:
 //!
 //! * `deterministic` — per-pair edit kinds, content hashes, donors, edit
 //!   distances, seed provenance, expansion counts and FNV-1a schedule
 //!   digests, plus the session totals. Everything here is a pure
-//!   function of the seed — `ci/bench_smoke.sh` byte-compares the
-//!   stdout copy of this section across two runs.
-//! * `measured` — wall-clock micros per pipeline and pair. Machine-
-//!   dependent, never part of the smoke gate.
+//!   function of the seed: the artifact runs the whole sweep twice
+//!   in-process, each from an empty [`noctest_replan::PlanCache`], and
+//!   byte-compares the two sections; `ci/bench_smoke.sh` repeats the
+//!   check across processes on the stdout copy.
+//! * `measured` — wall-clock micros per pipeline and pair, and the plan
+//!   cache counters. Machine-dependent, never part of the smoke gate.
 //!
 //! Internal gates (exit 1):
 //!
@@ -40,7 +43,8 @@
 //!   is not byte-identical to the cold search's, or that expands more
 //!   nodes than cold;
 //! * fewer than half the pairs warm-starting or proving optimality;
-//! * an aggregate session reduction below the committed 5× floor.
+//! * an aggregate session reduction below the committed 5× floor;
+//! * two in-process runs disagreeing in the deterministic section.
 //!
 //! Usage errors exit 2.
 //!
@@ -52,6 +56,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use noctest_bench::artifact::{BenchArgs, BenchArtifact, BenchRun};
 use noctest_bench::schedule_digest;
 use noctest_core::json::Json;
 use noctest_core::plan::{Campaign, PlanRequest};
@@ -71,23 +76,6 @@ const ROUNDS: u64 = 3;
 /// Expansion budget per search — generous: the point of these instances
 /// is that the searches finish and the digests are comparable.
 const BUDGET: u64 = 500_000;
-
-#[derive(Debug, Clone)]
-struct Config {
-    smoke: bool,
-    seed: u64,
-    out: String,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            smoke: false,
-            seed: 2005,
-            out: "BENCH_delta.json".to_owned(),
-        }
-    }
-}
 
 struct Run {
     schedule: Schedule,
@@ -119,47 +107,23 @@ fn run_json(run: &Run) -> Json {
     ])
 }
 
-fn parse_args() -> Result<Option<Config>, String> {
-    let mut config = Config::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => config.smoke = true,
-            "--seed" => {
-                config.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an unsigned integer")?;
-            }
-            "--out" => {
-                config.out = args.next().ok_or("--out needs a path")?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: plan-delta [--smoke] [--seed S] [--out PATH]\n\
-                     benchmarks incremental re-planning sessions (content-addressed\n\
-                     cache + warm-started search) against cold planning and writes\n\
-                     BENCH_delta.json (deterministic digests + wall-clock numbers)"
-                );
-                return Ok(None);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
+fn main() -> ExitCode {
+    BenchArtifact {
+        name: "plan-delta",
+        out: "BENCH_delta.json",
+        about: "benchmarks incremental re-planning sessions (content-addressed\n\
+                cache + warm-started search) against cold planning and writes\n\
+                BENCH_delta.json (deterministic digests + wall-clock numbers)",
+        threads: false,
     }
-    Ok(Some(config))
+    .main(workload)
 }
 
-fn main() -> ExitCode {
-    let config = match parse_args() {
-        Ok(Some(config)) => config,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("plan-delta: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    let pair_count = if config.smoke { 12 } else { 24 };
-    let spec = DeltaSpec::new(config.seed);
+/// One re-planning session sweep, from a fresh campaign and an empty
+/// plan cache.
+fn workload(args: &BenchArgs) -> BenchRun {
+    let pair_count = if args.smoke { 12 } else { 24 };
+    let spec = DeltaSpec::new(args.seed);
     let pairs = spec.pairs(pair_count);
 
     let campaign = Campaign::new();
@@ -339,71 +303,44 @@ fn main() -> ExitCode {
         failures += 1;
     }
 
-    let deterministic = Json::obj(vec![
-        ("seed", Json::int(config.seed)),
-        ("rounds", Json::int(ROUNDS)),
-        ("pairs", Json::Arr(det_pairs)),
-        (
-            "totals",
-            Json::obj(vec![
-                ("cold_expansions", Json::int(total_cold)),
-                ("incremental_expansions", Json::int(total_incremental)),
-                ("reduction", Json::Num(reduction)),
-                ("warm_started", Json::int(warm_started as u64)),
-                ("cache_hits", Json::int(total_hits)),
-            ]),
-        ),
-    ]);
-    let det_line = deterministic.compact();
-
     let stats = cache.stats();
-    let report = Json::obj(vec![
-        (
-            "config",
-            Json::obj(vec![
-                (
-                    "mode",
-                    Json::str(if config.smoke { "smoke" } else { "full" }),
-                ),
-                ("seed", Json::int(config.seed)),
-                ("pairs", Json::int(pair_count)),
-                ("rounds", Json::int(ROUNDS)),
-                ("budget", Json::int(BUDGET)),
-            ]),
+    BenchRun {
+        config: vec![
+            ("pairs", Json::int(pair_count)),
+            ("rounds", Json::int(ROUNDS)),
+            ("budget", Json::int(BUDGET)),
+        ],
+        deterministic: Json::obj(vec![
+            ("seed", Json::int(args.seed)),
+            ("rounds", Json::int(ROUNDS)),
+            ("pairs", Json::Arr(det_pairs)),
+            (
+                "totals",
+                Json::obj(vec![
+                    ("cold_expansions", Json::int(total_cold)),
+                    ("incremental_expansions", Json::int(total_incremental)),
+                    ("reduction", Json::Num(reduction)),
+                    ("warm_started", Json::int(warm_started as u64)),
+                    ("cache_hits", Json::int(total_hits)),
+                ]),
+            ),
+        ]),
+        measured: Json::obj(vec![
+            ("pairs", Json::Arr(measured)),
+            (
+                "cache",
+                Json::obj(vec![
+                    ("hits", Json::int(stats.hits)),
+                    ("misses", Json::int(stats.misses)),
+                    ("evictions", Json::int(stats.evictions)),
+                ]),
+            ),
+        ]),
+        failures,
+        summary: format!(
+            "{} pairs x {ROUNDS} rounds, {warm_started} warm-started, \
+             {total_hits} cache hits, session reduction {reduction:.1}x",
+            pairs.len()
         ),
-        ("deterministic", deterministic),
-        (
-            "measured",
-            Json::obj(vec![
-                ("pairs", Json::Arr(measured)),
-                (
-                    "cache",
-                    Json::obj(vec![
-                        ("hits", Json::int(stats.hits)),
-                        ("misses", Json::int(stats.misses)),
-                        ("evictions", Json::int(stats.evictions)),
-                    ]),
-                ),
-            ]),
-        ),
-    ]);
-    if let Err(error) = std::fs::write(&config.out, format!("{}\n", report.pretty())) {
-        eprintln!("plan-delta: cannot write {}: {error}", config.out);
-        return ExitCode::FAILURE;
     }
-
-    // The deterministic section alone on stdout: the smoke script runs
-    // the binary twice and byte-compares these lines.
-    println!("{det_line}");
-    eprintln!(
-        "plan-delta: {} pairs x {ROUNDS} rounds, {warm_started} warm-started, \
-         {total_hits} cache hits, session reduction {reduction:.1}x -> {}",
-        pairs.len(),
-        config.out
-    );
-    if failures > 0 {
-        eprintln!("plan-delta: {failures} gate failure(s)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }

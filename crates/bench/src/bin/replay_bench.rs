@@ -11,23 +11,23 @@
 //!   simulates each distinct replay once and clones it for its twins.
 //!
 //! The measured section reports the **speedup** (sequential ÷ batched,
-//! the gain from simulating each distinct replay once), with the
-//! machine's core count beside it.
+//! the gain from simulating each distinct replay once).
 //!
-//! `BENCH_replay.json` carries two sections:
+//! `BENCH_replay.json` is written through the shared [`BenchArtifact`]:
+//! `config` (mode, seed, cores) plus two sections:
 //!
 //! * `deterministic` — per-scenario FNV-1a digests of every replay
 //!   result plus a combined digest, a pure function of the seed. The
-//!   binary batches **twice** and gates on digest equality, and
-//!   `ci/bench_smoke.sh` repeats the byte-check across processes. The
-//!   section is printed alone on stdout.
+//!   artifact runs the whole workload twice in-process and
+//!   byte-compares the two sections, and `ci/bench_smoke.sh` repeats the
+//!   check across processes on the stdout copy.
 //! * `measured` — wall-clock sequential and batched replay times (the
 //!   faster of two passes each, discarding host scheduling stalls) and
 //!   their ratio, machine-dependent.
 //!
 //! Internal gates (exit 1): any batched result differing from its
 //! sequential twin (the byte-identity wall), nondeterminism between
-//! the two batched runs, fewer than 2.5 pushed replays per distinct
+//! the two in-process runs, fewer than 2.5 pushed replays per distinct
 //! simulation (deterministic), and — in full mode only, where the
 //! committed artefact is produced — a batched-vs-sequential speedup
 //! below 2x. Usage errors exit 2.
@@ -40,6 +40,8 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use noctest_bench::artifact::{available_cores, BenchArgs, BenchArtifact, BenchRun};
+use noctest_core::hashing::fnv1a;
 use noctest_core::json::Json;
 use noctest_core::{
     replay_schedule, ReplayBatch, Schedule, ScheduleReplay, SchedulerRegistry, SystemUnderTest,
@@ -47,67 +49,20 @@ use noctest_core::{
 use noctest_gen::CorpusSpec;
 use noctest_noc::NocError;
 
-#[derive(Debug, Clone)]
-struct Config {
-    smoke: bool,
-    seed: u64,
-    out: String,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            smoke: false,
-            seed: 2005,
-            out: "BENCH_replay.json".to_owned(),
-        }
-    }
-}
-
-fn parse_args() -> Result<Option<Config>, String> {
-    let mut config = Config::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => config.smoke = true,
-            "--seed" => {
-                config.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an unsigned integer")?;
-            }
-            "--out" => {
-                config.out = args.next().ok_or("--out needs a path")?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: replay-bench [--smoke] [--seed S] [--out PATH]\n\
-                     replays the corpus fidelity sweep sequentially and through a ReplayBatch,\n\
-                     byte-checks the two, and writes BENCH_replay.json\n\
-                     (per-scenario digests + measured speedup, 2x gate)"
-                );
-                return Ok(None);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(Some(config))
-}
-
 /// The two corpora whose fidelity sweeps are replayed, trimmed in smoke
 /// mode so the CI gate stays in seconds.
-fn specs(config: &Config) -> Vec<(&'static str, CorpusSpec)> {
-    if config.smoke {
-        let mut smoke = CorpusSpec::smoke(config.seed);
-        let mut degraded = CorpusSpec::degraded_smoke(config.seed);
+fn specs(args: &BenchArgs) -> Vec<(&'static str, CorpusSpec)> {
+    if args.smoke {
+        let mut smoke = CorpusSpec::smoke(args.seed);
+        let mut degraded = CorpusSpec::degraded_smoke(args.seed);
         smoke.socs_per_recipe = 1;
         degraded.socs_per_recipe = 1;
         smoke.fidelity_patterns_cap = Some(2);
         degraded.fidelity_patterns_cap = Some(2);
         vec![("smoke", smoke), ("degraded", degraded)]
     } else {
-        let mut full = CorpusSpec::full(config.seed);
-        let mut degraded = CorpusSpec::degraded_smoke(config.seed);
+        let mut full = CorpusSpec::full(args.seed);
+        let mut degraded = CorpusSpec::degraded_smoke(args.seed);
         full.fidelity_patterns_cap = Some(2);
         degraded.fidelity_patterns_cap = Some(2);
         vec![("full", full), ("degraded", degraded)]
@@ -154,18 +109,6 @@ fn collect(spec: &CorpusSpec) -> (usize, Vec<(String, Work)>) {
     (failed, items)
 }
 
-/// FNV-1a, 64-bit: the digest primitive for the deterministic section.
-fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    let mut hash = seed;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// Canonical byte rendering of one replay result. Every field is an
 /// integer or a label, so the digest is byte-stable across platforms.
 fn render(result: &Result<ScheduleReplay, NocError>) -> String {
@@ -193,21 +136,24 @@ fn render(result: &Result<ScheduleReplay, NocError>) -> String {
 }
 
 fn main() -> ExitCode {
-    let config = match parse_args() {
-        Ok(Some(config)) => config,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("replay-bench: {message}");
-            return ExitCode::from(2);
-        }
-    };
+    BenchArtifact {
+        name: "replay-bench",
+        out: "BENCH_replay.json",
+        about: "replays the corpus fidelity sweep sequentially and through a ReplayBatch,\n\
+                byte-checks the two, and writes BENCH_replay.json\n\
+                (per-scenario digests + measured speedup, 2x gate)",
+        threads: false,
+    }
+    .main(workload)
+}
 
+fn workload(args: &BenchArgs) -> BenchRun {
     // Plan both corpora without replaying; this is setup, not part of
     // any timed section.
     let mut items: Vec<(String, Work)> = Vec::new();
     let mut planned = 0usize;
     let mut plan_failed = 0usize;
-    for (label, spec) in specs(&config) {
+    for (label, spec) in specs(args) {
         planned += spec.scenario_count();
         let (failed, work) = collect(&spec);
         plan_failed += failed;
@@ -216,16 +162,17 @@ fn main() -> ExitCode {
                 .map(|(name, item)| (format!("{label}/{name}"), item)),
         );
     }
+    let mut failures = 0u32;
     if items.is_empty() {
         eprintln!("replay-bench: the corpora produced no replay work");
-        return ExitCode::FAILURE;
+        failures += 1;
     }
 
     // Each path is timed over two full passes and the faster pass is
     // kept. Every path is deterministic, so the passes do identical work;
     // the minimum discards scheduling stalls the shared benchmark host
     // injects into a single pass, symmetrically for every ratio.
-    let (sequential, _, sequential_micros) = timed_twice(|| {
+    let (sequential, sequential_micros) = timed_twice(|| {
         items
             .iter()
             .map(|(_, work)| replay_schedule(&work.sys, &work.schedule, work.patterns_cap))
@@ -240,8 +187,7 @@ fn main() -> ExitCode {
     };
     let pushed = items.len();
     let unique_replays = assemble().unique_replays();
-    let (batched, rerun, batched_micros) = timed_twice(|| assemble().run());
-    let mut failures = 0u32;
+    let (batched, batched_micros) = timed_twice(|| assemble().run());
 
     // The byte-identity wall: every batched result must equal its
     // sequential twin exactly (per-session fields included).
@@ -257,22 +203,18 @@ fn main() -> ExitCode {
         }
     }
 
-    // Determinism: the second batched pass must reproduce every digest.
+    // Per-result digests, and their fold: FNV-1a over the concatenated
+    // little-endian digest bytes.
     let digests: Vec<u64> = batched
         .iter()
-        .map(|r| fnv1a(render(r).as_bytes(), FNV_OFFSET))
+        .map(|r| fnv1a(render(r).as_bytes()))
         .collect();
-    let rerun_digests: Vec<u64> = rerun
-        .iter()
-        .map(|r| fnv1a(render(r).as_bytes(), FNV_OFFSET))
-        .collect();
-    if digests != rerun_digests {
-        eprintln!("replay-bench: two batched runs disagree — the batch path is nondeterministic");
-        failures += 1;
-    }
-    let combined = digests
-        .iter()
-        .fold(FNV_OFFSET, |acc, d| fnv1a(&d.to_le_bytes(), acc));
+    let combined = fnv1a(
+        &digests
+            .iter()
+            .flat_map(|d| d.to_le_bytes())
+            .collect::<Vec<u8>>(),
+    );
 
     // The dedup gate is a pure function of the corpus: each distinct
     // simulation must stand for at least 2.5 pushed replays on average.
@@ -287,105 +229,85 @@ fn main() -> ExitCode {
     // The throughput gate applies to the full sweep (the committed
     // artefact): the smoke run exists to byte-check determinism in CI,
     // where wall-clock is deliberately never a gate.
-    if !config.smoke && speedup < 2.0 {
+    if !args.smoke && speedup < 2.0 {
         eprintln!(
             "replay-bench: batched speedup {speedup:.2}x is below the 2x gate \
              ({sequential_micros}us sequential vs {batched_micros}us batched)"
         );
         failures += 1;
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let replay_errors = batched.iter().filter(|r| r.is_err()).count();
-    let deterministic = Json::obj(vec![
-        (
-            "config",
-            Json::obj(vec![
-                (
-                    "mode",
-                    Json::str(if config.smoke { "smoke" } else { "full" }),
-                ),
-                ("seed", Json::int(config.seed)),
-            ]),
-        ),
-        (
-            "scenarios",
-            Json::obj(vec![
-                ("planned", Json::int(planned as u64)),
-                ("plan_failed", Json::int(plan_failed as u64)),
-                ("replayed", Json::int(items.len() as u64)),
-                ("unique_replays", Json::int(unique_replays as u64)),
-                ("replay_errors", Json::int(replay_errors as u64)),
-            ]),
-        ),
-        ("combined_digest", Json::str(format!("{combined:016x}"))),
-        (
-            "digests",
-            Json::Arr(
-                items
-                    .iter()
-                    .zip(&digests)
-                    .map(|((name, _), digest)| {
-                        Json::obj(vec![
-                            ("request", Json::str(name.clone())),
-                            ("digest", Json::str(format!("{digest:016x}"))),
-                        ])
-                    })
-                    .collect(),
+    BenchRun {
+        config: Vec::new(),
+        deterministic: Json::obj(vec![
+            (
+                "config",
+                Json::obj(vec![
+                    ("mode", Json::str(if args.smoke { "smoke" } else { "full" })),
+                    ("seed", Json::int(args.seed)),
+                ]),
             ),
-        ),
-    ]);
-    let out = Json::obj(vec![
-        ("deterministic", deterministic.clone()),
-        (
-            "measured",
-            Json::obj(vec![
-                ("cores", Json::int(cores as u64)),
-                ("sequential_micros", Json::int(sequential_micros)),
-                ("batched_micros", Json::int(batched_micros)),
-                ("speedup", Json::Num(speedup)),
-                (
-                    "sequential_scenarios_per_second",
-                    Json::Num(ratio(pushed as u64 * 1_000_000, sequential_micros)),
+            (
+                "scenarios",
+                Json::obj(vec![
+                    ("planned", Json::int(planned as u64)),
+                    ("plan_failed", Json::int(plan_failed as u64)),
+                    ("replayed", Json::int(items.len() as u64)),
+                    ("unique_replays", Json::int(unique_replays as u64)),
+                    ("replay_errors", Json::int(replay_errors as u64)),
+                ]),
+            ),
+            ("combined_digest", Json::str(format!("{combined:016x}"))),
+            (
+                "digests",
+                Json::Arr(
+                    items
+                        .iter()
+                        .zip(&digests)
+                        .map(|((name, _), digest)| {
+                            Json::obj(vec![
+                                ("request", Json::str(name.clone())),
+                                ("digest", Json::str(format!("{digest:016x}"))),
+                            ])
+                        })
+                        .collect(),
                 ),
-                (
-                    "batched_scenarios_per_second",
-                    Json::Num(ratio(pushed as u64 * 1_000_000, batched_micros)),
-                ),
-            ]),
+            ),
+        ]),
+        measured: Json::obj(vec![
+            ("sequential_micros", Json::int(sequential_micros)),
+            ("batched_micros", Json::int(batched_micros)),
+            ("speedup", Json::Num(speedup)),
+            (
+                "sequential_scenarios_per_second",
+                Json::Num(ratio(pushed as u64 * 1_000_000, sequential_micros)),
+            ),
+            (
+                "batched_scenarios_per_second",
+                Json::Num(ratio(pushed as u64 * 1_000_000, batched_micros)),
+            ),
+        ]),
+        failures,
+        summary: format!(
+            "{pushed} replays ({unique_replays} unique) on {} core(s): \
+             {sequential_micros}us sequential, {batched_micros}us batched ({speedup:.2}x)",
+            available_cores()
         ),
-    ]);
-    if let Err(error) = std::fs::write(&config.out, format!("{}\n", out.pretty())) {
-        eprintln!("replay-bench: cannot write {}: {error}", config.out);
-        return ExitCode::FAILURE;
     }
-
-    // Stdout carries the deterministic section alone, as one compact
-    // line: the smoke script runs the binary twice and byte-compares.
-    println!("{}", deterministic.compact());
-    eprintln!(
-        "replay-bench: {pushed} replays ({unique_replays} unique) on {cores} core(s): \
-         {sequential_micros}us sequential, {batched_micros}us batched \
-         ({speedup:.2}x) -> {}",
-        config.out
-    );
-    if failures > 0 {
-        eprintln!("replay-bench: {failures} gate failure(s)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
-/// Runs `pass` twice and returns both results with the faster of the two
-/// wall times, in microseconds.
-fn timed_twice<T>(pass: impl Fn() -> T) -> (T, T, u64) {
+/// Runs `pass` twice and returns the first result with the faster of the
+/// two wall times, in microseconds.
+fn timed_twice<T>(pass: impl Fn() -> T) -> (T, u64) {
     let start = Instant::now();
     let first = pass();
     let first_micros = start.elapsed().as_micros() as u64;
     let start = Instant::now();
     let second = pass();
     let micros = first_micros.min(start.elapsed().as_micros() as u64);
-    (first, second, micros)
+    drop(second);
+    (first, micros)
 }
 
 fn ratio(numerator: u64, denominator: u64) -> f64 {

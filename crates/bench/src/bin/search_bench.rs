@@ -2,25 +2,27 @@
 //!
 //! Runs the serial `optimal` search and the work-stealing `optimal-par`
 //! search over a deterministic population of generated SoCs and writes
-//! `BENCH_search.json` with two sections:
+//! `BENCH_search.json` through the shared [`BenchArtifact`]: `config`
+//! (mode, seed, cores, `measured_threads`) plus two sections:
 //!
 //! * `deterministic` — per-instance makespans, expansion counts,
 //!   proved/exhausted flags and FNV-1a schedule digests at a **pinned**
 //!   thread count (2). Everything in this section is a pure function of
-//!   the seed, so two runs on the same machine must produce identical
-//!   bytes — `ci/bench_smoke.sh` gates exactly that. The section
-//!   is also printed on stdout as one compact JSON line so the gate
-//!   never has to carve it out of the report file.
+//!   the seed: the artifact runs the workload twice in-process and
+//!   byte-compares the two sections, and `ci/bench_smoke.sh` repeats the
+//!   check across processes on the stdout copy.
 //! * `measured` — wall-clock micros for the serial and parallel searches
-//!   on the budget-limited instances at the machine's parallelism, the
-//!   per-instance speedup and the mean against the `cores/2` target.
-//!   Timings are machine-dependent by nature and are never part of the
-//!   smoke gate.
+//!   on the budget-limited instances at `--threads N` (default: the
+//!   machine's parallelism), the per-instance speedup and the mean
+//!   against the `cores/2` target. Timings are machine-dependent by
+//!   nature and are never part of the smoke gate.
 //!
 //! Internal gates (exit 1): a within-budget parallel schedule that is
-//! not byte-identical to the serial one, or a budget-exhausted parallel
-//! run that does not reproduce itself when re-run at the same thread
-//! count. Usage errors exit 2.
+//! not byte-identical to the serial one, fewer than half the small
+//! instances proving optimality, a parallel incumbent worse than a
+//! proved serial optimum, a budget-exhausted run whose digest differs
+//! between the two in-process runs, and — in full mode only — a mean
+//! speedup below `cores/2`. Usage errors exit 2.
 //!
 //! ```text
 //! cargo run --release -p noctest-bench --bin search-bench -- --smoke
@@ -30,6 +32,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use noctest_bench::artifact::{available_cores, BenchArgs, BenchArtifact, BenchRun};
 use noctest_bench::schedule_digest;
 use noctest_core::json::Json;
 use noctest_core::plan::{PlanRequest, SocSource};
@@ -40,25 +43,6 @@ use noctest_gen::RecipeFamily;
 /// depends only on the seed, and > 1 so the sharded search machinery
 /// (frontier split, rounds, stealing) is actually exercised.
 const DETERMINISTIC_THREADS: usize = 2;
-
-#[derive(Debug, Clone)]
-struct Config {
-    smoke: bool,
-    seed: u64,
-    threads: Option<usize>,
-    out: String,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            smoke: false,
-            seed: 2005,
-            threads: None,
-            out: "BENCH_search.json".to_owned(),
-        }
-    }
-}
 
 /// One benchmark instance: a generated SoC plus the budget it runs
 /// under.
@@ -159,71 +143,34 @@ fn instance_json(instance: &Instance, serial: &Run, parallel: &Run, identical: b
     ])
 }
 
-fn parse_args() -> Result<Option<Config>, String> {
-    let mut config = Config::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => config.smoke = true,
-            "--seed" => {
-                config.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an unsigned integer")?;
-            }
-            "--threads" => {
-                let value: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--threads needs an unsigned integer")?;
-                if value == 0 {
-                    return Err("--threads must be at least 1".to_owned());
-                }
-                config.threads = Some(value);
-            }
-            "--out" => {
-                config.out = args.next().ok_or("--out needs a path")?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: search-bench [--smoke] [--seed S] [--threads N] [--out PATH]\n\
-                     benchmarks the serial vs work-stealing branch-and-bound and writes\n\
-                     BENCH_search.json (deterministic digests + wall-clock speedups)"
-                );
-                return Ok(None);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
+fn main() -> ExitCode {
+    BenchArtifact {
+        name: "search-bench",
+        out: "BENCH_search.json",
+        about: "benchmarks the serial vs work-stealing branch-and-bound and writes\n\
+                BENCH_search.json (deterministic digests + wall-clock speedups)",
+        threads: true,
     }
-    Ok(Some(config))
+    .main(workload)
 }
 
-fn main() -> ExitCode {
-    let config = match parse_args() {
-        Ok(Some(config)) => config,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("search-bench: {message}");
-            return ExitCode::from(2);
-        }
-    };
-
+fn workload(args: &BenchArgs) -> BenchRun {
     // Two populations: small instances the exact search finishes within
     // budget (the byte-identity gate), and larger budget-limited ones
-    // (the anytime/determinism gate and the timing corpus).
-    let (exact_set, limited_set) = if config.smoke {
+    // (the anytime gate and the timing corpus).
+    let (exact_set, limited_set) = if args.smoke {
         (
-            instances(config.seed, 10, 5, 150_000),
-            instances(config.seed ^ 0x5ea7c4, 6, 8, 20_000),
+            instances(args.seed, 10, 5, 150_000),
+            instances(args.seed ^ 0x5ea7c4, 6, 8, 20_000),
         )
     } else {
         (
-            instances(config.seed, 12, 5, 500_000),
-            instances(config.seed ^ 0x5ea7c4, 8, 8, 1_500_000),
+            instances(args.seed, 12, 5, 500_000),
+            instances(args.seed ^ 0x5ea7c4, 8, 8, 1_500_000),
         )
     };
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let measured_threads = config.threads.unwrap_or(cores);
+    let cores = available_cores();
+    let measured_threads = args.threads.unwrap_or(cores);
 
     let mut failures = 0u32;
     let mut det_instances = Vec::new();
@@ -257,23 +204,15 @@ fn main() -> ExitCode {
         failures += 1;
     }
 
-    // Anytime determinism + timing: budget-limited instances, parallel
-    // run twice (the rerun must reproduce the incumbent byte for byte).
+    // Anytime + timing: budget-limited instances. The pinned-thread run's
+    // digest lands in the deterministic section, so the artifact's two
+    // in-process runs check that an exhausted search reproduces itself.
     let mut measured = Vec::new();
     let mut speedups = Vec::new();
     for instance in &limited_set {
         let serial = run_serial(instance);
         let parallel = run_parallel(instance, measured_threads);
         let det = run_parallel(instance, DETERMINISTIC_THREADS);
-        let det_rerun = run_parallel(instance, DETERMINISTIC_THREADS);
-        if det.digest != det_rerun.digest {
-            eprintln!(
-                "search-bench: {}: exhausted run is nondeterministic at {} threads \
-                 ({} vs {})",
-                instance.name, DETERMINISTIC_THREADS, det.digest, det_rerun.digest
-            );
-            failures += 1;
-        }
         if parallel.makespan > serial.makespan && serial.exact {
             eprintln!(
                 "search-bench: {}: parallel incumbent {} worse than proved optimum {}",
@@ -300,64 +239,34 @@ fn main() -> ExitCode {
     }
     let mean_speedup = speedups.iter().sum::<f64>() / speedups.len().max(1) as f64;
     let target = cores as f64 / 2.0;
-
-    let deterministic = Json::obj(vec![
-        ("seed", Json::int(config.seed)),
-        ("threads", Json::int(DETERMINISTIC_THREADS as u64)),
-        ("instances", Json::Arr(det_instances)),
-    ]);
-    let det_line = deterministic.compact();
-
-    let report = Json::obj(vec![
-        (
-            "config",
-            Json::obj(vec![
-                (
-                    "mode",
-                    Json::str(if config.smoke { "smoke" } else { "full" }),
-                ),
-                ("seed", Json::int(config.seed)),
-                ("cores", Json::int(cores as u64)),
-                ("measured_threads", Json::int(measured_threads as u64)),
-            ]),
-        ),
-        ("deterministic", deterministic),
-        (
-            "measured",
-            Json::obj(vec![
-                ("instances", Json::Arr(measured)),
-                ("mean_speedup", Json::Num(mean_speedup)),
-                ("speedup_target", Json::Num(target)),
-                ("meets_target", Json::Bool(mean_speedup >= target)),
-            ]),
-        ),
-    ]);
-    if let Err(error) = std::fs::write(&config.out, format!("{}\n", report.pretty())) {
-        eprintln!("search-bench: cannot write {}: {error}", config.out);
-        return ExitCode::FAILURE;
-    }
-
-    // The deterministic section alone on stdout: the smoke script runs
-    // the binary twice and byte-compares these lines.
-    println!("{det_line}");
-    eprintln!(
-        "search-bench: {} exact + {} limited instances, mean speedup {mean_speedup:.2} \
-         (target {target:.1} on {cores} cores) -> {}",
-        exact_set.len(),
-        limited_set.len(),
-        config.out
-    );
     // The speedup target is a full-mode gate only: smoke never fails on
     // machine-dependent timings.
-    if !config.smoke && mean_speedup < target {
+    if !args.smoke && mean_speedup < target {
         eprintln!(
             "search-bench: mean speedup {mean_speedup:.2} misses the cores/2 target {target:.1}"
         );
         failures += 1;
     }
-    if failures > 0 {
-        eprintln!("search-bench: {failures} gate failure(s)");
-        return ExitCode::FAILURE;
+
+    BenchRun {
+        config: vec![("measured_threads", Json::int(measured_threads as u64))],
+        deterministic: Json::obj(vec![
+            ("seed", Json::int(args.seed)),
+            ("threads", Json::int(DETERMINISTIC_THREADS as u64)),
+            ("instances", Json::Arr(det_instances)),
+        ]),
+        measured: Json::obj(vec![
+            ("instances", Json::Arr(measured)),
+            ("mean_speedup", Json::Num(mean_speedup)),
+            ("speedup_target", Json::Num(target)),
+            ("meets_target", Json::Bool(mean_speedup >= target)),
+        ]),
+        failures,
+        summary: format!(
+            "{} exact + {} limited instances, mean speedup {mean_speedup:.2} \
+             (target {target:.1} on {cores} cores)",
+            exact_set.len(),
+            limited_set.len()
+        ),
     }
-    ExitCode::SUCCESS
 }

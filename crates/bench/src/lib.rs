@@ -18,17 +18,20 @@
 //!
 //! This library hosts the shared experiment definitions so integration
 //! tests, examples and binaries agree on the exact Figure-1 configuration,
-//! plus a tiny wall-clock [`harness`] for the dependency-free benches.
+//! a tiny wall-clock [`harness`] for the dependency-free benches, and the
+//! [`artifact`] every `BENCH_*.json`-writing binary runs through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod harness;
 
 use std::fmt::Write as _;
 
 use std::sync::Arc;
 
+use noctest_core::hashing::fnv1a;
 use noctest_core::plan::exec::{Executor, JobResult, NdjsonSink};
 use noctest_core::plan::{Campaign, CampaignError, PlanOutcome, PlanRequest, RequestMatrix};
 use noctest_core::{BudgetSpec, Schedule, SystemUnderTest};
@@ -188,21 +191,19 @@ fn reduction_percent<I: Iterator<Item = u64>>(first: Option<&Figure1Point>, seri
     100.0 * (1.0 - best as f64 / base as f64)
 }
 
-/// FNV-1a over the canonical schedule encoding: a compact, stable
+/// FNV-1a over the canonical schedule encoding (each entry's cut,
+/// interface, start and end as little-endian words): a compact, stable
 /// fingerprint for byte-identity gates (shared by the `search-bench`
 /// and `plan-delta` binaries and their CI smoke scripts).
 #[must_use]
 pub fn schedule_digest(schedule: &Schedule) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in schedule.entries() {
-        for word in [u64::from(e.cut.0), e.interface.0 as u64, e.start, e.end] {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    format!("{hash:016x}")
+    let bytes: Vec<u8> = schedule
+        .entries()
+        .iter()
+        .flat_map(|e| [u64::from(e.cut.0), e.interface.0 as u64, e.start, e.end])
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    format!("{:016x}", fnv1a(&bytes))
 }
 
 /// Parses the value following a `--threads` flag (shared by the

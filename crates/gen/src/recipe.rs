@@ -13,6 +13,7 @@
 //! [`SocRecipe::scaled_industrial`], [`SocRecipe::power_dominated`],
 //! [`SocRecipe::one_giant_core`] and [`SocRecipe::wide_shallow`].
 
+use noctest_core::hashing::fnv1a;
 use noctest_itc02::data::balanced_chains;
 use noctest_itc02::{write_soc, Module, ModuleId, ScanUse, SocDesc, TamUse, TestDesc};
 use noctest_noc::rng::SplitMix64;
@@ -410,15 +411,6 @@ fn class_quotas(classes: &[CoreClass], n: u32) -> Vec<u32> {
 
 /// FNV-1a over bytes — a tiny stable hash for stream separation (not a
 /// general-purpose hasher).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn family_salt(family: RecipeFamily) -> u64 {
     fnv1a(family.slug().as_bytes())
 }
