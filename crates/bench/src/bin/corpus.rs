@@ -21,8 +21,11 @@
 //! executor's NDJSON lifecycle stream (one line per event) to a file;
 //! `--abort-on-failure` cancels every remaining scenario as soon as one
 //! fails. Live progress goes to stderr as scenarios complete, and so do
-//! the first run's shared-work counts: `fidelity replays: N simulated, M
-//! shared` and `builds: N systems built, M shared; P SoCs parsed`.
+//! the first run's shared-work counts: `fidelity replays: N sessions
+//! simulated, M shared; F whole-schedule fallbacks` (each distinct
+//! session is replayed solo once; a schedule whose sessions could
+//! interfere replays whole) and `builds: N systems built, M shared; P
+//! SoCs parsed`.
 //! Exit status: 0 on success, 1 on invalid schedules or a
 //! non-reproducible report, 2 on usage errors.
 
@@ -140,9 +143,12 @@ fn main() -> ExitCode {
         },
     );
     let report = run.report;
-    let (simulated, shared) = run.replays;
-    if simulated + shared > 0 {
-        eprintln!("corpus: fidelity replays: {simulated} simulated, {shared} shared");
+    let replays = run.replays;
+    if replays.simulated + replays.shared + replays.fallbacks > 0 {
+        eprintln!(
+            "corpus: fidelity replays: {} sessions simulated, {} shared; {} whole-schedule fallbacks",
+            replays.simulated, replays.shared, replays.fallbacks
+        );
     }
     let ((built, shared), (parsed, _)) = (run.builds.systems, run.builds.socs);
     eprintln!("corpus: builds: {built} systems built, {shared} shared; {parsed} SoCs parsed");

@@ -8,10 +8,14 @@
 //! * **sequential** — one schedule at a time through
 //!   [`noctest_core::replay_schedule`], the path `plan-serve` takes;
 //! * **batched** — every schedule through one [`ReplayBatch`], which
-//!   simulates each distinct replay once and clones it for its twins.
+//!   replays each distinct session once, alone, and composes every
+//!   schedule's replay from its sessions' results behind a
+//!   link-disjointness certificate.
 //!
 //! The measured section reports the **speedup** (sequential ÷ batched,
-//! the gain from simulating each distinct replay once).
+//! the gain from simulating each distinct session once).
+//! `unique_replays` counts distinct whole-schedule replays, the dedup a
+//! schedule-level memo would get; the 2.5x gate below is on that count.
 //!
 //! `BENCH_replay.json` is written through the shared [`BenchArtifact`]:
 //! `config` (mode, seed, cores) plus two sections:
@@ -220,7 +224,7 @@ fn workload(args: &BenchArgs) -> BenchRun {
     // simulation must stand for at least 2.5 pushed replays on average.
     if (pushed as f64) < 2.5 * unique_replays as f64 {
         eprintln!(
-            "replay-bench: {pushed} pushed replays merge into {unique_replays} simulations, \
+            "replay-bench: {pushed} pushed replays merge into {unique_replays} distinct schedules, \
              below the 2.5x dedup gate"
         );
         failures += 1;

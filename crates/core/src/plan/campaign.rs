@@ -44,8 +44,9 @@ pub(crate) fn validate_thread_count(threads: usize) -> Result<usize, CampaignErr
 /// getting it as the build stage. The system is identical either way.
 ///
 /// With a [`ReplayMemo`], a fidelity-opted request replays through it:
-/// the request that simulates records its wall time as the replay stage,
-/// and a twin that clones an earlier result records no replay stage and
+/// a request that simulates any session (or falls back to the whole
+/// schedule) records its wall time as the replay stage, and one whose
+/// every session came from earlier requests records no replay stage and
 /// `replay_micros = 0`. The fidelity section is identical either way.
 pub(crate) fn run_pipeline(
     registry: &SchedulerRegistry,

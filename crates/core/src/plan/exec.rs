@@ -24,9 +24,11 @@
 //!   results that are simultaneously ready).
 //! * Shared replays — an executor built with
 //!   [`ExecutorBuilder::share_replays`] holds one [`ReplayMemo`] for its
-//!   lifetime. A fidelity replay runs on the worker of the first job that
-//!   needs it, and jobs with the same replay key clone that result, so a
-//!   corpus run replays on every worker while it plans.
+//!   lifetime. Each distinct session is replayed solo on the worker of
+//!   the first job that needs it, and every job composes its fidelity
+//!   section from its sessions' results (or replays its whole schedule
+//!   when its sessions could interfere), so a corpus run replays on
+//!   every worker while it plans.
 //! * Shared builds — every executor holds one bounded build memo. The
 //!   first job with a given system input (SoC, mesh, processors, budget,
 //!   priority, faults, timing) builds the system on its own worker, and
@@ -58,7 +60,7 @@ use crate::plan::error::CampaignError;
 use crate::plan::outcome::{PlanOutcome, Stage};
 use crate::plan::registry::SchedulerRegistry;
 use crate::plan::request::PlanRequest;
-use crate::replay::ReplayMemo;
+use crate::replay::{ReplayCounts, ReplayMemo};
 use crate::sched::CancelToken;
 
 /// Locks a mutex, recovering the guard if a previous holder panicked —
@@ -848,14 +850,18 @@ impl ExecutorBuilder {
     }
 
     /// Shares fidelity replays between jobs (default `false`). When set,
-    /// the executor holds one [`ReplayMemo`] for its lifetime: the first
-    /// job with a given replay key simulates it on its own worker and
-    /// charges the wall time to its `Replay` stage, and every later job
-    /// with the same key clones that result and records no replay stage
-    /// (`replay_micros = 0`). Fidelity sections are byte-identical to
-    /// [`Campaign::run`]'s either way; [`Executor::replay_counts`] reports
-    /// how many replays were simulated and shared. Single-request serving
-    /// keeps the default, where every job replays on its own.
+    /// the executor holds one [`ReplayMemo`] for its lifetime. The first
+    /// job with a given session replays it solo on its own worker, and
+    /// every later job with that session takes the result. A job composes
+    /// its fidelity section from its sessions' results behind a
+    /// link-disjointness certificate, and replays its whole schedule when
+    /// the certificate fails. A job that simulated anything charges the
+    /// wall time to its `Replay` stage; a job whose every session came
+    /// from earlier jobs records no replay stage (`replay_micros = 0`).
+    /// Fidelity sections are byte-identical to [`Campaign::run`]'s either
+    /// way; [`Executor::replay_counts`] reports sessions simulated and
+    /// shared and whole-schedule fallbacks. Single-request serving keeps
+    /// the default, where every job replays its whole schedule on its own.
     #[must_use]
     pub fn share_replays(mut self, share: bool) -> Self {
         self.share_replays = share;
@@ -1012,15 +1018,16 @@ impl Executor {
         }
     }
 
-    /// `(simulated, shared)` fidelity replays so far: replays a job
-    /// simulated, and replays a job cloned from an earlier one. Always
-    /// `(0, 0)` unless built with [`ExecutorBuilder::share_replays`].
+    /// Fidelity replay work so far: sessions a job replayed solo,
+    /// sessions a job took from an earlier job's solo replay, and jobs
+    /// that replayed their whole schedule as a fallback. All zero unless
+    /// built with [`ExecutorBuilder::share_replays`].
     #[must_use]
-    pub fn replay_counts(&self) -> (u64, u64) {
+    pub fn replay_counts(&self) -> ReplayCounts {
         self.shared
             .replays
             .as_ref()
-            .map_or((0, 0), ReplayMemo::counts)
+            .map_or_else(ReplayCounts::default, ReplayMemo::counts)
     }
 
     /// Systems and SoCs the executor's build memo built and shared so
@@ -1564,12 +1571,23 @@ mod tests {
             .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
             .share_replays(true)
             .build();
-        // Three requests with one replay key (names are not part of it).
+        // Three requests with one schedule (names are not part of any
+        // replay key): the first replays each of its sessions solo and
+        // the twins take every session from the memo.
         let handles: Vec<JobHandle> = (0..3)
             .map(|i| executor.submit(request.clone().with_name(format!("twin{i}"))))
             .collect();
         executor.join();
-        assert_eq!(executor.replay_counts(), (1, 2));
+        let sessions = inline_fidelity.sessions.len() as u64;
+        assert!(sessions > 1);
+        assert_eq!(
+            executor.replay_counts(),
+            ReplayCounts {
+                simulated: sessions,
+                shared: 2 * sessions,
+                fallbacks: 0,
+            }
+        );
         // Exactly one job simulated; it alone reports a replay stage.
         let replay_events: Vec<JobId> = collector
             .take()
@@ -1607,7 +1625,7 @@ mod tests {
             outcome.outcome().and_then(|o| o.fidelity.as_ref()),
             Some(&inline_fidelity)
         );
-        assert_eq!(plain.replay_counts(), (0, 0));
+        assert_eq!(plain.replay_counts(), ReplayCounts::default());
     }
 
     #[test]

@@ -26,17 +26,21 @@
 //!   overlapping sessions; this is where that prediction meets the
 //!   simulator. Results feed the `fidelity` section of
 //!   [`crate::plan::PlanOutcome`].
-//! * [`ReplayMemo`] — **many plans, on many threads**: each whole-schedule
-//!   replay runs through [`replay_schedule`] on the thread that asks for
-//!   it first, and requests with the same replay key clone that result.
-//!   The executor uses it so a corpus run replays on every worker while
-//!   it plans.
+//! * [`ReplayMemo`] — **many plans, on many threads, one simulation per
+//!   session**: each distinct session (keyed by what it injects, not by
+//!   when or for which system) is replayed alone once, on the thread that
+//!   asks for it first, and a whole-schedule replay is composed from its
+//!   sessions' results. A link-disjointness certificate guards the
+//!   composition: a schedule whose sessions could interfere, or one with
+//!   a session whose solo replay fails, runs through [`replay_schedule`]
+//!   instead. The executor uses it so a corpus run replays on every
+//!   worker while it plans.
 //! * [`ReplayBatch`] — **many plans, collected first**: queued
 //!   whole-schedule replays drained in push order through one
-//!   [`ReplayMemo`], so identical requests simulate once. Each result is
-//!   byte-identical to what [`replay_schedule`] returns for the same
-//!   request.
+//!   [`ReplayMemo`]. Each result is byte-identical to what
+//!   [`replay_schedule`] returns for the same request.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -433,7 +437,11 @@ fn entry_traffic(sys: &SystemUnderTest, entry: &ScheduledTest, patterns_cap: u32
     // for an absurd user-supplied cap.
     let packets = core.patterns.min(patterns_cap).min(TAG_BLOCK as u32 - 1);
     let flits_total = sys.timing().flits(core.bits_in);
-    let hops = sys.path(entry.interface, entry.cut).hops_in;
+    // A pair the fault set severed has no path; its stream then fails at
+    // injection with a typed error (a dead source router) instead of here.
+    let hops = sys
+        .try_path(entry.interface, entry.cut)
+        .map_or(0, |path| path.hops_in);
     EntryTraffic {
         cut: entry.cut.0,
         interface: iface.label(),
@@ -444,6 +452,27 @@ fn entry_traffic(sys: &SystemUnderTest, entry: &ScheduledTest, patterns_cap: u32
         start: entry.start,
         analytic_cycles: analytic_stream_cycles(sys, packets, flits_total, hops),
     }
+}
+
+impl EntryTraffic {
+    /// The session's replay record once its stream is simulated.
+    fn session(self, simulated_cycles: u64) -> SessionReplay {
+        SessionReplay {
+            cut: self.cut,
+            interface: self.interface,
+            start: self.start,
+            packets: self.packets,
+            analytic_cycles: self.analytic_cycles,
+            simulated_cycles,
+        }
+    }
+}
+
+/// Cycles a replay may run before its traffic must have drained:
+/// `10_000 + 200 · flits · flow_latency`. A whole-schedule replay adds
+/// its makespan; a solo replay ([`replay_solo`]) does not.
+fn drain_budget(sys: &SystemUnderTest, flits: u64) -> u64 {
+    10_000 + 200 * flits * u64::from(sys.timing().flow_latency)
 }
 
 /// Expands every session of `schedule` into tagged packets through
@@ -470,17 +499,9 @@ fn stage_schedule(
             )?;
         }
         total_flits += u64::from(traffic.packets) * u64::from(traffic.flits_total);
-        sessions.push(SessionReplay {
-            cut: traffic.cut,
-            interface: traffic.interface,
-            start: traffic.start,
-            packets: traffic.packets,
-            analytic_cycles: traffic.analytic_cycles,
-            simulated_cycles: 0,
-        });
+        sessions.push(traffic.session(0));
     }
-    let budget =
-        schedule.makespan() + 10_000 + 200 * total_flits * u64::from(sys.timing().flow_latency);
+    let budget = schedule.makespan() + drain_budget(sys, total_flits);
     Ok(StagedSchedule { sessions, budget })
 }
 
@@ -499,6 +520,14 @@ fn finish_schedule(
             .simulated_cycles
             .max(d.tail_delivered_at - session.start);
     }
+    compose(patterns_cap, sessions)
+}
+
+/// Assembles a [`ScheduleReplay`] from completed per-session records: both
+/// makespans are maxima over the sessions. [`finish_schedule`] and
+/// [`ReplayMemo`] share it, so a simulated and a composed replay cannot
+/// differ in how they aggregate.
+fn compose(patterns_cap: u32, sessions: Vec<SessionReplay>) -> ScheduleReplay {
     let analytic_makespan = sessions
         .iter()
         .map(|s| s.start + s.analytic_cycles)
@@ -517,14 +546,78 @@ fn finish_schedule(
     }
 }
 
+/// Replays one session's stimulus stream alone on a fresh mesh of its
+/// system, released at cycle 0, and returns the cycle its last tail flit
+/// ejects. Every deadline of the engine is relative to the release, so
+/// this is the session's `simulated_cycles` at any start cycle, provided
+/// nothing else touches its resources while it runs.
+///
+/// The drain budget depends on the session's flits alone, never on its
+/// start or its schedule: [`drain_budget`] of its `packets × flits`.
+fn replay_solo(sys: &SystemUnderTest, traffic: &EntryTraffic) -> Result<u64, NocError> {
+    let mut net = Network::new(transport_config(sys)?)?;
+    apply_faults(sys, &mut net)?;
+    let payload = traffic.flits_total - 1;
+    for p in 0..traffic.packets {
+        net.inject_at(
+            Packet::new(traffic.src, traffic.dst, payload).with_tag(u64::from(p)),
+            0,
+        )?;
+    }
+    let flits = u64::from(traffic.packets) * u64::from(traffic.flits_total);
+    let delivered = net.run_until_idle(drain_budget(sys, flits))?;
+    Ok(delivered
+        .iter()
+        .map(|d| d.tail_delivered_at)
+        .max()
+        .unwrap_or(0))
+}
+
+/// The link-disjointness certificate: `true` when every session starts
+/// no later than the schedule's makespan, and any two sessions whose
+/// windows `[start, start + simulated_cycles + flow_latency)` overlap
+/// have disjoint footprints. A footprint is the session's
+/// [`crate::path::TestPath`] link set: the source's injection link, the
+/// route, the CUT's ejection link and the response leg, a superset of
+/// every link and local port the stimulus stream touches. A pair of the
+/// schedule without a surviving path has no footprint and fails the
+/// certificate.
+fn certified(sys: &SystemUnderTest, schedule: &Schedule, cycles: &[u64]) -> bool {
+    let makespan = schedule.makespan();
+    let entries = schedule.entries();
+    let mut footprints = Vec::with_capacity(entries.len());
+    for entry in entries {
+        match sys.try_path(entry.interface, entry.cut) {
+            Some(path) if entry.start <= makespan => footprints.push(&path.links),
+            _ => return false,
+        }
+    }
+    // A drained session leaves only pacing deadlines behind, and none
+    // reaches further than one flow-control latency past its last
+    // ejection; the guard keeps the next user of a resource clear of it.
+    let guard = u64::from(sys.timing().flow_latency);
+    let end = |i: usize| entries[i].start + cycles[i] + guard;
+    for i in 0..entries.len() {
+        // Entries are ordered by start: once one starts after session
+        // `i` has ended, so does every later one.
+        for j in i + 1..entries.len() {
+            if entries[j].start >= end(i) {
+                break;
+            }
+            if end(j) > entries[i].start && footprints[i].conflicts_with(footprints[j]) {
+                return false;
+            }
+        }
+    }
+    true
+}
+
 /// Everything that must agree for two whole-schedule replays to produce
 /// the same result: the [`FidelityClass`] (which fixes the simulated
 /// transport and fault set), the pattern cap, the drain budget, and the
 /// complete derived stimulus traffic ([`EntryTraffic`] per session, the
-/// exact facts [`stage_schedule`] stages from). Requests with equal keys
-/// are *the same simulation*, so [`ReplayMemo`] executes one and clones
-/// its result — the memoisation analogue of the planner's
-/// content-addressed plan cache.
+/// exact facts [`stage_schedule`] stages from). [`ReplayBatch`] counts
+/// its distinct keys; no memo is keyed by it.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct ReplayKey {
     class: FidelityClass,
@@ -548,10 +641,34 @@ impl ReplayKey {
     }
 }
 
-/// The simulated transport of a whole-schedule replay: mesh shape,
-/// transport timing, routing algorithm and the exact fault set. Part of
-/// [`ReplayKey`], so a degraded replay never shares a result with a
-/// healthy one, or with one degraded differently.
+/// What one session injects, apart from when and for which system: the
+/// stream [`replay_solo`] simulates. Within one [`FidelityClass`] it keys
+/// one [`ReplayMemo`] entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SessionKey {
+    src: NodeId,
+    dst: NodeId,
+    packets: u32,
+    flits_per_packet: u32,
+    patterns_cap: u32,
+}
+
+impl SessionKey {
+    fn of(traffic: &EntryTraffic, patterns_cap: u32) -> Self {
+        SessionKey {
+            src: traffic.src,
+            dst: traffic.dst,
+            packets: traffic.packets,
+            flits_per_packet: traffic.flits_total,
+            patterns_cap,
+        }
+    }
+}
+
+/// The simulated transport of a replay: mesh shape, transport timing,
+/// routing algorithm and the exact fault set. Part of every memo key, so
+/// a degraded replay never shares a result with a healthy one, or with
+/// one degraded differently.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct FidelityClass {
     width: u16,
@@ -594,84 +711,197 @@ impl FidelityClass {
     }
 }
 
-/// One replay result, shared by every request with the same [`ReplayKey`].
-type SharedReplay = Arc<OnceLock<Result<ScheduleReplay, NocError>>>;
+/// One session's solo `simulated_cycles`, or `None` when its solo replay
+/// failed. Filled by the call that created it; every other call with the
+/// same key waits for it.
+type SoloCell = Arc<OnceLock<Option<u64>>>;
 
-/// Whole-schedule replays shared between threads as they are requested.
+/// Fills every still-empty cell a call owns with `None` when the call
+/// unwinds mid-simulation, so no other call waits on it forever; those
+/// calls then fall back to the whole-schedule replay.
+struct Settle<'a>(&'a [(SoloCell, bool)]);
+
+impl Drop for Settle<'_> {
+    fn drop(&mut self) {
+        for (cell, owned) in self.0 {
+            if *owned {
+                let _ = cell.set(None);
+            }
+        }
+    }
+}
+
+/// What a [`ReplayMemo`] did so far, as
+/// [`crate::plan::Executor::replay_counts`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReplayCounts {
+    /// Sessions a call replayed solo on its own thread.
+    pub simulated: u64,
+    /// Sessions a call took from an earlier solo replay.
+    pub shared: u64,
+    /// Calls that replayed their whole schedule through
+    /// [`replay_schedule`] because a solo replay failed or the
+    /// link-disjointness certificate did not hold.
+    pub fallbacks: u64,
+}
+
+/// Fidelity replays shared between threads, one solo replay per distinct
+/// session.
 ///
-/// [`ReplayMemo::replay`] has the request shape of [`replay_schedule`].
-/// The first call with a given replay key simulates through
-/// [`replay_schedule`] on the caller's thread. Every later call with the
-/// same key clones that result; a call that races the simulating one
-/// blocks until the result exists. A memo therefore simulates exactly
-/// [`ReplayBatch::unique_replays`] times for the same requests, and every
-/// result is byte-identical to [`replay_schedule`]'s.
+/// [`ReplayMemo::replay`] has the request shape of [`replay_schedule`]
+/// and returns exactly what it returns. It works in three steps:
 ///
-/// The job executor holds one memo per executor when built with
-/// [`crate::plan::ExecutorBuilder::share_replays`], so a corpus run
+/// 1. **Solo replays.** Each session is keyed by what it injects, not by
+///    its start cycle or its system: the fidelity class (mesh shape,
+///    transport timing, routing and the exact fault set), source and
+///    destination routers, packets, flits per packet and
+///    `patterns_cap.max(1)`. The first call with a key simulates that
+///    session alone, released at cycle 0 on a fresh mesh; every other
+///    call with the key waits for that result. Only the session's
+///    `simulated_cycles` is kept.
+/// 2. **The certificate.** Every session must start no later than the
+///    schedule's makespan, and any two sessions whose windows
+///    `[start, start + simulated_cycles + flow_latency)` overlap must
+///    have disjoint footprints (`sys.path(iface, cut).links`, which holds
+///    the source's injection link and the CUT's ejection link). The
+///    window runs one flow-control latency past the last tail ejection
+///    because a drained stream's output and injector pacing hold its
+///    ports that long: a session released on the same port at the very
+///    cycle its predecessor drained runs late.
+/// 3. **Composition.** When every solo replay drained and the certificate
+///    holds, the [`ScheduleReplay`] is composed: `start`, `cut`,
+///    `interface`, `packets` and `analytic_cycles` come from the entry,
+///    both makespans are maxima, and `patterns_cap` is `cap.max(1)`.
+///    Otherwise the call runs [`replay_schedule`] on the whole schedule,
+///    so contention is measured wherever it can arise and errors are
+///    exactly that function's.
+///
+/// Why composition equals [`replay_schedule`]. While a session's window
+/// is open, every link and local port it touches carries its flits
+/// alone: the certificate rules out any overlapping user. Once a window
+/// has closed, every flit of the session has ejected, its FIFOs are
+/// empty, its wormhole locks are released and its pacing deadlines have
+/// passed; a round-robin pointer it moved only matters to two inputs
+/// contending for one output, which the certificate rules out. The
+/// engine's deadlines are all relative to a release, so each session
+/// behaves exactly as in its solo replay, shifted to its start. The solo
+/// drain budget is `10_000 + 200·flits·flow_latency` for the session's
+/// own flits. The whole-schedule budget is the makespan plus the same
+/// expression over all flits, so it is at least `start` plus any one
+/// solo budget. Hence "every solo replay drains and the certificate
+/// holds" implies that the whole replay drains, with equal per-session
+/// results.
+///
+/// [`ReplayMemo::counts`] reports sessions simulated and shared and
+/// whole-schedule fallbacks. The job executor holds one memo when built
+/// with [`crate::plan::ExecutorBuilder::share_replays`], so a corpus run
 /// replays on all of its workers while it plans. Nothing is evicted: a
-/// memo lives as long as the run it serves.
+/// memo lives as long as the run it serves, and an entry is two routers
+/// and a few counts.
 #[derive(Debug, Default)]
 pub struct ReplayMemo {
-    replays: Mutex<BTreeMap<ReplayKey, SharedReplay>>,
+    sessions: Mutex<BTreeMap<FidelityClass, BTreeMap<SessionKey, SoloCell>>>,
     simulated: AtomicU64,
     shared: AtomicU64,
+    fallbacks: AtomicU64,
 }
 
 impl ReplayMemo {
     /// The replay of `schedule` on `sys` under `patterns_cap`, exactly as
-    /// [`replay_schedule`] returns it, and `true` when this call ran the
-    /// simulation (`false` when it cloned an earlier call's result).
+    /// [`replay_schedule`] returns it, and `true` when this call simulated
+    /// anything: a solo replay of one of its sessions, or the whole
+    /// schedule as a fallback.
     pub fn replay(
         &self,
         sys: &SystemUnderTest,
         schedule: &Schedule,
         patterns_cap: u32,
     ) -> (Result<ScheduleReplay, NocError>, bool) {
-        let key = ReplayKey::of(sys, schedule, patterns_cap);
-        let cell = Arc::clone(
-            self.replays
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(key)
-                .or_default(),
-        );
-        let mut simulated = false;
-        let result = cell
-            .get_or_init(|| {
-                simulated = true;
-                replay_schedule(sys, schedule, patterns_cap)
-            })
-            .clone();
-        let counter = if simulated {
-            &self.simulated
-        } else {
-            &self.shared
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        (result, simulated)
+        let patterns_cap = patterns_cap.max(1);
+        let traffic: Vec<EntryTraffic> = schedule
+            .entries()
+            .iter()
+            .map(|entry| entry_traffic(sys, entry, patterns_cap))
+            .collect();
+        let (cycles, simulated) = self.solo_cycles(sys, &traffic, patterns_cap);
+        if let Some(cycles) = cycles.filter(|cycles| certified(sys, schedule, cycles)) {
+            let sessions = traffic
+                .into_iter()
+                .zip(cycles)
+                .map(|(traffic, cycles)| traffic.session(cycles))
+                .collect();
+            return (Ok(compose(patterns_cap, sessions)), simulated);
+        }
+        self.fallbacks.fetch_add(1, Ordering::Relaxed);
+        (replay_schedule(sys, schedule, patterns_cap), true)
     }
 
-    /// `(simulated, shared)`: calls that ran a simulation and calls that
-    /// cloned one.
+    /// Each session's solo `simulated_cycles` in entry order (`None` if
+    /// any solo replay failed), and `true` when this call simulated one.
+    ///
+    /// Cells are claimed for the whole schedule under one lock, and a
+    /// call owns the cells it creates. It fills those before it waits on
+    /// any other, so it only ever waits on cells owned by a call that
+    /// claimed earlier and is itself filling, never in a cycle.
+    fn solo_cycles(
+        &self,
+        sys: &SystemUnderTest,
+        traffic: &[EntryTraffic],
+        patterns_cap: u32,
+    ) -> (Option<Vec<u64>>, bool) {
+        let class = FidelityClass::of(sys);
+        let claims: Vec<(SoloCell, bool)> = {
+            let mut classes = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
+            let cells = classes.entry(class).or_default();
+            traffic
+                .iter()
+                .map(|t| match cells.entry(SessionKey::of(t, patterns_cap)) {
+                    Entry::Occupied(cell) => (Arc::clone(cell.get()), false),
+                    Entry::Vacant(slot) => (Arc::clone(slot.insert(SoloCell::default())), true),
+                })
+                .collect()
+        };
+        let settle = Settle(&claims);
+        let mut simulated = 0;
+        for (t, (cell, owned)) in traffic.iter().zip(settle.0) {
+            if *owned {
+                let _ = cell.set(replay_solo(sys, t).ok());
+                simulated += 1;
+            }
+        }
+        drop(settle);
+        self.simulated.fetch_add(simulated, Ordering::Relaxed);
+        self.shared
+            .fetch_add(claims.len() as u64 - simulated, Ordering::Relaxed);
+        let cycles = claims.iter().map(|(cell, _)| *cell.wait()).collect();
+        (cycles, simulated > 0)
+    }
+
+    /// Sessions simulated and shared, and whole-schedule fallbacks, so
+    /// far.
     #[must_use]
-    pub fn counts(&self) -> (u64, u64) {
-        (
-            self.simulated.load(Ordering::Relaxed),
-            self.shared.load(Ordering::Relaxed),
-        )
+    pub fn counts(&self) -> ReplayCounts {
+        ReplayCounts {
+            simulated: self.simulated.load(Ordering::Relaxed),
+            shared: self.shared.load(Ordering::Relaxed),
+            fallbacks: self.fallbacks.load(Ordering::Relaxed),
+        }
     }
 }
 
 /// A set of pending whole-schedule fidelity replays.
 ///
 /// [`ReplayBatch::run`] replays the queued requests in push order through
-/// one [`ReplayMemo`]: the first request with a given replay key (fidelity
-/// class, pattern cap, drain budget and the full derived stimulus
-/// traffic) simulates through [`replay_schedule`], and later twins clone
-/// its result. Every result is therefore **byte-identical** to calling
-/// [`replay_schedule`] per request, and `tests/batch_replay.rs` holds the
-/// two together differentially across seeds and fault classes.
+/// one [`ReplayMemo`], which simulates each distinct session once and
+/// composes each schedule's replay from its sessions' results, or replays
+/// the whole schedule when the link-disjointness certificate fails. Every
+/// result is therefore **byte-identical** to calling [`replay_schedule`]
+/// per request, and `tests/batch_replay.rs` holds the two together
+/// differentially across seeds and fault classes.
+///
+/// [`ReplayBatch::unique_replays`] still counts distinct *whole-schedule*
+/// replay keys: the dedup a schedule-level memo would get, which
+/// `replay-bench` reports and gates.
 ///
 /// ```no_run
 /// # use noctest_core::replay::ReplayBatch;
@@ -735,9 +965,12 @@ impl<'a> ReplayBatch<'a> {
         self.items.is_empty()
     }
 
-    /// Number of *distinct* simulations [`ReplayBatch::run`] will execute
-    /// for the currently queued requests: requests whose replay keys
-    /// coincide share one result.
+    /// Number of *distinct whole-schedule replays* among the queued
+    /// requests: requests whose whole-schedule replay keys (fidelity
+    /// class, pattern cap, drain budget and the full derived stimulus
+    /// traffic) coincide are the same replay. [`ReplayBatch::run`]
+    /// simulates per session instead, and replays a schedule whole only
+    /// where the link-disjointness certificate fails.
     #[must_use]
     pub fn unique_replays(&self) -> usize {
         let keys: std::collections::BTreeSet<ReplayKey> = self
@@ -752,10 +985,10 @@ impl<'a> ReplayBatch<'a> {
     /// each exactly what [`replay_schedule`] would have returned.
     ///
     /// Deduplication is where the speedup comes from: corpus sweeps
-    /// replay the same (system, schedule, cap) triple under many planner
-    /// configurations that turn out not to change it. Two requests share
-    /// a simulation only when their replay keys are equal, which makes
-    /// their results equal by construction.
+    /// replay the same session in many schedules, under many planner
+    /// configurations and on many systems that inject it alike. Two
+    /// sessions share a simulation only when their session keys are
+    /// equal, which makes their solo results equal by construction.
     #[must_use]
     pub fn run(self) -> Vec<Result<ScheduleReplay, NocError>> {
         let memo = ReplayMemo::default();
@@ -988,14 +1221,32 @@ mod tests {
         let empty = Schedule::default();
         let requests = [(&schedule, 6), (&schedule, 2), (&schedule, 6), (&empty, 8)];
         let memo = ReplayMemo::default();
-        let mut batch = ReplayBatch::new();
         for &(sched, cap) in &requests {
             let (result, _) = memo.replay(&sys, sched, cap);
             assert_eq!(result.unwrap(), replay_schedule(&sys, sched, cap).unwrap());
-            batch.push(&sys, sched, cap);
         }
-        assert_eq!(memo.counts(), (batch.unique_replays() as u64, 1));
-        // A twin clones the first result and reports that it did not simulate.
+        // Each distinct session simulates once per cap; the repeated cap-6
+        // request shares all of its sessions, and nothing falls back.
+        let sessions = schedule.entries().len() as u64;
+        let distinct = |cap: u32| {
+            let keys: std::collections::BTreeSet<SessionKey> = schedule
+                .entries()
+                .iter()
+                .map(|entry| SessionKey::of(&entry_traffic(&sys, entry, cap), cap))
+                .collect();
+            keys.len() as u64
+        };
+        let simulated = distinct(6) + distinct(2);
+        assert_eq!(
+            memo.counts(),
+            ReplayCounts {
+                simulated,
+                shared: 3 * sessions - simulated,
+                fallbacks: 0,
+            }
+        );
+        // A twin takes every session from the memo and reports that it
+        // did not simulate.
         assert!(!memo.replay(&sys, &schedule, 2).1);
     }
 

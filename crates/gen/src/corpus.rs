@@ -14,10 +14,12 @@
 //!
 //! Fidelity-enabled corpora replay each schedule on the worker that
 //! planned it, as soon as it is planned, through one
-//! [`noctest_core::ReplayMemo`] per run: the first scenario with a given
-//! replay key simulates it, and scenarios with the same key clone that
-//! result. The fidelity sections are byte-identical to the inline path of
-//! [`Campaign::run`], and replay overlaps planning on every worker.
+//! [`noctest_core::ReplayMemo`] per run. The memo replays each distinct
+//! session once, alone, and composes whole-schedule replays from those
+//! results behind a link-disjointness certificate; a schedule that fails
+//! the certificate replays whole. The fidelity sections are
+//! byte-identical to the inline path of [`Campaign::run`], and replay
+//! overlaps planning on every worker.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,7 +29,7 @@ use noctest_core::plan::{
     profile_cache_stats, ApplicationSpec, BuildCounts, Campaign, CampaignError, FidelitySpec,
     MeshSpec, PlanOutcome, PlanRequest, ProcessorSpec, RequestMatrix, SocSource, TimingSpec,
 };
-use noctest_core::{BudgetSpec, PriorityPolicy};
+use noctest_core::{BudgetSpec, PriorityPolicy, ReplayCounts};
 use noctest_faults::{FaultRecipe, FaultSet};
 use noctest_noc::rng::SplitMix64;
 use noctest_noc::{Mesh, RoutingKind};
@@ -449,10 +451,12 @@ impl CorpusSpec {
     ///
     /// Fidelity-enabled corpora share replays across the run (see
     /// [`noctest_core::plan::ExecutorBuilder::share_replays`]): each
-    /// distinct replay is simulated once, by the first worker that needs
-    /// it, and its twins clone the result. A scenario whose replay fails
-    /// fails with the same [`CampaignError`] as on the inline path, and
-    /// counts toward [`StreamOptions::abort_on_failure`].
+    /// distinct session is replayed solo once, by the first worker that
+    /// needs it, and every schedule holding it takes that result. A
+    /// schedule whose sessions could interfere replays whole instead.
+    /// [`CorpusRun::replays`] counts all three. A scenario whose replay
+    /// fails fails with the same [`CampaignError`] as on the inline path,
+    /// and counts toward [`StreamOptions::abort_on_failure`].
     #[must_use]
     pub fn run_streaming(
         &self,
@@ -606,9 +610,9 @@ pub struct CorpusRun {
     pub cancelled: usize,
     /// `true` if [`StreamOptions::abort_on_failure`] tripped.
     pub aborted: bool,
-    /// `(simulated, shared)` fidelity replays: distinct simulations run,
-    /// and scenarios that cloned one of them.
-    pub replays: (u64, u64),
+    /// Fidelity replay work: sessions replayed solo, sessions taken from
+    /// an earlier solo replay, and schedules that replayed whole.
+    pub replays: ReplayCounts,
     /// Systems and SoCs the run built and shared: each distinct system is
     /// built once, by the first scenario that needs it, and each SoC is
     /// parsed once while its systems stay in the executor's build memo.
@@ -837,9 +841,10 @@ mod tests {
     fn shared_replay_fidelity_matches_inline_replay() {
         // The corpus path shares replays across its workers; every
         // scenario's fidelity section must equal replaying it inline
-        // through `Campaign::run` (f64 equality, not tolerance), and the
-        // run must simulate exactly the distinct replays a `ReplayBatch`
-        // of the same work would.
+        // through `Campaign::run` (f64 equality, not tolerance). The run
+        // must do exactly the replay work of one sequential memo over the
+        // same schedules: every session simulated or shared, none of
+        // them falling back.
         let campaign = Campaign::new();
         let mut smoke = CorpusSpec::smoke(1);
         // The exact searches take seconds per scenario in a debug build
@@ -882,14 +887,15 @@ mod tests {
                     Some((sys, schedule))
                 })
                 .collect();
-            let mut batch = noctest_core::ReplayBatch::new();
+            let memo = noctest_core::ReplayMemo::default();
             for (sys, schedule) in &built {
-                batch.push(sys, schedule, spec.fidelity_patterns_cap.unwrap());
+                let _ = memo.replay(sys, schedule, spec.fidelity_patterns_cap.unwrap());
             }
-            let (simulated, cloned) = run.replays;
-            assert_eq!(simulated, batch.unique_replays() as u64);
-            assert_eq!(simulated + cloned, built.len() as u64);
-            assert!(cloned > 0, "the corpus shares no replay");
+            let sessions: usize = built.iter().map(|(_, s)| s.entries().len()).sum();
+            assert_eq!(run.replays, memo.counts());
+            assert_eq!(run.replays.simulated + run.replays.shared, sessions as u64);
+            assert_eq!(run.replays.fallbacks, 0);
+            assert!(run.replays.shared > 0, "the corpus shares no session");
 
             for request in &requests {
                 match campaign.run(request) {
