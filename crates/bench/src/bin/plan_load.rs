@@ -54,7 +54,7 @@ impl EventSink for LatencySink {
 /// Which request stream to generate: the `standard` healthy mix, the
 /// `degraded` mix where two of three requests plan around seeded uniform
 /// link failures, or the `fidelity` mix where every request also replays
-/// its schedule cycle-accurately through the batch engine (all
+/// its schedule cycle-accurately on the event-driven simulator (all
 /// byte-deterministic like the rest of the stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mix {

@@ -84,9 +84,8 @@ pub use plan::{
 };
 pub use power::{PowerBudget, PowerModel};
 pub use replay::{
-    replay_concurrent_streams, replay_schedule, replay_schedule_reference, replay_stimulus_stream,
-    ConcurrentReplay, ReplayBatch, ReplayCounts, ReplayMemo, ScheduleReplay, SessionReplay,
-    StreamReplay,
+    replay_schedule, replay_schedule_reference, replay_stimulus_stream, ReplayBatch, ReplayCounts,
+    ReplayMemo, ScheduleReplay, SessionReplay, StreamReplay,
 };
 pub use sched::{
     CancelToken, GreedyScheduler, OptimalScheduler, ParallelOptimalScheduler, PortfolioScheduler,

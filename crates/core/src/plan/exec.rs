@@ -19,9 +19,10 @@
 //!   buffers events in memory (tests, progress UIs), [`NdjsonSink`]
 //!   writes one compact JSON object per line to any writer (the daemon
 //!   wire format of the `plan-serve` binary).
-//! * [`OutcomeStream`] — an iterator over terminal results in completion
-//!   order, with deterministic tie-breaking (lowest [`JobId`] first among
-//!   results that are simultaneously ready).
+//! * Completion — [`JobHandle::wait`] blocks for one job's result, and
+//!   the sinks see every terminal event in completion order. The
+//!   executor keeps no finished job: once the worker is done with it,
+//!   the job's result lives only as long as a [`JobHandle`] to it.
 //! * Shared replays — an executor built with
 //!   [`ExecutorBuilder::share_replays`] holds one [`ReplayMemo`] for its
 //!   lifetime. Each distinct session is replayed solo on the worker of
@@ -489,13 +490,6 @@ impl JobInner {
         *lock(&self.phase) = phase;
         self.phase_cv.notify_all();
     }
-
-    fn result_clone(&self) -> JobResult {
-        match &*lock(&self.phase) {
-            Phase::Done(result) => result.clone(),
-            _ => unreachable!("result read before the job finished"),
-        }
-    }
 }
 
 /// A handle to one submitted job: its [`JobId`], live [`JobStatus`],
@@ -619,9 +613,6 @@ struct Queue {
 }
 
 struct Done {
-    /// Terminal jobs not yet taken by the [`OutcomeStream`], in
-    /// completion order.
-    ready: Vec<Arc<JobInner>>,
     submitted: u64,
     finished: u64,
 }
@@ -660,7 +651,7 @@ impl Shared {
     /// phase lock (so a worker racing to start it backs off), emits the
     /// `Cancelled` event and releases any waiter immediately — a busy
     /// pool must not delay the cancellation of work it never started.
-    fn finish_if_queued(&self, inner: &Arc<JobInner>) {
+    fn finish_if_queued(&self, inner: &JobInner) {
         {
             let mut phase = lock(&inner.phase);
             if !matches!(*phase, Phase::Queued) {
@@ -676,20 +667,19 @@ impl Shared {
             request: inner.request_name.clone(),
         });
         inner.phase_cv.notify_all();
-        self.record_done(inner);
+        self.record_done();
     }
 
-    /// Appends a terminal job to the completion buffer.
-    fn record_done(&self, inner: &Arc<JobInner>) {
-        let mut done = lock(&self.done);
-        done.ready.push(Arc::clone(inner));
-        done.finished += 1;
+    /// Counts one more terminal job.
+    fn record_done(&self) {
+        lock(&self.done).finished += 1;
         self.done_cv.notify_all();
     }
 
-    /// Records a terminal result: job phase, terminal event, completion
-    /// buffer.
-    fn finish(&self, inner: &Arc<JobInner>, result: JobResult) {
+    /// Records a terminal result: terminal event, job phase, terminal
+    /// count. The worker lets go of the job before it is counted, so
+    /// once [`Executor::join`] returns only handles keep a job alive.
+    fn finish(&self, inner: Arc<JobInner>, result: JobResult) {
         // The terminal event goes out BEFORE waiters are released: a
         // thread woken by `wait()` may immediately inspect a sink and
         // must find the event there. With no sinks, skip building the
@@ -715,7 +705,8 @@ impl Shared {
             self.emit(&event);
         }
         inner.set_phase(Phase::Done(result));
-        self.record_done(inner);
+        drop(inner);
+        self.record_done();
     }
 
     fn execute(&self, job: QueuedJob) {
@@ -767,7 +758,7 @@ impl Shared {
             Ok(Err(error)) => JobResult::Failed(error),
             Err(payload) => JobResult::Failed(CampaignError::Invalid(panic_description(&*payload))),
         };
-        self.finish(&inner, result);
+        self.finish(inner, result);
     }
 
     fn worker(self: &Arc<Self>) {
@@ -883,7 +874,6 @@ impl ExecutorBuilder {
             }),
             work_cv: Condvar::new(),
             done: Mutex::new(Done {
-                ready: Vec::new(),
                 submitted: 0,
                 finished: 0,
             }),
@@ -1063,17 +1053,6 @@ impl Executor {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    /// An iterator over terminal results in completion order (see
-    /// [`OutcomeStream`]). Results are *consumed*: each terminal job is
-    /// yielded exactly once across all streams, so use one stream per
-    /// executor unless you deliberately want to shard results.
-    #[must_use]
-    pub fn outcomes(&self) -> OutcomeStream {
-        OutcomeStream {
-            shared: Arc::clone(&self.shared),
-        }
-    }
 }
 
 impl Drop for Executor {
@@ -1085,68 +1064,6 @@ impl Drop for Executor {
         self.shared.work_cv.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-    }
-}
-
-/// One terminal job as yielded by [`OutcomeStream`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompletedJob {
-    /// The job.
-    pub job: JobId,
-    /// The request's name.
-    pub request: String,
-    /// Its terminal result.
-    pub result: JobResult,
-}
-
-/// Iterator over terminal job results in completion order.
-///
-/// Blocking [`Iterator::next`] returns the next terminal job; when
-/// several are ready simultaneously, the lowest [`JobId`] is yielded
-/// first (deterministic tie-breaking — draining a finished executor
-/// always yields submission order). The stream ends (`None`) once every
-/// job submitted *so far* has been yielded; jobs submitted afterwards
-/// start a fresh round of iteration on the next call.
-pub struct OutcomeStream {
-    shared: Arc<Shared>,
-}
-
-impl std::fmt::Debug for OutcomeStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OutcomeStream").finish_non_exhaustive()
-    }
-}
-
-impl Iterator for OutcomeStream {
-    type Item = CompletedJob;
-
-    fn next(&mut self) -> Option<CompletedJob> {
-        let mut done = lock(&self.shared.done);
-        loop {
-            if !done.ready.is_empty() {
-                let min = done
-                    .ready
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, inner)| inner.id)
-                    .map(|(i, _)| i)
-                    .expect("non-empty buffer");
-                let inner = done.ready.remove(min);
-                return Some(CompletedJob {
-                    job: JobId(inner.id),
-                    request: inner.request_name.clone(),
-                    result: inner.result_clone(),
-                });
-            }
-            if done.finished == done.submitted {
-                return None;
-            }
-            done = self
-                .shared
-                .done_cv
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -1345,21 +1262,19 @@ mod tests {
     }
 
     #[test]
-    fn draining_a_finished_executor_yields_submission_order() {
-        let executor = Executor::builder().threads(4).unwrap().build();
-        let handles: Vec<JobHandle> = ["serial", "greedy", "smart", "serial", "greedy"]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| executor.submit(d695(s).with_name(format!("job{i}"))))
-            .collect();
+    fn a_finished_job_is_freed_once_its_handles_drop() {
+        let executor = Executor::builder().threads(1).unwrap().build();
+        let handle = executor.submit(d695("greedy"));
+        assert!(matches!(handle.wait(), JobResult::Completed(_)));
         executor.join();
-        // All results are buffered now: the deterministic tie-break means
-        // the stream yields them in ascending JobId order.
-        let drained: Vec<JobId> = executor.outcomes().map(|c| c.job).collect();
-        let expected: Vec<JobId> = handles.iter().map(JobHandle::id).collect();
-        assert_eq!(drained, expected);
-        // The stream consumed everything: a fresh stream is empty.
-        assert_eq!(executor.outcomes().count(), 0);
+        let job = Arc::downgrade(&handle.inner);
+        drop(handle);
+        // The worker let go of the job before `join` returned; nothing in
+        // the executor keeps a finished job, its outcome included.
+        assert!(
+            job.upgrade().is_none(),
+            "the executor still holds a finished job"
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! * [`exec`] — the streaming execution layer: [`Executor`] turns
 //!   requests into prioritised, cancellable jobs ([`JobHandle`]) with a
 //!   typed lifecycle event stream ([`PlanEvent`] through pluggable
-//!   [`EventSink`]s, including the NDJSON daemon format) and an
-//!   [`OutcomeStream`] yielding results in completion order.
+//!   [`EventSink`]s, including the NDJSON daemon format), which sees
+//!   every terminal event in completion order.
 //! * [`RequestMatrix`] — cartesian sweep builder, so experiment grids
 //!   (Figure 1, the ablations) are data rather than hand-wired loops.
 //! * [`PlanOutcome`] — schedule, makespan, concurrency and power figures
@@ -69,8 +69,8 @@ pub use build_memo::BuildCounts;
 pub use campaign::Campaign;
 pub use error::CampaignError;
 pub use exec::{
-    CompletedJob, EventCollector, EventSink, Executor, ExecutorBuilder, JobHandle, JobId,
-    JobResult, JobStatus, NdjsonSink, OutcomeStream, PlanEvent, SubmitSpec,
+    EventCollector, EventSink, Executor, ExecutorBuilder, JobHandle, JobId, JobResult, JobStatus,
+    NdjsonSink, PlanEvent, SubmitSpec,
 };
 pub use matrix::RequestMatrix;
 pub use outcome::{PlanOutcome, SessionOutcome, Stage, StageTiming};

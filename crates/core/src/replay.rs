@@ -13,11 +13,9 @@
 //! source, not the network, so the stimulus stream is the part where the
 //! analytic and simulated worlds must agree.
 //!
-//! Five granularities are available:
+//! Four granularities are available:
 //!
 //! * [`replay_stimulus_stream`] — one session in isolation;
-//! * [`replay_concurrent_streams`] — two sessions, solo and together, for
-//!   interference checks;
 //! * [`replay_schedule`] — **the whole plan**: every scheduled session's
 //!   stream injected at its planned start cycle onto *one shared mesh*
 //!   (via [`Network::inject_at`]), so per-session completion and the
@@ -198,97 +196,6 @@ pub fn replay_stimulus_stream(
         flits_per_packet: flits_total,
         simulated_cycles,
         analytic_cycles: analytic_stream_cycles(sys, packets, flits_total, hops),
-    })
-}
-
-/// Outcome of replaying two sessions' stimulus streams concurrently.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConcurrentReplay {
-    /// Tail-delivery cycle of the first stream when run alone.
-    pub solo_a: u64,
-    /// Tail-delivery cycle of the second stream when run alone.
-    pub solo_b: u64,
-    /// Tail-delivery cycles of both streams when injected together.
-    pub together: (u64, u64),
-}
-
-impl ConcurrentReplay {
-    /// Worst slowdown either stream suffered from sharing the network.
-    #[must_use]
-    pub fn worst_slowdown(&self) -> f64 {
-        let a = self.together.0 as f64 / self.solo_a.max(1) as f64;
-        let b = self.together.1 as f64 / self.solo_b.max(1) as f64;
-        a.max(b)
-    }
-}
-
-/// Replays the stimulus streams of two sessions, first in isolation and
-/// then concurrently, on the cycle-level simulator. The planner declares
-/// two sessions compatible only when their link sets are disjoint; this
-/// function lets tests verify that such sessions indeed do not slow each
-/// other down (and that conflicting ones do).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn replay_concurrent_streams(
-    sys: &SystemUnderTest,
-    a: (InterfaceId, CutId),
-    b: (InterfaceId, CutId),
-    patterns_cap: u32,
-) -> Result<ConcurrentReplay, NocError> {
-    let t = sys.timing();
-    let config = transport_config(sys)?;
-
-    let stream = |(iface, cut): (InterfaceId, CutId)| {
-        let core = sys.cut(cut);
-        let src = sys.interface(iface).source_node();
-        let packets = core.patterns.min(patterns_cap);
-        let payload = t.flits(core.bits_in) - 1;
-        (src, core.node, packets, payload)
-    };
-    let (src_a, dst_a, n_a, pay_a) = stream(a);
-    let (src_b, dst_b, n_b, pay_b) = stream(b);
-
-    let run = |pairs: &[(noctest_noc::NodeId, noctest_noc::NodeId, u32, u32, u64)]|
-     -> Result<Vec<u64>, NocError> {
-        let mut net = Network::new(config.clone())?;
-        apply_faults(sys, &mut net)?;
-        for &(src, dst, n, payload, tag) in pairs {
-            for i in 0..n {
-                net.inject(
-                    Packet::new(src, dst, payload).with_tag(tag * 1_000_000 + u64::from(i)),
-                )?;
-            }
-        }
-        let budget = 10_000
-            + 200
-                * pairs
-                    .iter()
-                    .map(|&(_, _, n, p, _)| u64::from(n) * u64::from(p + 1))
-                    .sum::<u64>()
-                * u64::from(t.flow_latency);
-        let delivered = net.run_until_idle(budget)?;
-        Ok(pairs
-            .iter()
-            .map(|&(_, _, _, _, tag)| {
-                delivered
-                    .iter()
-                    .filter(|d| d.tag / 1_000_000 == tag)
-                    .map(|d| d.tail_delivered_at)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect())
-    };
-
-    let solo_a = run(&[(src_a, dst_a, n_a, pay_a, 1)])?[0];
-    let solo_b = run(&[(src_b, dst_b, n_b, pay_b, 2)])?[0];
-    let both = run(&[(src_a, dst_a, n_a, pay_a, 1), (src_b, dst_b, n_b, pay_b, 2)])?;
-    Ok(ConcurrentReplay {
-        solo_a,
-        solo_b,
-        together: (both[0], both[1]),
     })
 }
 
@@ -1041,6 +948,37 @@ mod tests {
         );
     }
 
+    /// The worst slowdown either of two sessions suffers when both are
+    /// released at cycle 0 on one mesh, against each replayed alone.
+    fn worst_slowdown(
+        sys: &SystemUnderTest,
+        a: (InterfaceId, CutId),
+        b: (InterfaceId, CutId),
+    ) -> f64 {
+        let entry = |(interface, cut)| ScheduledTest {
+            cut,
+            interface,
+            start: 0,
+            end: 1,
+        };
+        let cycles = |replay: &ScheduleReplay, cut: CutId| {
+            replay
+                .sessions
+                .iter()
+                .find(|s| s.cut == cut.0)
+                .expect("every scheduled session is replayed")
+                .simulated_cycles
+        };
+        let together = replay_schedule(sys, &Schedule::new(vec![entry(a), entry(b)]), 8).unwrap();
+        [a, b]
+            .into_iter()
+            .map(|session| {
+                let alone = replay_schedule(sys, &Schedule::new(vec![entry(session)]), 8).unwrap();
+                cycles(&together, session.1) as f64 / cycles(&alone, session.1).max(1) as f64
+            })
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn link_disjoint_sessions_do_not_interfere() {
         // Find two (interface, cut) sessions the planner deems compatible
@@ -1064,10 +1002,10 @@ mod tests {
             }
         }
         let (a, b) = found.expect("some disjoint session pair exists");
-        let replay = replay_concurrent_streams(&sys, a, b, 8).unwrap();
+        let slowdown = worst_slowdown(&sys, a, b);
         assert!(
-            replay.worst_slowdown() < 1.05,
-            "disjoint sessions interfered: {replay:?}"
+            slowdown < 1.05,
+            "disjoint sessions {a:?} and {b:?} interfered: {slowdown}"
         );
     }
 
@@ -1085,10 +1023,10 @@ mod tests {
             .path(a.0, a.1)
             .links
             .conflicts_with(&sys.path(b.0, b.1).links));
-        let replay = replay_concurrent_streams(&sys, a, b, 8).unwrap();
+        let slowdown = worst_slowdown(&sys, a, b);
         assert!(
-            replay.worst_slowdown() > 1.3,
-            "shared-source sessions should contend: {replay:?}"
+            slowdown > 1.3,
+            "shared-source sessions {a:?} and {b:?} should contend: {slowdown}"
         );
     }
 

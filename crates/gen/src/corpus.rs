@@ -21,10 +21,10 @@
 //! byte-identical to the inline path of [`Campaign::run`], and replay
 //! overlaps planning on every worker.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-use noctest_core::plan::exec::{CompletedJob, EventSink, Executor, JobResult};
+use noctest_core::plan::exec::{EventSink, Executor, JobId, JobResult, PlanEvent};
 use noctest_core::plan::{
     profile_cache_stats, ApplicationSpec, BuildCounts, Campaign, CampaignError, FidelitySpec,
     MeshSpec, PlanOutcome, PlanRequest, ProcessorSpec, RequestMatrix, SocSource, TimingSpec,
@@ -439,8 +439,9 @@ impl CorpusSpec {
     /// [`noctest_core::plan::exec`], observing every scenario as it
     /// completes instead of blocking on the whole batch.
     ///
-    /// `progress` is called once per terminal scenario with
-    /// `(job, completed_so_far, total)` — live progress for long sweeps.
+    /// `progress` is called once per terminal scenario, in completion
+    /// order, with `(job, completed_so_far, total)` — live progress for
+    /// long sweeps.
     /// With [`StreamOptions::abort_on_failure`] the first failed scenario
     /// cancels every scenario still queued or running (the executor's
     /// cooperative cancellation reaches even mid-search branch-and-bound
@@ -474,7 +475,10 @@ impl CorpusSpec {
         for sink in options.sinks {
             builder = builder.sink(sink);
         }
-        let executor = builder.build();
+        // Registered last, so every caller sink has seen a terminal event
+        // before `progress` hears of it.
+        let (terminal_tx, terminal_rx) = mpsc::channel();
+        let executor = builder.sink(Arc::new(TerminalIds(terminal_tx))).build();
         let handles: Vec<_> = requests
             .iter()
             .map(|r| executor.submit(r.clone()))
@@ -486,12 +490,20 @@ impl CorpusSpec {
         let mut results: Vec<Option<Result<PlanOutcome, CampaignError>>> =
             (0..total).map(|_| None).collect();
         let mut aborted = false;
-        let mut done = 0usize;
-        for completed in executor.outcomes() {
-            done += 1;
+        for done in 1..=total {
+            let job = terminal_rx
+                .recv()
+                .expect("the executor holds the sender until every job is terminal");
+            let index = (job.0 - first_id) as usize;
+            let handle = &handles[index];
+            let completed = CompletedJob {
+                job,
+                request: handle.request_name().to_owned(),
+                result: handle.wait(),
+            };
             progress(&completed, done, total);
             let failed = matches!(completed.result, JobResult::Failed(_));
-            results[(completed.job.0 - first_id) as usize] = completed.result.into_result();
+            results[index] = completed.result.into_result();
             if failed && options.abort_on_failure && !aborted {
                 aborted = true;
                 for handle in &handles {
@@ -576,6 +588,30 @@ impl CorpusSpec {
                 },
                 cache,
             },
+        }
+    }
+}
+
+/// One terminal scenario, as [`CorpusSpec::run_streaming`] hands it to
+/// its `progress` callback.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompletedJob {
+    /// The scenario's job.
+    pub job: JobId,
+    /// The scenario's request name.
+    pub request: String,
+    /// Its terminal result.
+    pub result: JobResult,
+}
+
+/// Sends the id of every terminal job to the thread running the corpus.
+struct TerminalIds(mpsc::Sender<JobId>);
+
+impl EventSink for TerminalIds {
+    fn emit(&self, event: &PlanEvent) {
+        if event.is_terminal() {
+            // The receiver outlives the executor, so the send cannot fail.
+            let _ = self.0.send(event.job());
         }
     }
 }
@@ -695,7 +731,6 @@ impl Accumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noctest_core::plan::exec::PlanEvent;
     use std::collections::HashMap;
 
     fn tiny_spec() -> CorpusSpec {

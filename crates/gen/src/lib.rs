@@ -60,7 +60,7 @@ mod delta;
 mod recipe;
 mod report;
 
-pub use corpus::{CorpusRun, CorpusSpec, ProcessorAxis, StreamOptions};
+pub use corpus::{CompletedJob, CorpusRun, CorpusSpec, ProcessorAxis, StreamOptions};
 pub use delta::{DeltaEdit, DeltaPair, DeltaSpec};
 pub use recipe::{CoreClass, RecipeFamily, SocRecipe};
 pub use report::{

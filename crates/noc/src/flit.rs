@@ -170,9 +170,10 @@ impl Packet {
     }
 
     /// Appends the packet's flit sequence to `out` without an intermediate
-    /// allocation — the batch engine fills its recycled event-arena slots
-    /// through this, and [`Packet::flits`] delegates here so both paths
-    /// expand packets identically.
+    /// allocation — the event engine fills its recycled event-arena slots
+    /// through this, and [`Packet::flits`] (the reference simulator's
+    /// expansion) delegates here so both simulators expand packets
+    /// identically.
     pub(crate) fn flits_into(&self, id: PacketId, out: &mut Vec<Flit>) {
         let total = self.total_flits();
         out.reserve(total as usize);

@@ -19,9 +19,9 @@ use crate::topology::NodeId;
 /// the next flit on that channel may move at `now + flow_latency`.
 ///
 /// This single helper is the *only* place the pacing arithmetic lives —
-/// output-port forwarding, injector pacing and the batch engine's
-/// next-event computation all call it, so the sequential and batched paths
-/// cannot drift apart.
+/// output-port forwarding in the reference simulator and the event
+/// engine's injector pacing and next-event computation all call it, so
+/// the two simulators cannot drift apart.
 #[inline]
 #[must_use]
 pub fn paced_ready_at(now: u64, flow_latency: u32) -> u64 {

@@ -169,8 +169,10 @@ pub struct CompletedJob {
     pub job: u64,
     /// The canonical request text (from the matching submit record).
     pub request_text: String,
-    /// The outcome's canonical JSON, verbatim.
-    pub outcome: Json,
+    /// The outcome's compact JSON text, byte-identical to the journal
+    /// record's `outcome` member (decode with
+    /// [`noctest_core::plan::PlanOutcome::from_json_str`]).
+    pub outcome: String,
 }
 
 /// Everything [`recover`] reconstructs from a journal file.
@@ -215,7 +217,7 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
         client: Option<String>,
         priority: i32,
         terminal: bool,
-        completed: Option<Json>,
+        completed: Option<String>,
     }
     let mut submits: Vec<(u64, Submit)> = Vec::new();
     let mut recovery = Recovery {
@@ -284,7 +286,7 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
             "completed" => {
                 if let Some((_, submit)) = submits.iter_mut().find(|(id, _)| *id == job) {
                     submit.terminal = true;
-                    submit.completed = doc.get("outcome").cloned();
+                    submit.completed = doc.get("outcome").map(Json::compact);
                 } else {
                     recovery.skipped_lines += 1;
                 }
@@ -308,7 +310,7 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
                 .entry(submit.key)
                 .or_insert_with(|| CompletedJob {
                     job,
-                    request_text: submit.request_text.clone(),
+                    request_text: submit.request_text,
                     outcome,
                 });
         } else if !submit.terminal {
@@ -397,7 +399,7 @@ mod tests {
         assert!(recovery.pending.is_empty());
         let hit = recovery.completed.get(&key).expect("dedupe entry");
         assert_eq!(hit.job, 7);
-        assert_eq!(hit.outcome, outcome);
+        assert_eq!(hit.outcome, outcome.compact());
         assert_eq!(hit.request_text, r.to_json().compact());
         assert_eq!(recovery.next_job_id, 8);
         assert_eq!(recovery.skipped_lines, 1);

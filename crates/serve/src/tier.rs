@@ -28,8 +28,19 @@
 //! either pending (replayed with its original id) or terminal (its
 //! outcome served for matching resubmissions). The id allocator resumes
 //! past the highest journaled id; a restarted daemon never reuses one.
+//!
+//! ## What a finished job leaves behind
+//!
+//! At its terminal event a job's record lets go of its executor handle
+//! (and with it the outcome), its request text and its plan-cache
+//! request. What stays is a small record that cancellation by id or
+//! name still finds: name, shard, key and flags. With a journal, the
+//! first completion of each distinct request also leaves one dedupe
+//! entry: its request text and its outcome as compact JSON text, the
+//! bytes the journal file holds.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -40,7 +51,7 @@ use noctest_core::ContentHash;
 use noctest_replan::{DeltaAnalyzer, PlanCache};
 
 use crate::admission::{Room, WaitingJob};
-use crate::journal::{self, Journal, Recovery};
+use crate::journal::{self, CompletedJob, Journal, Recovery};
 use crate::key::{affinity_of_doc, fnv1a, RequestKey};
 use crate::shard::{shard_name, ShardRing};
 use crate::wire;
@@ -152,19 +163,21 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// One tracked job (admitted, deduplicated or replayed).
+/// One tracked job (admitted, deduplicated or replayed), keyed by its id
+/// in the tier's job table.
 #[derive(Debug)]
 struct JobRecord {
-    id: u64,
     name: String,
     shard: usize,
     key: RequestKey,
-    /// Canonical request text — kept only when a journal is active (it
-    /// feeds the dedupe map on completion).
+    /// Canonical request text — kept only when a journal is active, and
+    /// only until the terminal event moves it into the dedupe map.
     request_text: Option<String>,
     /// The pristine request (no warm-start tuning) — kept only when a
-    /// plan cache is active (it feeds the cache on completion).
+    /// plan cache is active, and only until the terminal event feeds it
+    /// to the cache.
     cache_request: Option<PlanRequest>,
+    /// The executor's handle, held only while the job is not terminal.
     handle: Option<JobHandle>,
     cancel_requested: bool,
     /// Still parked in the admission room.
@@ -179,12 +192,6 @@ struct JobRecord {
 struct Counts {
     admitted: u64,
     terminal: u64,
-}
-
-#[derive(Debug, Clone)]
-struct DedupeEntry {
-    request_text: String,
-    outcome: noctest_core::json::Json,
 }
 
 struct ShardRoom {
@@ -210,8 +217,10 @@ struct TierShared {
     /// under everything — cache calls take no tier lock).
     plan_cache: Option<Arc<PlanCache>>,
     analyzer: DeltaAnalyzer,
-    dedupe: Mutex<HashMap<RequestKey, DedupeEntry>>,
-    jobs: Mutex<Vec<JobRecord>>,
+    /// Completed outcomes by request key: the journal's recovered ones,
+    /// then each first completion of this lifetime.
+    dedupe: Mutex<HashMap<RequestKey, CompletedJob>>,
+    jobs: Mutex<BTreeMap<u64, JobRecord>>,
     counts: Mutex<Counts>,
     counts_cv: Condvar,
     next_id: AtomicU64,
@@ -243,25 +252,28 @@ impl TierShared {
     }
 
     /// Terminal bookkeeping: exactly once per job, after its terminal
-    /// event is in the sinks — journal the terminal record, feed the
-    /// dedupe map, bump the terminal count and release the admission
-    /// slot.
+    /// event is in the sinks — strip the record to what cancellation
+    /// needs, journal the terminal record, feed the dedupe map, bump the
+    /// terminal count and release the admission slot.
     fn finish_record(&self, event: &PlanEvent) {
         let id = event.job().0;
         let (shard, dispatched, key, request_text, cache_request) = {
             let mut jobs = lock(&self.jobs);
-            let Some(record) = jobs.iter_mut().find(|r| r.id == id) else {
+            let Some(record) = jobs.get_mut(&id) else {
                 return;
             };
             if record.terminal {
                 return;
             }
             record.terminal = true;
+            // Cancellation reads `terminal` first and never needs the
+            // handle again.
+            record.handle = None;
             (
                 record.shard,
                 record.dispatched,
                 record.key,
-                record.request_text.clone(),
+                record.request_text.take(),
                 record.cache_request.take(),
             )
         };
@@ -276,10 +288,13 @@ impl TierShared {
                     let outcome_json = outcome.to_json();
                     journal.append(&journal::completed_record(id, key, &outcome_json));
                     if let Some(request_text) = request_text {
-                        lock(&self.dedupe).entry(key).or_insert(DedupeEntry {
-                            request_text,
-                            outcome: outcome_json,
-                        });
+                        if let Entry::Vacant(slot) = lock(&self.dedupe).entry(key) {
+                            slot.insert(CompletedJob {
+                                job: id,
+                                request_text,
+                                outcome: outcome_json.compact(),
+                            });
+                        }
                     }
                 }
                 PlanEvent::Failed { error, .. } => {
@@ -358,23 +373,18 @@ fn dispatcher(shared: &Arc<TierShared>, executor: &Arc<Executor>, shard: usize) 
         // Flag the dispatch BEFORE submitting: the job's terminal event
         // (which releases the in_flight slot) can arrive the instant
         // submit returns.
-        {
-            let mut jobs = lock(&shared.jobs);
-            if let Some(record) = jobs.iter_mut().find(|r| r.id == id) {
-                record.waiting = false;
-                record.dispatched = true;
-            }
+        if let Some(record) = lock(&shared.jobs).get_mut(&id) {
+            record.waiting = false;
+            record.dispatched = true;
         }
         let handle = executor.submit_spec(job.spec);
-        let cancel_now = {
-            let mut jobs = lock(&shared.jobs);
-            match jobs.iter_mut().find(|r| r.id == id) {
-                Some(record) => {
-                    record.handle = Some(handle.clone());
-                    record.cancel_requested
-                }
-                None => false,
+        let cancel_now = match lock(&shared.jobs).get_mut(&id) {
+            // A job that already finished keeps no handle.
+            Some(record) if !record.terminal => {
+                record.handle = Some(handle.clone());
+                record.cancel_requested
             }
+            _ => false,
         };
         if cancel_now {
             handle.cancel();
@@ -512,19 +522,6 @@ impl ServeTierBuilder {
             }
             None => (None, Recovery::default()),
         };
-        let dedupe = recovery
-            .completed
-            .iter()
-            .map(|(key, done)| {
-                (
-                    *key,
-                    DedupeEntry {
-                        request_text: done.request_text.clone(),
-                        outcome: done.outcome.clone(),
-                    },
-                )
-            })
-            .collect();
         let shared = Arc::new(TierShared {
             sinks: self.sinks,
             emit_lock: Mutex::new(()),
@@ -534,8 +531,8 @@ impl ServeTierBuilder {
                 .plan_cache
                 .map(|capacity| Arc::new(PlanCache::new(capacity))),
             analyzer: DeltaAnalyzer::default(),
-            dedupe: Mutex::new(dedupe),
-            jobs: Mutex::new(Vec::new()),
+            dedupe: Mutex::new(recovery.completed),
+            jobs: Mutex::new(BTreeMap::new()),
             counts: Mutex::new(Counts::default()),
             counts_cv: Condvar::new(),
             next_id: AtomicU64::new(recovery.next_job_id.max(1)),
@@ -670,23 +667,20 @@ impl ServeTier {
         // Journal dedupe: an identical request with a journaled outcome
         // is served without planning.
         if self.shared.journal.is_some() {
-            let hit = {
-                let dedupe = lock(&self.shared.dedupe);
-                dedupe
-                    .get(&key)
-                    .filter(|entry| entry.request_text == text)
-                    .map(|entry| entry.outcome.clone())
-            };
+            let hit = lock(&self.shared.dedupe)
+                .get(&key)
+                .filter(|done| done.request_text == text)
+                .map(|done| done.outcome.clone());
             // A journal entry that no longer decodes (hand-edited file)
             // falls through to an ordinary replan.
-            if let Some(outcome) = hit.and_then(|json| PlanOutcome::from_json(&json).ok()) {
+            if let Some(outcome) = hit.and_then(|outcome| PlanOutcome::from_json_str(&outcome).ok())
+            {
                 let id = self.track(
                     &request,
                     shard,
                     key,
                     Some(text),
                     self.shared.plan_cache.as_ref().map(|_| request.clone()),
-                    None,
                     TrackDisposition::Synthetic,
                 );
                 self.journal_submit(id, key, priority, client, &doc);
@@ -716,7 +710,6 @@ impl ServeTier {
                     shard,
                     key,
                     self.text_if_journaled(&text),
-                    None,
                     None,
                     TrackDisposition::Synthetic,
                 );
@@ -767,7 +760,6 @@ impl ServeTier {
                 key,
                 self.text_if_journaled(&text),
                 cache_request,
-                None,
                 TrackDisposition::Waiting,
             );
             self.journal_submit(id, key, priority, client, &doc);
@@ -797,7 +789,6 @@ impl ServeTier {
             key,
             self.text_if_journaled(&text),
             cache_request,
-            None,
             TrackDisposition::Direct,
         );
         self.journal_submit(id, key, priority, client, &doc);
@@ -833,19 +824,21 @@ impl ServeTier {
         }
         {
             let mut jobs = lock(&self.shared.jobs);
-            jobs.push(JobRecord {
-                id: pending.job,
-                name,
-                shard,
-                key: pending.key,
-                request_text: Some(pending.request_text),
-                cache_request,
-                handle: None,
-                cancel_requested: false,
-                waiting: self.shared.queue_depth.is_some(),
-                dispatched: false,
-                terminal: false,
-            });
+            jobs.insert(
+                pending.job,
+                JobRecord {
+                    name,
+                    shard,
+                    key: pending.key,
+                    request_text: Some(pending.request_text),
+                    cache_request,
+                    handle: None,
+                    cancel_requested: false,
+                    waiting: self.shared.queue_depth.is_some(),
+                    dispatched: false,
+                    terminal: false,
+                },
+            );
         }
         {
             let mut counts = lock(&self.shared.counts);
@@ -890,7 +883,6 @@ impl ServeTier {
     }
 
     /// Allocates an id, registers the job record and counts it admitted.
-    #[allow(clippy::too_many_arguments)]
     fn track(
         &self,
         request: &PlanRequest,
@@ -898,35 +890,36 @@ impl ServeTier {
         key: RequestKey,
         request_text: Option<String>,
         cache_request: Option<PlanRequest>,
-        handle: Option<JobHandle>,
         disposition: TrackDisposition,
     ) -> u64 {
         let id = self.shared.alloc_id();
-        {
-            let mut jobs = lock(&self.shared.jobs);
-            jobs.push(JobRecord {
-                id,
+        lock(&self.shared.jobs).insert(
+            id,
+            JobRecord {
                 name: request.name.clone(),
                 shard,
                 key,
                 request_text,
                 cache_request,
-                handle,
+                handle: None,
                 cancel_requested: false,
                 waiting: matches!(disposition, TrackDisposition::Waiting),
                 dispatched: false,
                 terminal: false,
-            });
-        }
+            },
+        );
         let mut counts = lock(&self.shared.counts);
         counts.admitted += 1;
         id
     }
 
+    /// Keeps the executor's handle for cancellation, unless the job
+    /// already finished.
     fn store_handle(&self, id: u64, handle: JobHandle) {
-        let mut jobs = lock(&self.shared.jobs);
-        if let Some(record) = jobs.iter_mut().find(|r| r.id == id) {
-            record.handle = Some(handle);
+        if let Some(record) = lock(&self.shared.jobs).get_mut(&id) {
+            if !record.terminal {
+                record.handle = Some(handle);
+            }
         }
     }
 
@@ -934,7 +927,7 @@ impl ServeTier {
     /// ever accepted (cancelling a terminal job is a successful no-op,
     /// matching the executor's semantics).
     pub fn cancel_by_id(&self, id: u64) -> bool {
-        let found = lock(&self.shared.jobs).iter().any(|r| r.id == id);
+        let found = lock(&self.shared.jobs).contains_key(&id);
         if found {
             self.cancel_known(id);
         }
@@ -948,8 +941,8 @@ impl ServeTier {
         let id = lock(&self.shared.jobs)
             .iter()
             .rev()
-            .find(|r| r.name == name)
-            .map(|r| r.id);
+            .find(|(_, r)| r.name == name)
+            .map(|(id, _)| *id);
         match id {
             Some(id) => {
                 self.cancel_known(id);
@@ -963,8 +956,8 @@ impl ServeTier {
     pub fn cancel_all(&self) {
         let ids: Vec<u64> = lock(&self.shared.jobs)
             .iter()
-            .filter(|r| !r.terminal)
-            .map(|r| r.id)
+            .filter(|(_, r)| !r.terminal)
+            .map(|(id, _)| *id)
             .collect();
         for id in ids {
             self.cancel_known(id);
@@ -974,7 +967,7 @@ impl ServeTier {
     fn cancel_known(&self, id: u64) {
         let (terminal, waiting, shard, name) = {
             let jobs = lock(&self.shared.jobs);
-            let Some(record) = jobs.iter().find(|r| r.id == id) else {
+            let Some(record) = jobs.get(&id) else {
                 return;
             };
             (
@@ -999,16 +992,10 @@ impl ServeTier {
             }
             // Lost the race to the dispatcher — fall through.
         }
-        let handle = {
-            let mut jobs = lock(&self.shared.jobs);
-            match jobs.iter_mut().find(|r| r.id == id) {
-                Some(record) => {
-                    record.cancel_requested = true;
-                    record.handle.clone()
-                }
-                None => None,
-            }
-        };
+        let handle = lock(&self.shared.jobs).get_mut(&id).and_then(|record| {
+            record.cancel_requested = true;
+            record.handle.clone()
+        });
         if let Some(handle) = handle {
             handle.cancel();
         }
@@ -1060,4 +1047,67 @@ impl Drop for ServeTier {
 /// Any [`std::io::Error`] from reading an existing journal file.
 pub fn recover_journal(path: &Path) -> std::io::Result<Recovery> {
     journal::recover(path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finished_jobs_keep_neither_a_handle_nor_request_text() {
+        for depth in [None, Some(4)] {
+            let path = std::env::temp_dir().join(format!(
+                "noctest-tier-retention-{depth:?}-{}.ndjson",
+                std::process::id()
+            ));
+            std::fs::remove_file(&path).ok();
+            let mut builder = ServeTier::builder()
+                .threads(1)
+                .unwrap()
+                .journal(&path)
+                .plan_cache(4);
+            if let Some(depth) = depth {
+                builder = builder.queue_depth(depth);
+            }
+            let tier = builder.build().unwrap();
+            let d695 = |name: &str, scheduler: &str| {
+                PlanRequest::benchmark("d695", 4, 4)
+                    .with_name(name)
+                    .with_scheduler(scheduler)
+            };
+            let planned = tier.submit(d695("a", "greedy"));
+            let failed = tier.submit(d695("b", "nope"));
+            tier.join();
+            // One of each way a job can end: planned, failed, served from
+            // the dedupe map and served from the plan cache.
+            assert!(matches!(planned, SubmitOutcome::Admitted { .. }));
+            assert!(matches!(failed, SubmitOutcome::Admitted { .. }));
+            assert!(matches!(
+                tier.submit(d695("a", "greedy")),
+                SubmitOutcome::Deduped { .. }
+            ));
+            assert!(matches!(
+                tier.submit(d695("c", "greedy")),
+                SubmitOutcome::Cached { .. }
+            ));
+            tier.join();
+            let jobs = lock(&tier.shared.jobs);
+            assert_eq!(jobs.len(), 4);
+            for (id, record) in jobs.iter() {
+                assert!(record.terminal, "job {id} is not terminal");
+                assert!(record.handle.is_none(), "job {id} still holds its handle");
+                assert!(
+                    record.request_text.is_none(),
+                    "job {id} still holds its request text"
+                );
+                assert!(
+                    record.cache_request.is_none(),
+                    "job {id} still holds its cache request"
+                );
+            }
+            drop(jobs);
+            drop(tier);
+            std::fs::remove_file(&path).ok();
+        }
+    }
 }

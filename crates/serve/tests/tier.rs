@@ -441,6 +441,33 @@ fn journal_replays_pending_jobs_and_resumes_the_id_allocator() {
 }
 
 #[test]
+fn journal_dedupe_serves_outcomes_byte_identically_within_one_lifetime() {
+    let path = temp_journal("dedupe-live");
+    let request = d695("greedy").with_name("again");
+    let collector = Arc::new(EventCollector::new());
+    let tier = ServeTier::builder()
+        .journal(&path)
+        .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
+        .build()
+        .unwrap();
+    let first = tier.submit(request.clone()).job().unwrap();
+    tier.join();
+    // The first completion left its outcome in the dedupe map as text;
+    // the resubmission decodes it and re-encodes the same bytes.
+    let SubmitOutcome::Deduped { job } = tier.submit(request) else {
+        panic!("an identical resubmission must be served from the dedupe map");
+    };
+    tier.join();
+    let events = collector.snapshot();
+    assert_eq!(kinds_of(&events, job), vec!["queued", "completed"]);
+    assert_eq!(
+        completed_outcome(&events, job).to_json().compact(),
+        completed_outcome(&events, first).to_json().compact()
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn journal_dedupe_serves_outcomes_byte_identically_across_restarts() {
     let path = temp_journal("dedupe");
     let request = d695("greedy").with_name("cached");

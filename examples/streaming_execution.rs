@@ -7,18 +7,32 @@
 //! cargo run --example streaming_execution
 //! ```
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
-use noctest::core::plan::exec::{EventCollector, EventSink, Executor, JobResult};
+use noctest::core::plan::exec::{EventCollector, EventSink, Executor, JobResult, PlanEvent};
 use noctest::core::plan::{PlanRequest, RequestMatrix};
 use noctest::core::BudgetSpec;
+
+/// Forwards every terminal event to the printing loop in `main`.
+struct Terminal(mpsc::Sender<PlanEvent>);
+
+impl EventSink for Terminal {
+    fn emit(&self, event: &PlanEvent) {
+        if event.is_terminal() {
+            // `main` keeps the receiver until the executor is gone.
+            let _ = self.0.send(event.clone());
+        }
+    }
+}
 
 fn main() {
     // Collect every lifecycle event; a daemon would use NdjsonSink to
     // write the same stream to stdout or a socket.
     let collector = Arc::new(EventCollector::new());
+    let (terminal_tx, terminal_rx) = mpsc::channel();
     let executor = Executor::builder()
         .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
+        .sink(Arc::new(Terminal(terminal_tx)))
         .build();
 
     // The d695 reuse sweep as independent jobs. The serial baseline is
@@ -41,24 +55,17 @@ fn main() {
     handles[3].cancel();
 
     // Results stream back as they complete; the batch barrier is gone.
-    for completed in executor.outcomes() {
-        match &completed.result {
-            JobResult::Completed(outcome) => println!(
-                "job {:>2} {:<28} makespan {:>7} cycles ({:>5.1}% reduction)",
-                completed.job, completed.request, outcome.makespan, outcome.reduction_percent
+    for event in terminal_rx.iter().take(handles.len() + 1) {
+        let (job, request) = (event.job(), event.request());
+        match &event {
+            PlanEvent::Completed { outcome, .. } => println!(
+                "job {job:>2} {request:<28} makespan {:>7} cycles ({:>5.1}% reduction)",
+                outcome.makespan, outcome.reduction_percent
             ),
-            JobResult::Failed(error) => {
-                println!(
-                    "job {:>2} {:<28} FAILED: {error}",
-                    completed.job, completed.request
-                );
+            PlanEvent::Failed { error, .. } => {
+                println!("job {job:>2} {request:<28} FAILED: {error}")
             }
-            JobResult::Cancelled => {
-                println!(
-                    "job {:>2} {:<28} cancelled",
-                    completed.job, completed.request
-                );
-            }
+            _ => println!("job {job:>2} {request:<28} cancelled"),
         }
     }
     assert!(matches!(baseline.wait(), JobResult::Completed(_)));
