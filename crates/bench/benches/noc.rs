@@ -3,7 +3,7 @@
 //! (the costs behind `validate_model`).
 
 use noctest_bench::{build_system, harness::Runner, SystemId};
-use noctest_core::{replay_stimulus_stream, BudgetSpec, InterfaceId};
+use noctest_core::{replay_schedule, BudgetSpec, InterfaceId, Schedule, ScheduledTest};
 use noctest_noc::{characterize, Network, NocConfig, TrafficPattern, TrafficSpec};
 
 fn main() {
@@ -47,7 +47,14 @@ fn main() {
         .max_by_key(|c| c.volume_bits())
         .expect("cores exist")
         .id;
+    // One session alone: a one-entry schedule released at cycle 0.
+    let solo = Schedule::new(vec![ScheduledTest {
+        cut: big,
+        interface: InterfaceId(0),
+        start: 0,
+        end: sys.session_cycles(InterfaceId(0), big),
+    }]);
     runner.case("stream_replay/d695_biggest_core_16pat", || {
-        replay_stimulus_stream(&sys, InterfaceId(0), big, 16).expect("replays")
+        replay_schedule(&sys, &solo, 16).expect("replays")
     });
 }

@@ -42,9 +42,9 @@
 //! ```
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use noctest_bench::artifact::{available_cores, BenchArgs, BenchArtifact, BenchRun};
+use noctest_bench::harness::timed_twice;
 use noctest_core::hashing::fnv1a;
 use noctest_core::json::Json;
 use noctest_core::{
@@ -299,19 +299,6 @@ fn workload(args: &BenchArgs) -> BenchRun {
             available_cores()
         ),
     }
-}
-
-/// Runs `pass` twice and returns the first result with the faster of the
-/// two wall times, in microseconds.
-fn timed_twice<T>(pass: impl Fn() -> T) -> (T, u64) {
-    let start = Instant::now();
-    let first = pass();
-    let first_micros = start.elapsed().as_micros() as u64;
-    let start = Instant::now();
-    let second = pass();
-    let micros = first_micros.min(start.elapsed().as_micros() as u64);
-    drop(second);
-    (first, micros)
 }
 
 fn ratio(numerator: u64, denominator: u64) -> f64 {

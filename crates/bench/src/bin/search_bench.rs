@@ -14,8 +14,9 @@
 //! * `measured` — wall-clock micros for the serial and parallel searches
 //!   on the budget-limited instances at `--threads N` (default: the
 //!   machine's parallelism), the per-instance speedup and the mean
-//!   against the `cores/2` target. Timings are machine-dependent by
-//!   nature and are never part of the smoke gate.
+//!   against the `cores/2` target. Each search is timed alike, as the
+//!   faster of two identical passes ([`timed_twice`]). Timings are
+//!   machine-dependent by nature and are never part of the smoke gate.
 //!
 //! Internal gates (exit 1): a within-budget parallel schedule that is
 //! not byte-identical to the serial one, fewer than half the small
@@ -30,9 +31,9 @@
 //! ```
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use noctest_bench::artifact::{available_cores, BenchArgs, BenchArtifact, BenchRun};
+use noctest_bench::harness::timed_twice;
 use noctest_bench::schedule_digest;
 use noctest_core::json::Json;
 use noctest_core::plan::{PlanRequest, SocSource};
@@ -83,11 +84,9 @@ struct Run {
     expansions: u64,
     exact: bool,
     digest: String,
-    wall_micros: u64,
 }
 
 fn run_serial(instance: &Instance) -> Run {
-    let started = Instant::now();
     let (schedule, stats) = OptimalScheduler::new()
         .with_max_expansions(Some(instance.budget))
         .schedule_with_stats(&instance.sys, &SearchTuning::default(), None)
@@ -97,12 +96,10 @@ fn run_serial(instance: &Instance) -> Run {
         expansions: stats.expansions,
         exact: stats.proved_optimal(),
         digest: schedule_digest(&schedule),
-        wall_micros: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
     }
 }
 
 fn run_parallel(instance: &Instance, threads: usize) -> Run {
-    let started = Instant::now();
     let (schedule, stats) = ParallelOptimalScheduler::new()
         .with_threads(threads)
         .with_max_expansions(Some(instance.budget))
@@ -113,7 +110,6 @@ fn run_parallel(instance: &Instance, threads: usize) -> Run {
         expansions: stats.expansions,
         exact: stats.proved_optimal(),
         digest: schedule_digest(&schedule),
-        wall_micros: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
     }
 }
 
@@ -210,8 +206,8 @@ fn workload(args: &BenchArgs) -> BenchRun {
     let mut measured = Vec::new();
     let mut speedups = Vec::new();
     for instance in &limited_set {
-        let serial = run_serial(instance);
-        let parallel = run_parallel(instance, measured_threads);
+        let (serial, serial_micros) = timed_twice(|| run_serial(instance));
+        let (parallel, parallel_micros) = timed_twice(|| run_parallel(instance, measured_threads));
         let det = run_parallel(instance, DETERMINISTIC_THREADS);
         if parallel.makespan > serial.makespan && serial.exact {
             eprintln!(
@@ -220,12 +216,12 @@ fn workload(args: &BenchArgs) -> BenchRun {
             );
             failures += 1;
         }
-        let speedup = serial.wall_micros as f64 / parallel.wall_micros.max(1) as f64;
+        let speedup = serial_micros as f64 / parallel_micros.max(1) as f64;
         speedups.push(speedup);
         measured.push(Json::obj(vec![
             ("name", Json::str(instance.name.clone())),
-            ("serial_wall_micros", Json::int(serial.wall_micros)),
-            ("parallel_wall_micros", Json::int(parallel.wall_micros)),
+            ("serial_wall_micros", Json::int(serial_micros)),
+            ("parallel_wall_micros", Json::int(parallel_micros)),
             ("speedup", Json::Num(speedup)),
             ("serial_expansions", Json::int(serial.expansions)),
             ("parallel_expansions", Json::int(parallel.expansions)),

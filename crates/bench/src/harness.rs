@@ -4,7 +4,8 @@
 //! binaries use this module instead of a benchmarking framework: fixed
 //! warm-up, a timed batch per sample, and a median-of-samples report.
 //! Numbers are indicative (no outlier rejection), which is all the
-//! regression workflow needs.
+//! regression workflow needs. The `BENCH_*.json` binaries time their
+//! paths with [`timed_twice`], the faster of two passes.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -111,6 +112,22 @@ impl Runner {
         }
         out
     }
+}
+
+/// Runs `pass` twice and returns the first result with the faster of the
+/// two wall times, in microseconds. For a deterministic `pass` both runs
+/// do identical work, so the minimum discards the scheduling stalls a
+/// shared host injects into a single run, alike for every path timed
+/// this way.
+pub fn timed_twice<T>(pass: impl Fn() -> T) -> (T, u64) {
+    let start = Instant::now();
+    let first = pass();
+    let first_micros = start.elapsed().as_micros() as u64;
+    let start = Instant::now();
+    let second = pass();
+    let micros = first_micros.min(start.elapsed().as_micros() as u64);
+    drop(second);
+    (first, micros)
 }
 
 #[cfg(test)]

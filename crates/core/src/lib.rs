@@ -78,14 +78,14 @@ pub use error::PlanError;
 pub use hashing::ContentHash;
 pub use interface::{InterfaceId, TestInterface};
 pub use noctest_faults::{DetourOracle, FaultRecipe, FaultSet};
-pub use path::{LinkSet, TestPath};
+pub use path::TestPath;
 pub use plan::{
     Campaign, CampaignError, PlanOutcome, PlanRequest, RequestMatrix, SchedulerRegistry,
 };
 pub use power::{PowerBudget, PowerModel};
 pub use replay::{
-    replay_schedule, replay_schedule_reference, replay_stimulus_stream, ReplayBatch, ReplayCounts,
-    ReplayMemo, ScheduleReplay, SessionReplay, StreamReplay,
+    replay_schedule, replay_schedule_reference, ReplayBatch, ReplayCounts, ReplayMemo,
+    ScheduleReplay, SessionReplay,
 };
 pub use sched::{
     CancelToken, GreedyScheduler, OptimalScheduler, ParallelOptimalScheduler, PortfolioScheduler,

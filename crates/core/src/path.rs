@@ -11,80 +11,19 @@
 //! Local (router-to-core) links are modelled separately in each direction:
 //! a processor and a benchmark core sharing a router contend for that
 //! router's local port pair, which the footprint captures naturally.
-
-use std::collections::BTreeSet;
+//!
+//! A [`TestPath`] lists its footprint's links, sorted and each once. The
+//! system under test builds its session table from these lists when it is
+//! built: it numbers the links of all its paths and keeps each footprint
+//! as a bitmask, and its overlap test
+//! ([`crate::SystemUnderTest::footprints_overlap`]) is the one place the
+//! disjointness rule is decided.
 
 use noctest_faults::DetourOracle;
 use noctest_noc::{Direction, LinkId, Mesh, NodeId, RoutingKind};
 
 use crate::cut::CoreUnderTest;
 use crate::interface::TestInterface;
-
-/// The set of directed links a test session occupies.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LinkSet(BTreeSet<LinkId>);
-
-impl LinkSet {
-    /// An empty footprint.
-    #[must_use]
-    pub fn new() -> Self {
-        LinkSet::default()
-    }
-
-    /// Number of links in the footprint.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// `true` if the footprint is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Adds a link.
-    pub fn insert(&mut self, link: LinkId) {
-        self.0.insert(link);
-    }
-
-    /// `true` if the two footprints share any link.
-    #[must_use]
-    pub fn conflicts_with(&self, other: &LinkSet) -> bool {
-        // Iterate over the smaller set.
-        let (small, large) = if self.0.len() <= other.0.len() {
-            (&self.0, &other.0)
-        } else {
-            (&other.0, &self.0)
-        };
-        small.iter().any(|l| large.contains(l))
-    }
-
-    /// Iterates over the links.
-    pub fn iter(&self) -> impl Iterator<Item = &LinkId> {
-        self.0.iter()
-    }
-
-    /// Routers whose resources this footprint touches (for NoC power
-    /// accounting): every link endpoint.
-    #[must_use]
-    pub fn router_count(&self, mesh: &Mesh) -> usize {
-        let mut routers: BTreeSet<NodeId> = BTreeSet::new();
-        for l in &self.0 {
-            routers.insert(l.from);
-            if let Some(n) = mesh.neighbor(l.from, l.dir) {
-                routers.insert(n);
-            }
-        }
-        routers.len()
-    }
-}
-
-impl FromIterator<LinkId> for LinkSet {
-    fn from_iter<I: IntoIterator<Item = LinkId>>(iter: I) -> Self {
-        LinkSet(iter.into_iter().collect())
-    }
-}
 
 /// A fully resolved test path: source → CUT → sink.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,8 +32,8 @@ pub struct TestPath {
     pub hops_in: u32,
     /// Hops from the CUT's router to the sink router.
     pub hops_out: u32,
-    /// The directed links the session occupies.
-    pub links: LinkSet,
+    /// The directed links the session occupies, sorted, each once.
+    links: Vec<LinkId>,
 }
 
 impl TestPath {
@@ -109,29 +48,15 @@ impl TestPath {
     ) -> Self {
         let src = iface.source_node();
         let snk = iface.sink_node();
-        let mut links = LinkSet::new();
-
-        // Source side: the interface's injection link, the route, and the
-        // CUT's ejection link (stimulus entering the core).
-        links.insert(LinkId::injection(src));
-        for l in routing.path_links(mesh, src, cut.node) {
-            links.insert(l);
-        }
-        links.insert(LinkId::ejection(cut.node));
-
-        // Response side: the CUT's injection link, the route back, and the
-        // sink's ejection link.
-        links.insert(LinkId::injection(cut.node));
-        for l in routing.path_links(mesh, cut.node, snk) {
-            links.insert(l);
-        }
-        links.insert(LinkId::ejection(snk));
-
-        TestPath {
-            hops_in: mesh.distance(src, cut.node),
-            hops_out: mesh.distance(cut.node, snk),
-            links,
-        }
+        TestPath::new(
+            mesh.distance(src, cut.node),
+            mesh.distance(cut.node, snk),
+            routing.path_links(mesh, src, cut.node),
+            routing.path_links(mesh, cut.node, snk),
+            src,
+            cut,
+            snk,
+        )
     }
 
     /// Computes the footprint of testing `cut` from `iface` over the
@@ -148,25 +73,69 @@ impl TestPath {
         let snk = iface.sink_node();
         let route_in = oracle.route(src, cut.node)?;
         let route_out = oracle.route(cut.node, snk)?;
-        let mut links = LinkSet::new();
+        Some(TestPath::new(
+            route_in.len() as u32 - 1,
+            route_out.len() as u32 - 1,
+            route_links(mesh, &route_in),
+            route_links(mesh, &route_out),
+            src,
+            cut,
+            snk,
+        ))
+    }
 
-        links.insert(LinkId::injection(src));
-        for l in route_links(mesh, &route_in) {
-            links.insert(l);
-        }
-        links.insert(LinkId::ejection(cut.node));
-
-        links.insert(LinkId::injection(cut.node));
-        for l in route_links(mesh, &route_out) {
-            links.insert(l);
-        }
-        links.insert(LinkId::ejection(snk));
-
-        Some(TestPath {
-            hops_in: route_in.len() as u32 - 1,
-            hops_out: route_out.len() as u32 - 1,
+    /// The footprint of both legs. Source side: the interface's injection
+    /// link, the route, and the CUT's ejection link (stimulus entering the
+    /// core). Response side: the CUT's injection link, the route back, and
+    /// the sink's ejection link.
+    fn new(
+        hops_in: u32,
+        hops_out: u32,
+        route_in: impl IntoIterator<Item = LinkId>,
+        route_out: impl IntoIterator<Item = LinkId>,
+        src: NodeId,
+        cut: &CoreUnderTest,
+        snk: NodeId,
+    ) -> Self {
+        let mut links = vec![LinkId::injection(src), LinkId::ejection(cut.node)];
+        links.extend(route_in);
+        links.extend([LinkId::injection(cut.node), LinkId::ejection(snk)]);
+        links.extend(route_out);
+        links.sort_unstable();
+        links.dedup();
+        TestPath {
+            hops_in,
+            hops_out,
             links,
-        })
+        }
+    }
+
+    /// The directed links the session occupies, sorted, each once.
+    #[must_use]
+    pub fn links(&self) -> &[LinkId] {
+        &self.links
+    }
+
+    /// Routers whose resources this footprint touches (for NoC power
+    /// accounting): every link endpoint.
+    #[must_use]
+    pub fn router_count(&self, mesh: &Mesh) -> usize {
+        // The links are sorted by sending router first, so each sender is
+        // counted at its first link. The far end of a route hop sends the
+        // next hop or an ejection link, so on a computed path `unsent`
+        // stays empty and nothing is allocated.
+        let links = &self.links;
+        let senders = (0..links.len())
+            .filter(|&i| i == 0 || links[i - 1].from != links[i].from)
+            .count();
+        let mut unsent: Vec<NodeId> = links
+            .iter()
+            .filter_map(|l| mesh.neighbor(l.from, l.dir))
+            .filter(|&n| links.binary_search_by_key(&n, |l| l.from).is_err())
+            .collect();
+        unsent.sort_unstable();
+        unsent.dedup();
+        senders + unsent.len()
     }
 }
 
@@ -185,7 +154,10 @@ fn route_links<'a>(mesh: &'a Mesh, route: &'a [NodeId]) -> impl Iterator<Item = 
 mod tests {
     use super::*;
     use crate::cut::{CutId, CutKind};
+    use crate::interface::InterfaceId;
+    use crate::system::{SystemBuilder, SystemUnderTest};
     use noctest_cpu::ProcessorProfile;
+    use noctest_faults::FaultSet;
 
     fn mesh() -> Mesh {
         Mesh::new(4, 4).unwrap()
@@ -213,62 +185,70 @@ mod tests {
         }
     }
 
+    /// A 4x4 XY system whose overlap test the conflict cases below read:
+    /// the external tester on routers 0 → 15, two reused processors,
+    /// which farthest-point placement seats on routers 3 (interface 1)
+    /// and 9 (interface 2), and one plain core on each other router.
+    fn grid(faults: FaultSet) -> SystemUnderTest {
+        let mut b = SystemBuilder::new("grid", 4, 4);
+        for i in 0..14 {
+            b = b.core(format!("c{i}"), 100, 100, 10, 50.0);
+        }
+        let sys = b
+            .processors(&ProcessorProfile::plasma(), 2, 2)
+            .faults(faults)
+            .build()
+            .unwrap();
+        assert_eq!(sys.interface(InterfaceId(1)).source_node(), NodeId::new(3));
+        assert_eq!(sys.interface(InterfaceId(2)).source_node(), NodeId::new(9));
+        sys
+    }
+
+    /// The plain core on router `node` of [`grid`].
+    fn core_on(sys: &SystemUnderTest, node: u32) -> CutId {
+        sys.cuts()
+            .iter()
+            .find(|c| !c.is_processor() && c.node == NodeId::new(node))
+            .unwrap()
+            .id
+    }
+
     #[test]
     fn path_includes_local_links_both_sides() {
         let p = TestPath::compute(&mesh(), RoutingKind::Xy, &ext(), &cut_at(5));
-        assert!(p
-            .links
-            .iter()
-            .any(|l| *l == LinkId::injection(NodeId::new(0))));
-        assert!(p
-            .links
-            .iter()
-            .any(|l| *l == LinkId::ejection(NodeId::new(5))));
-        assert!(p
-            .links
-            .iter()
-            .any(|l| *l == LinkId::injection(NodeId::new(5))));
-        assert!(p
-            .links
-            .iter()
-            .any(|l| *l == LinkId::ejection(NodeId::new(15))));
+        assert!(p.links().contains(&LinkId::injection(NodeId::new(0))));
+        assert!(p.links().contains(&LinkId::ejection(NodeId::new(5))));
+        assert!(p.links().contains(&LinkId::injection(NodeId::new(5))));
+        assert!(p.links().contains(&LinkId::ejection(NodeId::new(15))));
         assert_eq!(p.hops_in, mesh().distance(NodeId::new(0), NodeId::new(5)));
         assert_eq!(p.hops_out, mesh().distance(NodeId::new(5), NodeId::new(15)));
+        // Both legs' routes, and nothing else: 2 + 4 hops plus 4 local links.
+        assert_eq!(p.links().len(), 10);
+        assert!(
+            p.links().windows(2).all(|w| w[0] < w[1]),
+            "sorted, each once"
+        );
     }
 
     #[test]
     fn disjoint_paths_do_not_conflict() {
         // Processor at node 3 testing its neighbour 7 (column 3) vs
-        // processor at 12 testing 8 (column 0): disjoint columns.
-        let p1 = TestInterface::Processor {
-            index: 0,
-            node: NodeId::new(3),
-            profile: ProcessorProfile::plasma(),
-        };
-        let p2 = TestInterface::Processor {
-            index: 1,
-            node: NodeId::new(12),
-            profile: ProcessorProfile::plasma(),
-        };
-        let a = TestPath::compute(&mesh(), RoutingKind::Xy, &p1, &cut_at(7));
-        let b = TestPath::compute(&mesh(), RoutingKind::Xy, &p2, &cut_at(8));
-        assert!(!a.links.conflicts_with(&b.links));
+        // processor at 9 testing its neighbour 8 (row 2, columns 0-1):
+        // disjoint links.
+        let sys = grid(FaultSet::none());
+        let a = (InterfaceId(1), core_on(&sys, 7));
+        let b = (InterfaceId(2), core_on(&sys, 8));
+        assert!(!sys.footprints_overlap(a, b));
+        assert!(!sys.footprints_overlap(b, a));
     }
 
     #[test]
     fn shared_column_conflicts() {
-        // Ext (0 -> 15) tested core at 15's column overlaps a processor
-        // at 3 sending through the same column links... construct overtly:
-        // ext tests core 10; proc at 2 tests core 10's router-sharing core.
-        let a = TestPath::compute(&mesh(), RoutingKind::Xy, &ext(), &cut_at(10));
-        let p = TestInterface::Processor {
-            index: 0,
-            node: NodeId::new(2),
-            profile: ProcessorProfile::plasma(),
-        };
-        let b = TestPath::compute(&mesh(), RoutingKind::Xy, &p, &cut_at(10));
-        // Both need core 10's local links.
-        assert!(a.links.conflicts_with(&b.links));
+        // The external tester and the processor at 3 both testing the
+        // core at 10: both need core 10's local links.
+        let sys = grid(FaultSet::none());
+        let core = core_on(&sys, 10);
+        assert!(sys.footprints_overlap((InterfaceId(0), core), (InterfaceId(1), core)));
     }
 
     #[test]
@@ -283,30 +263,45 @@ mod tests {
         let path = TestPath::compute(&mesh(), RoutingKind::Xy, &p, &cut_at(6));
         assert_eq!(path.hops_in, 0);
         assert_eq!(path.hops_out, 0);
-        assert_eq!(path.links.len(), 2); // injection(6) + ejection(6)
+        assert_eq!(path.links().len(), 2); // injection(6) + ejection(6)
     }
 
     #[test]
     fn conflict_is_symmetric_and_reflexive() {
-        let a = TestPath::compute(&mesh(), RoutingKind::Xy, &ext(), &cut_at(9));
-        let b = TestPath::compute(&mesh(), RoutingKind::Xy, &ext(), &cut_at(10));
-        assert!(a.links.conflicts_with(&b.links)); // share ext ports
-        assert!(b.links.conflicts_with(&a.links));
-        assert!(a.links.conflicts_with(&a.links));
+        let sys = grid(FaultSet::none());
+        let a = (InterfaceId(0), core_on(&sys, 5));
+        let b = (InterfaceId(0), core_on(&sys, 10));
+        assert!(sys.footprints_overlap(a, b)); // share ext ports
+        assert!(sys.footprints_overlap(b, a));
+        assert!(sys.footprints_overlap(a, a));
     }
 
     #[test]
     fn router_count_covers_path() {
         let p = TestPath::compute(&mesh(), RoutingKind::Xy, &ext(), &cut_at(5));
         // 0 -> 5 (XY: 0,1,5) and 5 -> 15 (XY: 5,6,7,11,15): 7 distinct.
-        assert_eq!(p.links.router_count(&mesh()), 7);
+        assert_eq!(p.router_count(&mesh()), 7);
     }
 
     #[test]
-    fn empty_linkset_basics() {
-        let e = LinkSet::new();
-        assert!(e.is_empty());
-        assert_eq!(e.len(), 0);
-        assert!(!e.conflicts_with(&e));
+    fn severed_pair_has_an_empty_footprint() {
+        // Killing both links out of router 3 severs its processor from
+        // every other core: those pairs have no path and overlap nothing,
+        // themselves included.
+        let out = |dir| LinkId::cardinal(NodeId::new(3), dir);
+        let sys = grid(
+            FaultSet::none()
+                .with_link(out(Direction::West))
+                .with_link(out(Direction::North)),
+        );
+        let severed = (InterfaceId(1), core_on(&sys, 7));
+        assert!(sys.try_path(severed.0, severed.1).is_none());
+        assert!(!sys.footprints_overlap(severed, severed));
+        for cut in sys.cuts() {
+            for iface in sys.interface_ids() {
+                assert!(!sys.footprints_overlap(severed, (iface, cut.id)));
+                assert!(!sys.footprints_overlap((iface, cut.id), severed));
+            }
+        }
     }
 }

@@ -90,7 +90,7 @@ impl PowerModel {
     ) -> f64 {
         cut.power
             + iface.active_power()
-            + self.noc_power_per_router * path.links.router_count(mesh) as f64
+            + self.noc_power_per_router * path.router_count(mesh) as f64
     }
 }
 
@@ -142,7 +142,7 @@ mod tests {
             noc_power_per_router: 10.0,
         };
         let p = model.session_power(&mesh, &cut, &iface, &path);
-        let routers = path.links.router_count(&mesh) as f64;
+        let routers = path.router_count(&mesh) as f64;
         assert!((p - (700.0 + 120.0 + 10.0 * routers)).abs() < 1e-9);
     }
 }

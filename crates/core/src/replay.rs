@@ -13,10 +13,10 @@
 //! source, not the network, so the stimulus stream is the part where the
 //! analytic and simulated worlds must agree.
 //!
-//! Four granularities are available:
+//! Three granularities are available:
 //!
-//! * [`replay_stimulus_stream`] — one session in isolation;
-//! * [`replay_schedule`] — **the whole plan**: every scheduled session's
+//! * [`replay_schedule`] — **the whole plan** (a one-entry schedule
+//!   replays one session in isolation): every scheduled session's
 //!   stream injected at its planned start cycle onto *one shared mesh*
 //!   (via [`Network::inject_at`]), so per-session completion and the
 //!   overall makespan are measured under real contention. The planner's
@@ -48,8 +48,6 @@ use noctest_noc::{
     RouteTable, RoutingKind,
 };
 
-use crate::cut::CutId;
-use crate::interface::InterfaceId;
 use crate::sched::{Schedule, ScheduledTest};
 use crate::system::SystemUnderTest;
 
@@ -114,31 +112,6 @@ fn transport_config(sys: &SystemUnderTest) -> Result<NocConfig, NocError> {
         .build()
 }
 
-/// Outcome of replaying one session's stimulus stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamReplay {
-    /// Packets (= patterns) replayed.
-    pub packets: u32,
-    /// Flits per packet (header included).
-    pub flits_per_packet: u32,
-    /// Cycle at which the simulator delivered the last tail flit.
-    pub simulated_cycles: u64,
-    /// The analytic model's prediction for the same stream.
-    pub analytic_cycles: u64,
-}
-
-impl StreamReplay {
-    /// Relative error of the analytic model against the simulation.
-    #[must_use]
-    pub fn relative_error(&self) -> f64 {
-        if self.simulated_cycles == 0 {
-            return 0.0;
-        }
-        (self.analytic_cycles as f64 - self.simulated_cycles as f64).abs()
-            / self.simulated_cycles as f64
-    }
-}
-
 /// Analytic prediction for a back-to-back stream of `packets` packets of
 /// `flits` flits over `hops` hops: per-packet serialisation plus one
 /// routing bubble, plus the pipeline fill of the first packet (the shared
@@ -149,54 +122,6 @@ pub fn analytic_stream_cycles(sys: &SystemUnderTest, packets: u32, flits: u32, h
     let t = sys.timing();
     let per_packet = u64::from(flits) * u64::from(t.flow_latency) + u64::from(t.routing_latency);
     u64::from(packets) * per_packet + t.pipeline_fill(hops)
-}
-
-/// Replays the stimulus stream of testing `cut` from `iface` on the
-/// cycle-level simulator. Uses `patterns_cap` to bound the replayed
-/// pattern count (large cores have hundreds of patterns; the steady state
-/// is reached after a handful).
-///
-/// # Errors
-///
-/// Propagates simulator errors ([`NocError::Timeout`] would indicate a
-/// transport bug).
-pub fn replay_stimulus_stream(
-    sys: &SystemUnderTest,
-    iface: InterfaceId,
-    cut: CutId,
-    patterns_cap: u32,
-) -> Result<StreamReplay, NocError> {
-    let t = sys.timing();
-    let mut net = Network::new(transport_config(sys)?)?;
-    apply_faults(sys, &mut net)?;
-
-    let core = sys.cut(cut);
-    let interface = sys.interface(iface);
-    let src = interface.source_node();
-    let dst = core.node;
-    let packets = core.patterns.min(patterns_cap);
-    let flits_total = t.flits(core.bits_in);
-    let payload = flits_total - 1;
-
-    for i in 0..packets {
-        net.inject(Packet::new(src, dst, payload).with_tag(u64::from(i)))?;
-    }
-    let budget =
-        1_000 + 100 * u64::from(packets) * u64::from(flits_total) * u64::from(t.flow_latency);
-    let delivered = net.run_until_idle(budget)?;
-    let simulated_cycles = delivered
-        .iter()
-        .map(|d| d.tail_delivered_at)
-        .max()
-        .unwrap_or(0);
-    // Detoured hops under faults; plain Manhattan distance otherwise.
-    let hops = sys.path(iface, cut).hops_in;
-    Ok(StreamReplay {
-        packets,
-        flits_per_packet: flits_total,
-        simulated_cycles,
-        analytic_cycles: analytic_stream_cycles(sys, packets, flits_total, hops),
-    })
 }
 
 /// One session's share of a whole-schedule replay.
@@ -483,21 +408,21 @@ fn replay_solo(sys: &SystemUnderTest, traffic: &EntryTraffic) -> Result<u64, Noc
 /// The link-disjointness certificate: `true` when every session starts
 /// no later than the schedule's makespan, and any two sessions whose
 /// windows `[start, start + simulated_cycles + flow_latency)` overlap
-/// have disjoint footprints. A footprint is the session's
-/// [`crate::path::TestPath`] link set: the source's injection link, the
-/// route, the CUT's ejection link and the response leg, a superset of
-/// every link and local port the stimulus stream touches. A pair of the
-/// schedule without a surviving path has no footprint and fails the
-/// certificate.
+/// have disjoint footprints ([`SystemUnderTest::footprints_overlap`]). A
+/// footprint is the session's [`crate::path::TestPath`] links: the
+/// source's injection link, the route, the CUT's ejection link and the
+/// response leg, a superset of every link and local port the stimulus
+/// stream touches. A pair of the schedule without a surviving path has no
+/// footprint and fails the certificate.
 fn certified(sys: &SystemUnderTest, schedule: &Schedule, cycles: &[u64]) -> bool {
     let makespan = schedule.makespan();
     let entries = schedule.entries();
-    let mut footprints = Vec::with_capacity(entries.len());
+    let mut slots = Vec::with_capacity(entries.len());
     for entry in entries {
-        match sys.try_path(entry.interface, entry.cut) {
-            Some(path) if entry.start <= makespan => footprints.push(&path.links),
-            _ => return false,
+        if entry.start > makespan || !sys.reachable(entry.interface, entry.cut) {
+            return false;
         }
+        slots.push(sys.slot(entry.interface, entry.cut));
     }
     // A drained session leaves only pacing deadlines behind, and none
     // reaches further than one flow-control latency past its last
@@ -511,7 +436,7 @@ fn certified(sys: &SystemUnderTest, schedule: &Schedule, cycles: &[u64]) -> bool
             if entries[j].start >= end(i) {
                 break;
             }
-            if end(j) > entries[i].start && footprints[i].conflicts_with(footprints[j]) {
+            if end(j) > entries[i].start && sys.slots_overlap(slots[i], slots[j]) {
                 return false;
             }
         }
@@ -669,8 +594,9 @@ pub struct ReplayCounts {
 /// 2. **The certificate.** Every session must start no later than the
 ///    schedule's makespan, and any two sessions whose windows
 ///    `[start, start + simulated_cycles + flow_latency)` overlap must
-///    have disjoint footprints (`sys.path(iface, cut).links`, which holds
-///    the source's injection link and the CUT's ejection link). The
+///    have disjoint footprints ([`SystemUnderTest::footprints_overlap`];
+///    a footprint holds the source's injection link and the CUT's
+///    ejection link). The
 ///    window runs one flow-control latency past the last tail ejection
 ///    because a drained stream's output and injector pacing hold its
 ///    ports that long: a session released on the same port at the very
@@ -915,6 +841,8 @@ impl Default for ReplayBatch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cut::CutId;
+    use crate::interface::InterfaceId;
     use crate::system::SystemBuilder;
     use noctest_cpu::ProcessorProfile;
     use noctest_itc02::data;
@@ -924,6 +852,24 @@ mod tests {
             .processors(&ProcessorProfile::leon(), 6, 2)
             .build()
             .unwrap()
+    }
+
+    /// One session's stimulus stream replayed alone from cycle 0: the
+    /// replay of a one-entry schedule.
+    fn replay_solo_session(
+        sys: &SystemUnderTest,
+        iface: InterfaceId,
+        cut: CutId,
+        cap: u32,
+    ) -> SessionReplay {
+        let entry = ScheduledTest {
+            cut,
+            interface: iface,
+            start: 0,
+            end: sys.session_cycles(iface, cut),
+        };
+        let mut replay = replay_schedule(sys, &Schedule::new(vec![entry]), cap).unwrap();
+        replay.sessions.remove(0)
     }
 
     #[test]
@@ -936,7 +882,7 @@ mod tests {
             .find(|c| c.name.ends_with("m6"))
             .unwrap()
             .id;
-        let replay = replay_stimulus_stream(&sys, InterfaceId(0), cut, 12).unwrap();
+        let replay = replay_solo_session(&sys, InterfaceId(0), cut, 12);
         assert_eq!(replay.packets, 12);
         assert!(replay.simulated_cycles > 0);
         assert!(
@@ -993,9 +939,7 @@ mod tests {
                 }
                 let a = (InterfaceId(1), a_cut.id);
                 let b = (InterfaceId(2), b_cut.id);
-                let la = &sys.path(a.0, a.1).links;
-                let lb = &sys.path(b.0, b.1).links;
-                if !la.conflicts_with(lb) {
+                if !sys.footprints_overlap(a, b) {
                     found = Some((a, b));
                     break 'outer;
                 }
@@ -1019,10 +963,7 @@ mod tests {
         let b_cut = cuts.next().unwrap().id;
         let a = (InterfaceId(0), a_cut);
         let b = (InterfaceId(0), b_cut);
-        assert!(sys
-            .path(a.0, a.1)
-            .links
-            .conflicts_with(&sys.path(b.0, b.1).links));
+        assert!(sys.footprints_overlap(a, b));
         let slowdown = worst_slowdown(&sys, a, b);
         assert!(
             slowdown > 1.3,
@@ -1034,7 +975,7 @@ mod tests {
     fn replay_caps_pattern_count() {
         let sys = system();
         let cut = sys.cuts().iter().max_by_key(|c| c.patterns).unwrap();
-        let replay = replay_stimulus_stream(&sys, InterfaceId(0), cut.id, 5).unwrap();
+        let replay = replay_solo_session(&sys, InterfaceId(0), cut.id, 5);
         assert_eq!(replay.packets, 5);
     }
 
@@ -1079,11 +1020,7 @@ mod tests {
                 }
                 let a = (InterfaceId(1), a_cut.id);
                 let b = (InterfaceId(2), b_cut.id);
-                if !sys
-                    .path(a.0, a.1)
-                    .links
-                    .conflicts_with(&sys.path(b.0, b.1).links)
-                {
+                if !sys.footprints_overlap(a, b) {
                     found = Some((a, b));
                     break 'outer;
                 }
@@ -1091,8 +1028,8 @@ mod tests {
         }
         let ((ifa, cuta), (ifb, cutb)) = found.expect("some disjoint session pair exists");
         let cap = 8;
-        let solo_a = replay_stimulus_stream(&sys, ifa, cuta, cap).unwrap();
-        let solo_b = replay_stimulus_stream(&sys, ifb, cutb, cap).unwrap();
+        let solo_a = replay_solo_session(&sys, ifa, cuta, cap);
+        let solo_b = replay_solo_session(&sys, ifb, cutb, cap);
 
         let make = |iface: InterfaceId, cut: CutId| crate::sched::ScheduledTest {
             cut,
@@ -1197,8 +1134,8 @@ mod tests {
             .find(|c| c.name.ends_with("m4"))
             .unwrap()
             .id;
-        let r4 = replay_stimulus_stream(&sys, InterfaceId(0), cut, 4).unwrap();
-        let r8 = replay_stimulus_stream(&sys, InterfaceId(0), cut, 8).unwrap();
+        let r4 = replay_solo_session(&sys, InterfaceId(0), cut, 4);
+        let r8 = replay_solo_session(&sys, InterfaceId(0), cut, 8);
         let ratio = r8.simulated_cycles as f64 / r4.simulated_cycles as f64;
         assert!((1.6..2.4).contains(&ratio), "ratio {ratio}");
     }

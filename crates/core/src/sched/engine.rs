@@ -9,18 +9,18 @@
 use crate::cut::{CutId, CutKind};
 use crate::error::PlanError;
 use crate::interface::InterfaceId;
-use crate::path::LinkSet;
 use crate::sched::{Schedule, ScheduledTest};
 use crate::system::SystemUnderTest;
 
 /// A running session inside the engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ActiveTest {
     pub cut: CutId,
     pub interface: InterfaceId,
     pub end: u64,
     pub power: f64,
-    pub links: LinkSet,
+    /// The session's slot in the system's session table.
+    pub slot: usize,
 }
 
 /// Scheduler state visible to an [`InterfacePolicy`].
@@ -41,7 +41,9 @@ impl EngineState<'_> {
     /// processor self-tested (and not testing itself), links disjoint from
     /// every running session, and power within budget.
     pub fn feasible_now(&self, iface: InterfaceId, cut: CutId) -> bool {
-        if !self.sys.reachable(iface, cut) {
+        let slot = self.sys.slot(iface, cut);
+        let session = self.sys.session(slot);
+        if session.path.is_none() {
             return false; // the fault set severed this pairing
         }
         if self.active.iter().any(|a| a.interface == iface) {
@@ -57,12 +59,14 @@ impl EngineState<'_> {
                 return false; // a processor cannot test itself
             }
         }
-        let links = &self.sys.path(iface, cut).links;
-        if self.active.iter().any(|a| a.links.conflicts_with(links)) {
+        if self
+            .active
+            .iter()
+            .any(|a| self.sys.slots_overlap(a.slot, slot))
+        {
             return false;
         }
-        let draw = self.active_power + self.sys.session_power(iface, cut);
-        self.sys.budget().allows(draw)
+        self.sys.budget().allows(self.active_power + session.power)
     }
 }
 
@@ -104,16 +108,16 @@ pub(crate) fn run_engine(
         // (each start changes link/power feasibility for the next call).
         while let Some((cut, iface)) = policy.next_start(&state, &remaining) {
             debug_assert!(state.feasible_now(iface, cut));
-            let dur = sys.session_cycles(iface, cut);
-            let end = state.now + dur;
-            let links = sys.path(iface, cut).links.clone();
-            let power = sys.session_power(iface, cut);
+            let slot = sys.slot(iface, cut);
+            let session = sys.session(slot);
+            let end = state.now + session.cycles;
+            let power = session.power;
             state.active.push(ActiveTest {
                 cut,
                 interface: iface,
                 end,
                 power,
-                links,
+                slot,
             });
             state.active_power += power;
             state.iface_busy_until[iface.0] = end;

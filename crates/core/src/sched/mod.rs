@@ -157,7 +157,8 @@ impl Schedule {
 
     /// Checks every planner invariant against `sys`:
     ///
-    /// 1. each core tested exactly once, with the correct session length;
+    /// 1. each core tested exactly once, on an interface with a surviving
+    ///    route to it, with the correct session length;
     /// 2. an interface drives at most one session at a time;
     /// 3. concurrent sessions occupy disjoint link sets;
     /// 4. the power budget holds at every instant;
@@ -174,6 +175,12 @@ impl Schedule {
         let mut seen: HashMap<CutId, usize> = HashMap::new();
         for e in &self.entries {
             *seen.entry(e.cut).or_insert(0) += 1;
+            if !sys.reachable(e.interface, e.cut) {
+                return invalid(format!(
+                    "{} has no surviving route to {}",
+                    e.interface, e.cut
+                ));
+            }
             let expected = sys.session_cycles(e.interface, e.cut);
             if e.duration() != expected {
                 return invalid(format!(
@@ -205,9 +212,7 @@ impl Schedule {
                         a.interface, a.cut, b.cut
                     ));
                 }
-                let la = &sys.path(a.interface, a.cut).links;
-                let lb = &sys.path(b.interface, b.cut).links;
-                if la.conflicts_with(lb) {
+                if sys.footprints_overlap((a.interface, a.cut), (b.interface, b.cut)) {
                     return invalid(format!(
                         "overlapping sessions {} and {} share NoC links",
                         a.cut, b.cut

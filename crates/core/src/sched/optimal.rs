@@ -22,27 +22,23 @@
 //! as one task over the unsplit root, and `optimal-par` splits the root
 //! frontier over worker threads; both explore the same tree.
 //!
-//! `SearchCore` costs every (cut, interface) pairing once per search, in
-//! a flat session table indexed by `slot = cut * interfaces + interface`.
-//! Each slot holds the pair's reachability, whether it is a processor
-//! asked to test itself, its session cycles and power, and a dense
-//! bitmask of the links its path occupies (links numbered over the union
-//! of all the system's paths). The table stores exactly the `u64` and
-//! `f64` values [`SystemUnderTest::session_cycles`] and
-//! [`SystemUnderTest::session_power`] return — copied, not recomputed —
-//! and the search sums powers in one fixed order (added as sessions
-//! start; subtracted, when time advances, as one sum over the finished
-//! sessions in running order), so every feasibility test, expansion
-//! count and schedule is bit for bit what costing each pair from the
-//! system at every node gives. Two footprints share a link exactly when
-//! their masks share a set bit, because the numbering is a bijection
-//! between the links of the union and bit positions: mask overlap is
-//! [`crate::path::LinkSet::conflicts_with`], one word-wise AND instead
-//! of a B-tree walk. A running session carries its slot, never a copy
-//! of its footprint. Unreachable pairs keep an empty mask and zero cost;
-//! the reachability flag, tested first, keeps them out of every node.
-
-use std::collections::BTreeMap;
+//! `SearchCore` reads the system's session table
+//! ([`crate::system`]), built once when the system is built and shared
+//! with every search, heuristic and check that plans on it. Each slot,
+//! `cut × interfaces + interface`, holds the pair's reachability, its
+//! session cycles and power (the values [`SystemUnderTest::session_cycles`]
+//! and [`SystemUnderTest::session_power`] return) and a bitmask of the
+//! links its path occupies, on which
+//! [`SystemUnderTest::footprints_overlap`] is one word-wise AND.
+//! `SearchCore` adds only what the search alone needs: each cut's
+//! shortest usable session, for the lower bound, and each interface's
+//! processor index, for the precedence rule. The search sums powers in
+//! one fixed order (added as sessions start; subtracted, when time
+//! advances, as one sum over the finished sessions in running order), so
+//! every feasibility test, expansion count and schedule is a pure
+//! function of the table. A running session carries its slot, never a
+//! copy of its footprint; a severed pair fails the reachability test
+//! before anything else is read.
 
 use crate::cut::{CutId, CutKind};
 use crate::error::PlanError;
@@ -104,7 +100,7 @@ pub(crate) struct Active {
     pub(crate) interface: InterfaceId,
     pub(crate) end: u64,
     pub(crate) power: f64,
-    /// The session's row in the [`SearchCore`] table.
+    /// The session's slot in the system's session table.
     pub(crate) slot: usize,
 }
 
@@ -171,24 +167,11 @@ pub(crate) fn opening_incumbent(
     Ok((seed, bound, kind))
 }
 
-/// One (cut, interface) pairing, costed once per search.
-#[derive(Debug, Clone, Copy)]
-struct Session {
-    /// A surviving route exists both ways ([`SystemUnderTest::reachable`]).
-    reachable: bool,
-    /// The interface is the processor under test itself.
-    self_test: bool,
-    /// [`SystemUnderTest::session_cycles`] (0 when unreachable).
-    cycles: u64,
-    /// [`SystemUnderTest::session_power`] (0 when unreachable).
-    power: f64,
-}
-
 /// The pure, state-free search ingredients: feasibility under the paper's
 /// rules, the admissible lower bound, and canonical candidate
-/// enumeration, all read from a session table built once per search.
-/// Every task of the explicit-stack search reads it, at any thread
-/// count, so all explore the *same* tree in the *same* order.
+/// enumeration, all read from the system's session table. Every task of
+/// the explicit-stack search reads it, at any thread count, so all
+/// explore the *same* tree in the *same* order.
 pub(crate) struct SearchCore<'a> {
     pub(crate) sys: &'a SystemUnderTest,
     /// Minimal session duration per cut over all usable interfaces.
@@ -197,70 +180,27 @@ pub(crate) struct SearchCore<'a> {
     interfaces: usize,
     /// Processor index of each interface (`None` for the external tester).
     iface_proc: Vec<Option<usize>>,
-    /// The session table, indexed by [`SearchCore::slot`].
-    sessions: Vec<Session>,
-    /// `u64` words per link mask.
-    words: usize,
-    /// Link masks, `words` per slot, in slot order.
-    masks: Vec<u64>,
 }
 
 impl<'a> SearchCore<'a> {
     pub(crate) fn new(sys: &'a SystemUnderTest) -> Self {
-        let interfaces = sys.interfaces().len();
-        let pairs = || {
-            sys.cuts()
-                .iter()
-                .flat_map(|cut| sys.interface_ids().map(move |iface| (cut, iface)))
-        };
-        let mut bits = BTreeMap::new();
-        for (cut, iface) in pairs() {
-            for &link in sys
-                .try_path(iface, cut.id)
-                .into_iter()
-                .flat_map(|p| p.links.iter())
-            {
-                let next = bits.len();
-                bits.entry(link).or_insert(next);
-            }
-        }
-        let words = bits.len().div_ceil(64);
         let iface_proc: Vec<Option<usize>> = sys
             .interfaces()
             .iter()
             .map(|i| i.processor_index())
             .collect();
-        let mut sessions = Vec::with_capacity(sys.cuts().len() * interfaces);
-        let mut masks = vec![0u64; sys.cuts().len() * interfaces * words];
-        for (slot, (cut, iface)) in pairs().enumerate() {
-            let self_test =
-                iface_proc[iface.0].is_some_and(|idx| cut.kind == CutKind::Processor(idx));
-            let Some(path) = sys.try_path(iface, cut.id) else {
-                sessions.push(Session {
-                    reachable: false,
-                    self_test,
-                    cycles: 0,
-                    power: 0.0,
-                });
-                continue;
-            };
-            for link in path.links.iter() {
-                let bit = bits[link];
-                masks[slot * words + bit / 64] |= 1 << (bit % 64);
-            }
-            sessions.push(Session {
-                reachable: true,
-                self_test,
-                cycles: sys.session_cycles(iface, cut.id),
-                power: sys.session_power(iface, cut.id),
-            });
-        }
-        let min_dur = sessions
-            .chunks(interfaces)
-            .map(|row| {
-                row.iter()
-                    .filter(|s| s.reachable && !s.self_test)
-                    .map(|s| s.cycles)
+        let min_dur = sys
+            .cuts()
+            .iter()
+            .map(|cut| {
+                sys.interface_ids()
+                    .filter(|&iface| {
+                        !iface_proc[iface.0].is_some_and(|idx| cut.kind == CutKind::Processor(idx))
+                    })
+                    .filter_map(|iface| {
+                        let session = sys.session(sys.slot(iface, cut.id));
+                        session.path.as_ref().map(|_| session.cycles)
+                    })
                     .min()
                     .unwrap_or(u64::MAX)
             })
@@ -269,34 +209,13 @@ impl<'a> SearchCore<'a> {
             sys,
             min_dur,
             budget: sys.budget(),
-            interfaces,
+            interfaces: sys.interfaces().len(),
             iface_proc,
-            sessions,
-            words,
-            masks,
         }
     }
 
     pub(crate) fn proc_count(&self) -> usize {
         self.iface_proc.iter().flatten().count()
-    }
-
-    /// The table row of the (`cut`, `iface`) pairing.
-    fn slot(&self, cut: CutId, iface: InterfaceId) -> usize {
-        cut.0 as usize * self.interfaces + iface.0
-    }
-
-    fn mask(&self, slot: usize) -> &[u64] {
-        &self.masks[slot * self.words..(slot + 1) * self.words]
-    }
-
-    /// `true` when the two slots' paths share a link — the bitmask form of
-    /// [`crate::path::LinkSet::conflicts_with`].
-    fn overlaps(&self, a: usize, b: usize) -> bool {
-        self.mask(a)
-            .iter()
-            .zip(self.mask(b))
-            .any(|(x, y)| x & y != 0)
     }
 
     fn feasible_now(
@@ -308,9 +227,9 @@ impl<'a> SearchCore<'a> {
         cut: CutId,
         iface: InterfaceId,
     ) -> bool {
-        let slot = self.slot(cut, iface);
-        let session = &self.sessions[slot];
-        if !session.reachable {
+        let slot = self.sys.slot(iface, cut);
+        let session = self.sys.session(slot);
+        if session.path.is_none() {
             return false; // the fault set severed this pairing
         }
         if active.iter().any(|a| a.interface == iface) {
@@ -321,11 +240,11 @@ impl<'a> SearchCore<'a> {
                 Some(t) if t <= now => {}
                 _ => return false,
             }
-            if session.self_test {
-                return false;
+            if self.sys.cut(cut).kind == CutKind::Processor(idx) {
+                return false; // a processor cannot test itself
             }
         }
-        if active.iter().any(|a| self.overlaps(a.slot, slot)) {
+        if active.iter().any(|a| self.sys.slots_overlap(a.slot, slot)) {
             return false;
         }
         self.budget.allows(active_power + session.power)
@@ -374,8 +293,8 @@ impl<'a> SearchCore<'a> {
 
     /// The running-session record for starting (`cut`, `iface`) at `now`.
     pub(crate) fn start(&self, now: u64, cut: CutId, iface: InterfaceId) -> Active {
-        let slot = self.slot(cut, iface);
-        let session = &self.sessions[slot];
+        let slot = self.sys.slot(iface, cut);
+        let session = self.sys.session(slot);
         Active {
             cut,
             interface: iface,
@@ -446,13 +365,11 @@ impl Scheduler for OptimalScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::LinkSet;
     use crate::sched::{GreedyScheduler, ParallelOptimalScheduler, SmartScheduler};
     use crate::system::{BudgetSpec, SystemBuilder};
     use noctest_cpu::ProcessorProfile;
     use noctest_faults::FaultRecipe;
     use noctest_noc::Mesh;
-    use noctest_testkit::Rng;
 
     fn small_system(cores: usize, procs: usize) -> SystemUnderTest {
         small_builder(cores, procs).build().unwrap()
@@ -474,92 +391,6 @@ mod tests {
             procs,
             procs,
         )
-    }
-
-    /// A seeded small system, pristine or degraded by uniform link
-    /// faults; `None` when the fault set leaves some core untestable.
-    fn seeded_system(seed: u64) -> Option<SystemUnderTest> {
-        let mut rng = Rng::new(seed);
-        let (width, height) = *rng.pick(&[(3u16, 3u16), (4, 4), (7, 6), (8, 8)]);
-        let mut b = SystemBuilder::new("seeded", width, height);
-        for i in 0..rng.range_usize(2, 6) {
-            b = b.core(
-                format!("c{i}"),
-                rng.range_u32(20, 400),
-                rng.range_u32(20, 400),
-                rng.range_u32(1, 40),
-                rng.range_f64(10.0, 200.0),
-            );
-        }
-        let procs = rng.range_usize(0, 3);
-        b = b.processors(&ProcessorProfile::plasma(), procs, procs);
-        if rng.flip() {
-            b = b.budget(BudgetSpec::Fraction(rng.range_f64(0.3, 1.0)));
-        }
-        let percent = *rng.pick(&[0u8, 20, 35]);
-        let mesh = Mesh::new(width, height).unwrap();
-        b.faults(FaultRecipe::UniformLinks { percent }.generate(&mesh, seed))
-            .build()
-            .ok()
-    }
-
-    #[test]
-    fn session_table_is_the_system_bit_for_bit() {
-        let (mut systems, mut severed, mut multi_word) = (0, 0, 0);
-        for seed in noctest_testkit::seeds(48) {
-            let Some(sys) = seeded_system(seed) else {
-                continue;
-            };
-            systems += 1;
-            let core = SearchCore::new(&sys);
-            if core.words > 1 {
-                multi_word += 1;
-            }
-            let pairs: Vec<(CutId, InterfaceId)> = sys
-                .cuts()
-                .iter()
-                .flat_map(|c| sys.interface_ids().map(move |i| (c.id, i)))
-                .collect();
-            let links = |(cut, iface): (CutId, InterfaceId)| {
-                sys.try_path(iface, cut)
-                    .map_or_else(LinkSet::new, |p| p.links.clone())
-            };
-            for &(cut, iface) in &pairs {
-                let session = core.sessions[core.slot(cut, iface)];
-                assert_eq!(session.reachable, sys.reachable(iface, cut), "seed {seed}");
-                if !session.reachable {
-                    severed += 1;
-                    continue;
-                }
-                assert_eq!(
-                    session.cycles,
-                    sys.session_cycles(iface, cut),
-                    "seed {seed}"
-                );
-                assert_eq!(
-                    session.power.to_bits(),
-                    sys.session_power(iface, cut).to_bits(),
-                    "seed {seed}"
-                );
-                let self_test = sys
-                    .interface(iface)
-                    .processor_index()
-                    .is_some_and(|idx| sys.cut(cut).kind == CutKind::Processor(idx));
-                assert_eq!(session.self_test, self_test, "seed {seed}");
-            }
-            for &a in &pairs {
-                for &b in &pairs {
-                    assert_eq!(
-                        core.overlaps(core.slot(a.0, a.1), core.slot(b.0, b.1)),
-                        links(a).conflicts_with(&links(b)),
-                        "seed {seed}: {a:?} vs {b:?}"
-                    );
-                }
-            }
-        }
-        assert!(systems >= 24, "only {systems} seeded systems built");
-        assert!(severed > 0, "no seeded system had an unreachable pair");
-        assert!(multi_word > 0, "no seeded system needed a multi-word mask");
     }
 
     type Pin = (u64, bool, Vec<(u32, usize, u64, u64)>);

@@ -56,9 +56,9 @@
 //!   searches read the shared cell live instead: sharper pruning, and
 //!   exhaustive runs stay deterministic because only the merge winner is
 //!   observable.
-//! - **One kernel.** Every task reads the one `SearchCore` session table
-//!   (see [`crate::sched::optimal`]): cycles, power and link masks are
-//!   looked up by slot, bit-for-bit the values `SystemUnderTest`
+//! - **One kernel.** Every task reads the system's one session table
+//!   through `SearchCore` (see [`crate::sched::optimal`]): cycles, power
+//!   and link masks are looked up by slot, the values `SystemUnderTest`
 //!   returns. A task's node state keeps only slots, never footprints;
 //!   its frames' candidate lists and the sessions its time edges retire
 //!   live on two per-task stacks that each undo truncates, so a node

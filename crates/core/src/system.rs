@@ -13,11 +13,22 @@
 //!   when the system has more cores than routers (p22810's 36 cores on a
 //!   5x6 mesh, p93791's 40 on 5x5 — routers then host several cores on one
 //!   local port, as the paper's core counts imply).
+//!
+//! The build also fills the **session table**: every (cut, interface)
+//! pairing, at slot `cut × interfaces + interface`, with its path (none
+//! when the fault set severed the pair), its session cycles and power
+//! from the [`TimingModel`] and [`PowerModel`], and its link footprint as
+//! a bitmask over the links of the system's paths. Every reader looks
+//! costs up instead of recomputing them, and
+//! [`SystemUnderTest::footprints_overlap`] is the one test of the paper's
+//! concurrency rule: the heuristics, the exact search,
+//! [`crate::Schedule::validate`], the replay certificate and the delta
+//! planner all call it.
 
 use noctest_cpu::ProcessorProfile;
 use noctest_faults::{DetourOracle, FaultSet};
 use noctest_itc02::SocDesc;
-use noctest_noc::{Mesh, NodeId, RoutingKind};
+use noctest_noc::{LinkId, Mesh, NodeId, RoutingKind};
 
 use crate::cut::{CoreUnderTest, CutId, CutKind};
 use crate::error::PlanError;
@@ -425,40 +436,52 @@ impl SystemBuilder {
             BudgetSpec::Absolute(a) => PowerBudget::Limit(a),
         };
 
-        // --- Path table ----------------------------------------------------
+        // --- Session table -------------------------------------------------
         // On a pristine mesh the paths come from the configured routing
         // algorithm, byte-identical to the fault-free planner. Under
-        // faults they come from the detour oracle instead; a `None` entry
+        // faults they come from the detour oracle instead; a `None` path
         // records that the fault set severed that (interface, core) pair.
         let detour = (!self.faults.is_empty()).then(|| DetourOracle::new(&mesh, &self.faults));
-        let paths: Vec<Vec<Option<TestPath>>> = interfaces
-            .iter()
-            .map(|iface| {
-                cuts.iter()
-                    .map(|cut| match &detour {
-                        None => Some(TestPath::compute(&mesh, self.routing, iface, cut)),
-                        Some(oracle) => TestPath::compute_detoured(&mesh, oracle, iface, cut),
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut sessions = Vec::with_capacity(cuts.len() * interfaces.len());
         for cut in &cuts {
-            if paths.iter().all(|row| row[cut.id.0 as usize].is_none()) {
+            for iface in &interfaces {
+                let path = match &detour {
+                    None => Some(TestPath::compute(&mesh, self.routing, iface, cut)),
+                    Some(oracle) => TestPath::compute_detoured(&mesh, oracle, iface, cut),
+                };
+                let (cycles, power) = path.as_ref().map_or((0, 0.0), |p| {
+                    (
+                        self.timing
+                            .session_cycles(cut, iface, p.hops_in, p.hops_out),
+                        self.power_model.session_power(&mesh, cut, iface, p),
+                    )
+                });
+                sessions.push(Session {
+                    path,
+                    cycles,
+                    power,
+                });
+            }
+        }
+        for (cut, row) in cuts.iter().zip(sessions.chunks(interfaces.len())) {
+            if row.iter().all(|s| s.path.is_none()) {
                 return Err(PlanError::CutUnreachable { cut: cut.id });
             }
         }
+        let (mask_words, masks) = link_masks(&sessions);
 
         let system = SystemUnderTest {
             name: self.name,
             mesh,
             routing: self.routing,
             timing: self.timing,
-            power_model: self.power_model,
             budget,
             priority: self.priority,
             cuts,
             interfaces,
-            paths,
+            sessions,
+            mask_words,
+            masks,
             faults: self.faults,
             detour,
             total_core_power: total_power,
@@ -512,6 +535,59 @@ fn farthest_point_sites(mesh: &Mesh, seeds: &[NodeId], count: usize) -> Vec<Node
     chosen
 }
 
+/// The link footprint of every slot as a bitmask, `words` `u64`s per
+/// slot in slot order. Only the links of the system's paths are
+/// numbered, in ascending link order, so the masks grow with the paths
+/// and not with idle mesh area. The numbering is a bijection between
+/// those links and bit positions: two footprints share a link exactly
+/// when their masks share a set bit. A severed slot's mask is empty.
+fn link_masks(sessions: &[Session]) -> (usize, Vec<u64>) {
+    // Every (link, slot) use, sorted by link: a link's bit is its rank
+    // among the distinct links. The key orders links as `LinkId` does.
+    let key = |l: &LinkId| {
+        u64::from(u32::from(l.from)) << 4 | (l.dir as u64) << 1 | u64::from(l.into_core)
+    };
+    let mut uses: Vec<(u64, usize)> = sessions
+        .iter()
+        .enumerate()
+        .flat_map(|(slot, s)| s.links().iter().map(move |l| (key(l), slot)))
+        .collect();
+    uses.sort_unstable();
+    let distinct = |i: usize| i == 0 || uses[i - 1].0 != uses[i].0;
+    let words = (0..uses.len())
+        .filter(|&i| distinct(i))
+        .count()
+        .div_ceil(64);
+    let mut masks = vec![0u64; sessions.len() * words];
+    let mut bit = 0;
+    for (i, &(_, slot)) in uses.iter().enumerate() {
+        if i > 0 && distinct(i) {
+            bit += 1;
+        }
+        masks[slot * words + bit / 64] |= 1 << (bit % 64);
+    }
+    (words, masks)
+}
+
+/// One (cut, interface) pairing of the session table, costed once when
+/// the system is built.
+#[derive(Debug, Clone)]
+pub(crate) struct Session {
+    /// The pair's path; `None` when the fault set severed the pair.
+    pub(crate) path: Option<TestPath>,
+    /// [`TimingModel::session_cycles`] over the path (0 when severed).
+    pub(crate) cycles: u64,
+    /// [`PowerModel::session_power`] over the path (0 when severed).
+    pub(crate) power: f64,
+}
+
+impl Session {
+    /// The links of the pair's path; none when severed.
+    fn links(&self) -> &[LinkId] {
+        self.path.as_ref().map_or(&[], TestPath::links)
+    }
+}
+
 /// A fully placed, characterised system ready for test planning.
 #[derive(Debug, Clone)]
 pub struct SystemUnderTest {
@@ -519,12 +595,16 @@ pub struct SystemUnderTest {
     mesh: Mesh,
     routing: RoutingKind,
     timing: TimingModel,
-    power_model: PowerModel,
     budget: PowerBudget,
     priority: PriorityPolicy,
     cuts: Vec<CoreUnderTest>,
     interfaces: Vec<TestInterface>,
-    paths: Vec<Vec<Option<TestPath>>>,
+    /// The session table, one entry per slot (see [`SystemUnderTest::slot`]).
+    sessions: Vec<Session>,
+    /// `u64` words per link mask.
+    mask_words: usize,
+    /// The slots' link masks (see [`link_masks`]), `mask_words` per slot.
+    masks: Vec<u64>,
     faults: FaultSet,
     detour: Option<DetourOracle>,
     total_core_power: f64,
@@ -620,14 +700,14 @@ impl SystemUnderTest {
     /// (always `true` on a pristine mesh).
     #[must_use]
     pub fn reachable(&self, iface: InterfaceId, cut: CutId) -> bool {
-        self.paths[iface.0][cut.0 as usize].is_some()
+        self.try_path(iface, cut).is_some()
     }
 
     /// The precomputed path for testing `cut` from `iface`, or `None` when
     /// the fault set severed the pair.
     #[must_use]
     pub fn try_path(&self, iface: InterfaceId, cut: CutId) -> Option<&TestPath> {
-        self.paths[iface.0][cut.0 as usize].as_ref()
+        self.sessions[self.slot(iface, cut)].path.as_ref()
     }
 
     /// The precomputed path for testing `cut` from `iface`.
@@ -638,8 +718,7 @@ impl SystemUnderTest {
     /// [`SystemUnderTest::reachable`] before costing a pairing.
     #[must_use]
     pub fn path(&self, iface: InterfaceId, cut: CutId) -> &TestPath {
-        self.paths[iface.0][cut.0 as usize]
-            .as_ref()
+        self.try_path(iface, cut)
             .expect("no surviving route between interface and core")
     }
 
@@ -653,27 +732,70 @@ impl SystemUnderTest {
             .expect("every core of a built system is reachable somewhere")
     }
 
+    /// The session-table slot of the (`cut`, `iface`) pairing: cut-major,
+    /// `cut × interfaces + iface`, so one cut's pairings are adjacent.
+    #[must_use]
+    pub(crate) fn slot(&self, iface: InterfaceId, cut: CutId) -> usize {
+        cut.0 as usize * self.interfaces.len() + iface.0
+    }
+
+    /// The session-table entry at `slot`.
+    #[must_use]
+    pub(crate) fn session(&self, slot: usize) -> &Session {
+        &self.sessions[slot]
+    }
+
+    /// The session of a pair with a surviving route.
+    fn costed(&self, iface: InterfaceId, cut: CutId) -> &Session {
+        let session = self.session(self.slot(iface, cut));
+        assert!(
+            session.path.is_some(),
+            "no surviving route between interface and core"
+        );
+        session
+    }
+
     /// Session duration in cycles for `cut` driven by `iface`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fault set severed the pair, as
+    /// [`SystemUnderTest::path`] does.
     #[must_use]
     pub fn session_cycles(&self, iface: InterfaceId, cut: CutId) -> u64 {
-        let path = self.path(iface, cut);
-        self.timing.session_cycles(
-            self.cut(cut),
-            self.interface(iface),
-            path.hops_in,
-            path.hops_out,
-        )
+        self.costed(iface, cut).cycles
     }
 
     /// Instantaneous power draw of the session.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the fault set severed the pair, as
+    /// [`SystemUnderTest::path`] does.
     #[must_use]
     pub fn session_power(&self, iface: InterfaceId, cut: CutId) -> f64 {
-        self.power_model.session_power(
-            &self.mesh,
-            self.cut(cut),
-            self.interface(iface),
-            self.path(iface, cut),
-        )
+        self.costed(iface, cut).power
+    }
+
+    /// `true` when the footprints of two slots share a link. This is the
+    /// one test of the paper's concurrency rule: every scheduler,
+    /// [`crate::Schedule::validate`], the replay certificate and the
+    /// delta planner call it. A severed slot's footprint is empty.
+    #[must_use]
+    pub(crate) fn slots_overlap(&self, a: usize, b: usize) -> bool {
+        let w = self.mask_words;
+        self.masks[a * w..(a + 1) * w]
+            .iter()
+            .zip(&self.masks[b * w..(b + 1) * w])
+            .any(|(x, y)| x & y != 0)
+    }
+
+    /// `true` when the paths of two (interface, core) pairings share a
+    /// link, so the two sessions may not run at the same time. A pair the
+    /// fault set severed has no footprint and overlaps nothing.
+    #[must_use]
+    pub fn footprints_overlap(&self, a: (InterfaceId, CutId), b: (InterfaceId, CutId)) -> bool {
+        self.slots_overlap(self.slot(a.0, a.1), self.slot(b.0, b.1))
     }
 
     /// The configured priority policy.
@@ -739,15 +861,126 @@ impl SystemUnderTest {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use noctest_faults::FaultRecipe;
     use noctest_itc02::data;
-    use noctest_noc::{Direction, LinkId};
+    use noctest_noc::Direction;
+    use noctest_testkit::Rng;
 
     fn d695_system(reused: usize) -> SystemUnderTest {
         SystemBuilder::from_benchmark(&data::d695(), 4, 4)
             .processors(&ProcessorProfile::leon(), 6, reused)
             .build()
             .unwrap()
+    }
+
+    /// A seeded small system under XY, YX or west-first routing and a
+    /// seeded power model, pristine or degraded by uniform link faults;
+    /// `None` when the fault set leaves some core untestable.
+    fn seeded_system(seed: u64) -> Option<(SystemUnderTest, PowerModel)> {
+        let mut rng = Rng::new(seed);
+        let (width, height) = *rng.pick(&[(3u16, 3u16), (4, 4), (7, 6), (8, 8)]);
+        let mut b = SystemBuilder::new("seeded", width, height);
+        for i in 0..rng.range_usize(2, 6) {
+            b = b.core(
+                format!("c{i}"),
+                rng.range_u32(20, 400),
+                rng.range_u32(20, 400),
+                rng.range_u32(1, 40),
+                rng.range_f64(10.0, 200.0),
+            );
+        }
+        let procs = rng.range_usize(0, 3);
+        b = b.processors(&ProcessorProfile::plasma(), procs, procs);
+        if rng.flip() {
+            b = b.budget(BudgetSpec::Fraction(rng.range_f64(0.3, 1.0)));
+        }
+        let routing = *rng.pick(&[RoutingKind::Xy, RoutingKind::Yx, RoutingKind::WestFirst]);
+        let power_model = PowerModel {
+            noc_power_per_router: rng.range_f64(5.0, 40.0),
+        };
+        let percent = *rng.pick(&[0u8, 20, 35]);
+        let mesh = Mesh::new(width, height).unwrap();
+        let sys = b
+            .routing(routing)
+            .power_model(power_model)
+            .faults(FaultRecipe::UniformLinks { percent }.generate(&mesh, seed))
+            .build()
+            .ok()?;
+        Some((sys, power_model))
+    }
+
+    /// Every slot of the session table against an independent
+    /// recomputation from the path functions and the timing and power
+    /// models, and every pair of masks against a set intersection of the
+    /// recomputed links.
+    #[test]
+    fn session_table_is_the_system_bit_for_bit() {
+        let (mut systems, mut severed, mut multi_word) = (0, 0, 0);
+        let mut routings = BTreeSet::new();
+        for seed in noctest_testkit::seeds(96) {
+            let Some((sys, power_model)) = seeded_system(seed) else {
+                continue;
+            };
+            systems += 1;
+            if sys.detour().is_none() {
+                routings.insert(format!("{:?}", sys.routing()));
+            }
+            if sys.mask_words > 1 {
+                multi_word += 1;
+            }
+            let mut footprints = Vec::new();
+            for cut in sys.cuts() {
+                for iface in sys.interface_ids() {
+                    let slot = sys.slot(iface, cut.id);
+                    assert_eq!(slot, footprints.len(), "seed {seed}: slots are cut-major");
+                    let interface = sys.interface(iface);
+                    let path = match sys.detour() {
+                        None => Some(TestPath::compute(sys.mesh(), sys.routing(), interface, cut)),
+                        Some(oracle) => {
+                            TestPath::compute_detoured(sys.mesh(), oracle, interface, cut)
+                        }
+                    };
+                    let session = sys.session(slot);
+                    assert_eq!(session.path, path, "seed {seed}");
+                    let Some(path) = path else {
+                        severed += 1;
+                        footprints.push(BTreeSet::new());
+                        continue;
+                    };
+                    let cycles =
+                        sys.timing()
+                            .session_cycles(cut, interface, path.hops_in, path.hops_out);
+                    let routers: BTreeSet<NodeId> = path
+                        .links()
+                        .iter()
+                        .flat_map(|l| {
+                            std::iter::once(l.from).chain(sys.mesh().neighbor(l.from, l.dir))
+                        })
+                        .collect();
+                    assert_eq!(path.router_count(sys.mesh()), routers.len(), "seed {seed}");
+                    let power = power_model.session_power(sys.mesh(), cut, interface, &path);
+                    assert_eq!(session.cycles, cycles, "seed {seed}");
+                    assert_eq!(session.power.to_bits(), power.to_bits(), "seed {seed}");
+                    footprints.push(path.links().iter().copied().collect::<BTreeSet<LinkId>>());
+                }
+            }
+            for (a, fa) in footprints.iter().enumerate() {
+                for (b, fb) in footprints.iter().enumerate() {
+                    assert_eq!(
+                        sys.slots_overlap(a, b),
+                        !fa.is_disjoint(fb),
+                        "seed {seed}: slots {a} and {b}"
+                    );
+                }
+            }
+        }
+        assert!(systems >= 48, "only {systems} seeded systems built");
+        assert_eq!(routings.len(), 3, "pristine routings covered: {routings:?}");
+        assert!(severed > 0, "no seeded system had an unreachable pair");
+        assert!(multi_word > 0, "no seeded system needed a multi-word mask");
     }
 
     #[test]

@@ -148,13 +148,12 @@ fn feasible(
     start: u64,
     end: u64,
 ) -> bool {
-    let links = &sys.path(iface, cut).links;
     for e in placed {
         if e.start < end && start < e.end {
             if e.interface == iface {
                 return false;
             }
-            if sys.path(e.interface, e.cut).links.conflicts_with(links) {
+            if sys.footprints_overlap((e.interface, e.cut), (iface, cut)) {
                 return false;
             }
         }

@@ -152,14 +152,22 @@ fn whole_cycles(replay: &ScheduleReplay) -> Vec<u64> {
     replay.sessions.iter().map(|s| s.simulated_cycles).collect()
 }
 
-/// The links two sessions' footprints share.
+/// The links two sessions' footprints share. The system's overlap test
+/// must agree that there are some exactly when the list is not empty.
 fn shared_links(sys: &SystemUnderTest, a: &ScheduledTest, b: &ScheduledTest) -> Vec<LinkId> {
-    let fa = &sys.path(a.interface, a.cut).links;
-    let fb = &sys.path(b.interface, b.cut).links;
-    fa.iter()
+    let fa = sys.path(a.interface, a.cut).links();
+    let fb = sys.path(b.interface, b.cut).links();
+    let shared: Vec<LinkId> = fa
+        .iter()
         .filter(|l| fb.iter().any(|m| m == *l))
         .copied()
-        .collect()
+        .collect();
+    assert_eq!(
+        sys.footprints_overlap((a.interface, a.cut), (b.interface, b.cut)),
+        !shared.is_empty(),
+        "{a:?} and {b:?}"
+    );
+    shared
 }
 
 /// The first pair of sessions, both released at cycle 0, that satisfies

@@ -4,9 +4,29 @@
 //! under real contention on one shared mesh.
 
 use noctest::core::{
-    replay_schedule, replay_stimulus_stream, BudgetSpec, GreedyScheduler, InterfaceId, Scheduler,
+    replay_schedule, BudgetSpec, CutId, GreedyScheduler, InterfaceId, Schedule, ScheduledTest,
+    Scheduler, SessionReplay, SystemUnderTest,
 };
 use noctest_bench::{build_system, SystemId};
+
+/// One session's stimulus stream replayed alone from cycle 0: the replay
+/// of a one-entry schedule.
+fn replay_session(
+    sys: &SystemUnderTest,
+    iface: InterfaceId,
+    cut: CutId,
+    patterns_cap: u32,
+) -> SessionReplay {
+    let entry = ScheduledTest {
+        cut,
+        interface: iface,
+        start: 0,
+        end: sys.session_cycles(iface, cut),
+    };
+    let mut replay =
+        replay_schedule(sys, &Schedule::new(vec![entry]), patterns_cap).expect("replay completes");
+    replay.sessions.remove(0)
+}
 
 #[test]
 fn analytic_model_tracks_simulation_across_systems() {
@@ -18,8 +38,7 @@ fn analytic_model_tracks_simulation_across_systems() {
         // Smallest, median, largest core; external tester and processor 0.
         for cut in [cuts[0], cuts[cuts.len() / 2], cuts[cuts.len() - 1]] {
             for iface in [InterfaceId(0), InterfaceId(1)] {
-                let replay =
-                    replay_stimulus_stream(&sys, iface, cut.id, 12).expect("replay completes");
+                let replay = replay_session(&sys, iface, cut.id, 12);
                 assert!(
                     replay.relative_error() < 0.25,
                     "{}/{}/iface{}: analytic {} vs simulated {} ({:.1}% error)",
@@ -68,8 +87,8 @@ fn longer_streams_simulate_proportionally() {
         .max_by_key(|c| c.volume_bits())
         .expect("cores exist")
         .id;
-    let r5 = replay_stimulus_stream(&sys, InterfaceId(0), big, 5).expect("replays");
-    let r10 = replay_stimulus_stream(&sys, InterfaceId(0), big, 10).expect("replays");
+    let r5 = replay_session(&sys, InterfaceId(0), big, 5);
+    let r10 = replay_session(&sys, InterfaceId(0), big, 10);
     let ratio = r10.simulated_cycles as f64 / r5.simulated_cycles as f64;
     assert!(
         (1.7..2.3).contains(&ratio),

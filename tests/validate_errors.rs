@@ -4,8 +4,11 @@
 
 use noctest::core::plan::{Campaign, PlanRequest};
 use noctest::core::{
-    BudgetSpec, CutId, InterfaceId, PlanError, Schedule, ScheduledTest, SystemUnderTest,
+    BudgetSpec, CutId, FaultSet, InterfaceId, PlanError, Schedule, ScheduledTest, SystemBuilder,
+    SystemUnderTest,
 };
+use noctest::cpu::ProcessorProfile;
+use noctest::noc::{Direction, LinkId, NodeId};
 
 /// d695 with six Leon processors, `reused` of them reusable.
 fn d695(reused: usize, budget: BudgetSpec) -> SystemUnderTest {
@@ -113,9 +116,7 @@ fn link_conflict_is_rejected() {
                     if ia == ib {
                         continue;
                     }
-                    let la = &sys.path(ia, a.id).links;
-                    let lb = &sys.path(ib, b.id).links;
-                    if la.conflicts_with(lb) {
+                    if sys.footprints_overlap((ia, a.id), (ib, b.id)) {
                         found = Some((a.id, ia, b.id, ib));
                         break 'search;
                     }
@@ -148,6 +149,43 @@ fn link_conflict_is_rejected() {
 }
 
 #[test]
+fn severed_pair_is_rejected_not_a_panic() {
+    // Both links out of router 3 are dead, so the processor seated there
+    // reaches no other core.
+    let out = |dir| LinkId::cardinal(NodeId::new(3), dir);
+    let mut b = SystemBuilder::new("grid", 4, 4);
+    for i in 0..14 {
+        b = b.core(format!("c{i}"), 100, 100, 10, 50.0);
+    }
+    let sys = b
+        .processors(&ProcessorProfile::plasma(), 2, 2)
+        .faults(
+            FaultSet::none()
+                .with_link(out(Direction::West))
+                .with_link(out(Direction::North)),
+        )
+        .build()
+        .expect("every core stays testable from somewhere");
+    let proc = sys
+        .interface_ids()
+        .find(|&i| sys.interface(i).source_node() == NodeId::new(3))
+        .expect("a processor sits on router 3");
+    let victim = sys
+        .cuts()
+        .iter()
+        .find(|c| !sys.reachable(proc, c.id))
+        .expect("router 3's processor is cut off")
+        .id;
+    let entry = ScheduledTest {
+        cut: victim,
+        interface: proc,
+        start: 0,
+        end: 1,
+    };
+    assert_invalid_with(&sys, vec![entry], "no surviving route");
+}
+
+#[test]
 fn budget_violation_is_rejected() {
     // A 20% budget admits every single session but not every pair.
     let sys = d695(4, BudgetSpec::Fraction(0.2));
@@ -165,9 +203,7 @@ fn budget_violation_is_rejected() {
                     if ia == ib {
                         continue;
                     }
-                    let la = &sys.path(ia, a.id).links;
-                    let lb = &sys.path(ib, b.id).links;
-                    if !la.conflicts_with(lb)
+                    if !sys.footprints_overlap((ia, a.id), (ib, b.id))
                         && sys.session_power(ia, a.id) + sys.session_power(ib, b.id) > cap
                     {
                         found = Some((a.id, ia, b.id, ib));
