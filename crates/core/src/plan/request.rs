@@ -44,6 +44,12 @@ fn budget_error(budget: BudgetSpec) -> Option<String> {
         .then(|| format!("`budget.{member}` must be positive and finite"))
 }
 
+/// Why a timing override is unusable: a zero-bit flit carries nothing,
+/// and every flit count divides by the width.
+fn timing_error(timing: &TimingSpec) -> Option<&'static str> {
+    (timing.flit_width_bits == Some(0)).then_some("`timing.flit_width_bits` must be positive")
+}
+
 /// Where the cores under test come from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SocSource {
@@ -465,6 +471,9 @@ impl PlanRequest {
         if let Some(msg) = budget_error(self.budget) {
             return Err(CampaignError::Invalid(msg));
         }
+        if let Some(msg) = timing_error(&self.timing) {
+            return Err(CampaignError::Invalid(msg.to_owned()));
+        }
         let mut builder = SystemBuilder::from_cores(cores()?, self.mesh.width, self.mesh.height)
             .routing(self.mesh.routing)
             .budget(self.budget)
@@ -731,6 +740,9 @@ impl PlanRequest {
                 wrapper_shift: field_opt(t, "wrapper_shift", "a boolean", Json::as_bool)?,
             },
         };
+        if let Some(msg) = timing_error(&timing) {
+            return Err(bad(msg));
+        }
 
         let search = match doc.get("search") {
             None | Some(Json::Null) => SearchTuning::default(),
@@ -1245,6 +1257,8 @@ mod tests {
 
     #[test]
     fn mistyped_timing_overrides_are_errors_not_ignored() {
+        const ZERO_FLIT: &str = r#"{"soc": {"benchmark": "d695"}, "mesh": {"width": 4, "height": 4},
+                "timing": {"flit_width_bits": 0}}"#;
         for text in [
             // String where a number is required.
             r#"{"soc": {"benchmark": "d695"}, "mesh": {"width": 4, "height": 4},
@@ -1255,11 +1269,23 @@ mod tests {
             // Number where a boolean is required.
             r#"{"soc": {"benchmark": "d695"}, "mesh": {"width": 4, "height": 4},
                 "timing": {"wrapper_shift": 1}}"#,
+            // A zero-bit flit: every flit count would divide by zero.
+            ZERO_FLIT,
         ] {
             assert!(
                 PlanRequest::from_json_str(text).is_err(),
                 "silently ignored override in {text}"
             );
+        }
+        let zero_msg = "`timing.flit_width_bits` must be positive";
+        let err = PlanRequest::from_json(&Json::parse(ZERO_FLIT).unwrap()).unwrap_err();
+        assert_eq!(err.message, zero_msg);
+        // The same verdict for a request built in code.
+        let mut built = PlanRequest::benchmark("d695", 4, 4);
+        built.timing.flit_width_bits = Some(0);
+        match built.build_system() {
+            Err(CampaignError::Invalid(msg)) => assert_eq!(msg, zero_msg),
+            other => panic!("expected Invalid, got {other:?}"),
         }
     }
 

@@ -25,7 +25,7 @@
 //! and float formatting is shortest-roundtrip, so parse → re-emit
 //! reproduces the original bytes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -219,7 +219,7 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
         terminal: bool,
         completed: Option<String>,
     }
-    let mut submits: Vec<(u64, Submit)> = Vec::new();
+    let mut submits: BTreeMap<u64, Submit> = BTreeMap::new();
     let mut recovery = Recovery {
         next_job_id: 1,
         ..Recovery::default()
@@ -276,15 +276,14 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
                 match parsed {
                     // A resubmitted id (shouldn't happen, but a journal is
                     // input): last submit wins.
-                    Some(submit) => match submits.iter_mut().find(|(id, _)| *id == job) {
-                        Some((_, slot)) => *slot = submit,
-                        None => submits.push((job, submit)),
-                    },
+                    Some(submit) => {
+                        submits.insert(job, submit);
+                    }
                     None => recovery.skipped_lines += 1,
                 }
             }
             "completed" => {
-                if let Some((_, submit)) = submits.iter_mut().find(|(id, _)| *id == job) {
+                if let Some(submit) = submits.get_mut(&job) {
                     submit.terminal = true;
                     submit.completed = doc.get("outcome").map(Json::compact);
                 } else {
@@ -292,7 +291,7 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
                 }
             }
             "failed" | "cancelled" => {
-                if let Some((_, submit)) = submits.iter_mut().find(|(id, _)| *id == job) {
+                if let Some(submit) = submits.get_mut(&job) {
                     submit.terminal = true;
                 } else {
                     recovery.skipped_lines += 1;
@@ -302,7 +301,6 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
         }
     }
 
-    submits.sort_by_key(|(id, _)| *id);
     for (job, submit) in submits {
         if let Some(outcome) = submit.completed {
             recovery

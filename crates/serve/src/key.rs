@@ -10,7 +10,7 @@
 //!   byte-identically. The hash is 64-bit, so the journal stores the
 //!   canonical request text alongside it and dedupe double-checks exact
 //!   equality — a collision degrades to a replan, never to a wrong answer.
-//! * [`affinity_of`] — a *coarse* hash over only the SoC source and mesh,
+//! * [`affinity_of_doc`] — a *coarse* hash over only the SoC source and mesh,
 //!   ignoring scheduler, budget, timing knobs and the label. Near-duplicate
 //!   requests (the same SoC with a budget nudged or a different scheduler)
 //!   share an affinity key, and the shard ring routes them to the same
@@ -69,25 +69,11 @@ pub fn canonical_text(request: &PlanRequest) -> String {
     request.to_json().compact()
 }
 
-/// The shard-affinity key: FNV-1a over only the `soc` and `mesh` members
-/// of the canonical form. Requests that differ solely in scheduler,
-/// budget, priority, timing, validation or label share an affinity key
-/// and land on the same shard.
-#[must_use]
-pub fn affinity_of(request: &PlanRequest) -> u64 {
-    let doc = request.to_json();
-    let mut text = String::new();
-    for member in ["soc", "mesh"] {
-        if let Some(value) = doc.get(member) {
-            text.push_str(&value.compact());
-            text.push('\n');
-        }
-    }
-    fnv1a(text.as_bytes())
-}
-
-/// Convenience: the affinity key of an already-canonicalised document
-/// (used by the daemon when it has the parsed JSON in hand).
+/// The shard-affinity key of a request's canonical form
+/// ([`PlanRequest::to_json`]): FNV-1a over only its `soc` and `mesh`
+/// members. Requests that differ solely in scheduler, budget, priority,
+/// timing, validation or label share an affinity key and land on the
+/// same shard.
 #[must_use]
 pub fn affinity_of_doc(doc: &Json) -> u64 {
     let mut text = String::new();
@@ -134,18 +120,14 @@ mod tests {
 
     #[test]
     fn affinity_ignores_everything_but_soc_and_mesh() {
-        let cold = affinity_of(&base());
+        let affinity_of = |request: PlanRequest| affinity_of_doc(&request.to_json());
+        let cold = affinity_of(base());
         // Same SoC + mesh, different scheduler/budget/name: same shard.
-        assert_eq!(cold, affinity_of(&base().with_scheduler("smart")));
-        assert_eq!(
-            cold,
-            affinity_of(&base().with_budget(BudgetSpec::Unlimited))
-        );
-        assert_eq!(cold, affinity_of(&base().with_name("relabelled")));
+        assert_eq!(cold, affinity_of(base().with_scheduler("smart")));
+        assert_eq!(cold, affinity_of(base().with_budget(BudgetSpec::Unlimited)));
+        assert_eq!(cold, affinity_of(base().with_name("relabelled")));
         // A different mesh is a different stream of work.
-        assert_ne!(cold, affinity_of(&PlanRequest::benchmark("d695", 5, 5)));
-        // And the doc-level helper agrees with the typed one.
-        assert_eq!(cold, affinity_of_doc(&base().to_json()));
+        assert_ne!(cold, affinity_of(PlanRequest::benchmark("d695", 5, 5)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Consistent hashing of jobs onto named executor shards.
 //!
 //! The tier runs N executor shards and routes every job by its affinity
-//! key (see [`crate::key::affinity_of`]). A [`ShardRing`] places a fixed
+//! key (see [`crate::key::affinity_of_doc`]). A [`ShardRing`] places a fixed
 //! number of virtual points per shard on a 64-bit hash ring; a key maps
 //! to the shard owning the first point at or after it. Consistent
 //! hashing (rather than `key % N`) means growing the pool from N to N+1

@@ -11,17 +11,34 @@
 //!
 //! ## Lifecycle of a submission
 //!
+//! Every job, whether fresh, replayed or answered from a stored outcome,
+//! takes one path:
+//!
 //! 1. The request is canonicalised; its [`RequestKey`] and affinity key
 //!    are computed, and the affinity key picks the shard.
-//! 2. With a journal: if an identical request (same canonical bytes) has
-//!    a journaled outcome, the job is **deduplicated** — it gets a fresh
-//!    id, a `queued` event and a `completed` event carrying the
-//!    journaled outcome byte-identically, without planning anything.
-//! 3. With a queue depth: the job is **admitted** to its shard's waiting
-//!    room — or **rejected** when the client already holds `depth`
-//!    waiting jobs there — and a dispatcher drains the room by deficit
-//!    round-robin over clients into the shard executor.
-//! 4. Otherwise it is dispatched straight into the shard executor.
+//! 2. With a journal: an identical request (same canonical bytes) with a
+//!    stored outcome is **deduplicated**.
+//! 3. With a plan cache: an exact content hit (same planning inputs, any
+//!    name) is **cached**; a near miss is **warm-started** from the
+//!    closest cached donor's retimed schedule and goes on.
+//! 4. With a queue depth: a client already holding `depth` waiting jobs
+//!    on the shard is **rejected**; no id is spent and nothing is
+//!    journaled.
+//! 5. The job gets a fresh id and a record, its `submit` record is
+//!    journaled, and it is handed to its shard: with a queue depth the
+//!    tier announces `queued` and parks it in the shard's waiting room,
+//!    which a dispatcher drains by deficit round-robin over clients;
+//!    without one it goes straight into the shard executor.
+//!
+//! A deduplicated or cached job gets its id, record and `submit` record
+//! the same way, and is then answered from the stored outcome: `queued`,
+//! then `completed` carrying the outcome byte-identically (a cached one
+//! only relabelled), with no planning. Its `completed` event is finished
+//! like a planned one: journaled, fed to the dedupe map and the cache.
+//!
+//! At start-up each pending journal job is **replayed**: it takes step 5
+//! under its original id, with no admission check (the previous process
+//! admitted it) and no second `submit` record.
 //!
 //! Submissions are journaled before their `queued` event is emitted, and
 //! terminal records after the terminal event — so on restart, a job is
@@ -45,13 +62,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
+use noctest_core::json::Json;
 use noctest_core::plan::exec::{EventSink, Executor, JobHandle, JobId, PlanEvent, SubmitSpec};
 use noctest_core::plan::{Campaign, CampaignError, PlanOutcome, PlanRequest};
 use noctest_core::ContentHash;
 use noctest_replan::{DeltaAnalyzer, PlanCache};
 
 use crate::admission::{Room, WaitingJob};
-use crate::journal::{self, CompletedJob, Journal, Recovery};
+use crate::journal::{self, CompletedJob, Journal, PendingJob, Recovery};
 use crate::key::{affinity_of_doc, fnv1a, RequestKey};
 use crate::shard::{shard_name, ShardRing};
 use crate::wire;
@@ -186,6 +204,21 @@ struct JobRecord {
     /// terminal event must release an `in_flight` slot).
     dispatched: bool,
     terminal: bool,
+}
+
+/// One submission on its way to a [`JobRecord`]: built by `submit_for`
+/// for a new request and by `replay` for a pending journal job.
+struct Submission<'a> {
+    /// The original id of a replayed job; `None` allocates a fresh one.
+    job: Option<u64>,
+    request: PlanRequest,
+    client: Option<&'a str>,
+    priority: i32,
+    /// The request's canonical form, and that form as compact text.
+    doc: Json,
+    text: String,
+    key: RequestKey,
+    shard: usize,
 }
 
 #[derive(Debug, Default)]
@@ -326,8 +359,8 @@ impl TierShared {
         }
     }
 
-    /// Emits a tier-synthesised terminal lifecycle (used for
-    /// deduplicated completions and waiting-room cancellations).
+    /// Emits a tier-synthesised terminal event (a stored outcome's
+    /// `completed` or a waiting-room cancellation) and finishes its job.
     fn finish_synthetic(&self, event: &PlanEvent) {
         self.emit_event(event);
         self.finish_record(event);
@@ -620,9 +653,12 @@ impl ServeTier {
     /// The shard `request` routes to (by affinity key — deterministic).
     #[must_use]
     pub fn shard_of(&self, request: &PlanRequest) -> usize {
-        self.shared
-            .ring
-            .shard_of(affinity_of_doc(&request.to_json()))
+        self.shard_of_doc(&request.to_json())
+    }
+
+    /// The shard of a request given its canonical form.
+    fn shard_of_doc(&self, doc: &Json) -> usize {
+        self.shared.ring.shard_of(affinity_of_doc(doc))
     }
 
     /// Jobs accepted so far (admitted + deduplicated + replayed).
@@ -650,50 +686,40 @@ impl ServeTier {
     }
 
     /// Submits a request under a client identity and priority. See the
-    /// module docs for the dedupe/admission/dispatch lifecycle.
+    /// module docs for the lifecycle.
     pub fn submit_for(
         &self,
-        mut request: PlanRequest,
+        request: PlanRequest,
         client: Option<&str>,
         priority: i32,
     ) -> SubmitOutcome {
         let _serial = lock(&self.shared.submit_lock);
         let doc = request.to_json();
         let text = doc.compact();
-        let key = RequestKey(fnv1a(text.as_bytes()));
-        let shard = self.shared.ring.shard_of(affinity_of_doc(&doc));
-        let client_name = client.unwrap_or("");
+        let mut sub = Submission {
+            job: None,
+            request,
+            client,
+            priority,
+            key: RequestKey(fnv1a(text.as_bytes())),
+            shard: self.shard_of_doc(&doc),
+            doc,
+            text,
+        };
 
         // Journal dedupe: an identical request with a journaled outcome
         // is served without planning.
         if self.shared.journal.is_some() {
             let hit = lock(&self.shared.dedupe)
-                .get(&key)
-                .filter(|done| done.request_text == text)
+                .get(&sub.key)
+                .filter(|done| done.request_text == sub.text)
                 .map(|done| done.outcome.clone());
             // A journal entry that no longer decodes (hand-edited file)
             // falls through to an ordinary replan.
             if let Some(outcome) = hit.and_then(|outcome| PlanOutcome::from_json_str(&outcome).ok())
             {
-                let id = self.track(
-                    &request,
-                    shard,
-                    key,
-                    Some(text),
-                    self.shared.plan_cache.as_ref().map(|_| request.clone()),
-                    TrackDisposition::Synthetic,
-                );
-                self.journal_submit(id, key, priority, client, &doc);
-                self.shared.finish_synthetic(&PlanEvent::Queued {
-                    job: JobId(id),
-                    request: request.name.clone(),
-                });
-                self.shared.finish_synthetic(&PlanEvent::Completed {
-                    job: JobId(id),
-                    request: request.name.clone(),
-                    outcome: Box::new(outcome),
-                });
-                return SubmitOutcome::Deduped { job: JobId(id) };
+                let job = self.answer_stored(&sub, self.cache_copy(&sub.request), outcome);
+                return SubmitOutcome::Deduped { job };
             }
         }
 
@@ -703,224 +729,154 @@ impl ServeTier {
         let mut warm_info: Option<(String, u32)> = None;
         let mut cache_request = None;
         if let Some(cache) = &self.shared.plan_cache {
-            if let Some(outcome) = cache.lookup(&request) {
-                let content = ContentHash::of(&request).to_hex();
-                let id = self.track(
-                    &request,
-                    shard,
-                    key,
-                    self.text_if_journaled(&text),
-                    None,
-                    TrackDisposition::Synthetic,
-                );
-                self.journal_submit(id, key, priority, client, &doc);
-                self.shared.finish_synthetic(&PlanEvent::Queued {
-                    job: JobId(id),
-                    request: request.name.clone(),
-                });
-                self.shared.finish_synthetic(&PlanEvent::Completed {
-                    job: JobId(id),
-                    request: request.name.clone(),
-                    outcome: Box::new(outcome),
-                });
-                return SubmitOutcome::Cached {
-                    job: JobId(id),
-                    content,
-                };
+            if let Some(outcome) = cache.lookup(&sub.request) {
+                let content = ContentHash::of(&sub.request).to_hex();
+                let job = self.answer_stored(&sub, None, outcome);
+                return SubmitOutcome::Cached { job, content };
             }
-            cache_request = Some(request.clone());
-            if let Some(warm) = self.shared.analyzer.analyze(cache, &request) {
+            cache_request = Some(sub.request.clone());
+            if let Some(warm) = self.shared.analyzer.analyze(cache, &sub.request) {
                 warm_info = Some((warm.from.to_hex(), warm.distance));
-                request.search = warm.tuning(&request);
+                sub.request.search = warm.tuning(&sub.request);
             }
         }
-        let accepted = |job: JobId| match warm_info {
+
+        // Bounded fair admission.
+        if let Some(depth) = self.shared.queue_depth {
+            let client_name = client.unwrap_or("");
+            if lock(&self.shared.rooms[sub.shard].room).waiting_for(client_name) >= depth {
+                let shard = shard_name(sub.shard);
+                return SubmitOutcome::Rejected {
+                    request: sub.request.name,
+                    client: client_name.to_owned(),
+                    reason: wire::rejection_reason(client_name, depth, &shard),
+                    shard,
+                };
+            }
+        }
+
+        let job = self.hand_off(sub, cache_request);
+        match warm_info {
             Some((from, distance)) => SubmitOutcome::WarmStarted {
                 job,
                 from,
                 distance,
             },
             None => SubmitOutcome::Admitted { job },
-        };
-
-        // Bounded fair admission.
-        if let Some(depth) = self.shared.queue_depth {
-            let over = lock(&self.shared.rooms[shard].room).waiting_for(client_name) >= depth;
-            if over {
-                return SubmitOutcome::Rejected {
-                    request: request.name.clone(),
-                    client: client_name.to_owned(),
-                    shard: shard_name(shard),
-                    reason: wire::rejection_reason(client_name, depth, &shard_name(shard)),
-                };
-            }
-            let id = self.track(
-                &request,
-                shard,
-                key,
-                self.text_if_journaled(&text),
-                cache_request,
-                TrackDisposition::Waiting,
-            );
-            self.journal_submit(id, key, priority, client, &doc);
-            self.shared.emit_event(&PlanEvent::Queued {
-                job: JobId(id),
-                request: request.name.clone(),
-            });
-            let mut spec = SubmitSpec::new(request)
-                .with_priority(priority)
-                .with_id(JobId(id))
-                .quiet_queued();
-            if let Some(client) = client {
-                spec = spec.with_client(client);
-            }
-            {
-                let mut room = lock(&self.shared.rooms[shard].room);
-                room.enqueue(client_name, WaitingJob { id, spec });
-            }
-            self.shared.rooms[shard].cv.notify_all();
-            return accepted(JobId(id));
         }
-
-        // Direct dispatch.
-        let id = self.track(
-            &request,
-            shard,
-            key,
-            self.text_if_journaled(&text),
-            cache_request,
-            TrackDisposition::Direct,
-        );
-        self.journal_submit(id, key, priority, client, &doc);
-        let mut spec = SubmitSpec::new(request)
-            .with_priority(priority)
-            .with_id(JobId(id));
-        if let Some(client) = client {
-            spec = spec.with_client(client);
-        }
-        let handle = self.executors[shard].submit_spec(spec);
-        self.store_handle(id, handle);
-        accepted(JobId(id))
     }
 
     /// Replays one journaled pending job with its original id, bypassing
     /// admission caps (it was admitted by the previous process).
-    fn replay(&self, pending: crate::journal::PendingJob) {
-        let shard = self
-            .shared
-            .ring
-            .shard_of(affinity_of_doc(&pending.request.to_json()));
-        let name = pending.request.name.clone();
-        let cache_request = self
-            .shared
-            .plan_cache
-            .as_ref()
-            .map(|_| pending.request.clone());
-        let mut spec = SubmitSpec::new(pending.request)
-            .with_priority(pending.priority)
-            .with_id(JobId(pending.job));
-        if let Some(client) = &pending.client {
-            spec = spec.with_client(client.clone());
-        }
-        {
-            let mut jobs = lock(&self.shared.jobs);
-            jobs.insert(
-                pending.job,
-                JobRecord {
-                    name,
-                    shard,
-                    key: pending.key,
-                    request_text: Some(pending.request_text),
-                    cache_request,
-                    handle: None,
-                    cancel_requested: false,
-                    waiting: self.shared.queue_depth.is_some(),
-                    dispatched: false,
-                    terminal: false,
-                },
-            );
-        }
-        {
-            let mut counts = lock(&self.shared.counts);
-            counts.admitted += 1;
-        }
-        // The submit record is already journaled — do not re-append.
-        if self.shared.queue_depth.is_some() {
-            let client_name = spec.client.clone().unwrap_or_default();
-            self.shared.emit_event(&PlanEvent::Queued {
-                job: spec.id.expect("replay pins the id"),
-                request: spec.request.name.clone(),
-            });
-            let id = pending.job;
-            let spec = spec.quiet_queued();
-            {
-                let mut room = lock(&self.shared.rooms[shard].room);
-                room.enqueue(&client_name, WaitingJob { id, spec });
-            }
-            self.shared.rooms[shard].cv.notify_all();
-        } else {
-            let id = pending.job;
-            let handle = self.executors[shard].submit_spec(spec);
-            self.store_handle(id, handle);
-        }
+    fn replay(&self, pending: PendingJob) {
+        let doc = pending.request.to_json();
+        let sub = Submission {
+            job: Some(pending.job),
+            client: pending.client.as_deref(),
+            priority: pending.priority,
+            key: pending.key,
+            shard: self.shard_of_doc(&doc),
+            doc,
+            text: pending.request_text,
+            request: pending.request,
+        };
+        let cache_request = self.cache_copy(&sub.request);
+        self.hand_off(sub, cache_request);
     }
 
-    fn text_if_journaled(&self, text: &str) -> Option<String> {
-        self.shared.journal.as_ref().map(|_| text.to_owned())
+    /// The request's pristine copy for the plan cache, when one is on.
+    fn cache_copy(&self, request: &PlanRequest) -> Option<PlanRequest> {
+        self.shared.plan_cache.as_ref().map(|_| request.clone())
     }
 
-    fn journal_submit(
-        &self,
-        id: u64,
-        key: RequestKey,
-        priority: i32,
-        client: Option<&str>,
-        doc: &noctest_core::json::Json,
-    ) {
-        if let Some(journal) = &self.shared.journal {
-            journal.append(&journal::submit_record(id, key, priority, client, doc));
-        }
-    }
-
-    /// Allocates an id, registers the job record and counts it admitted.
-    fn track(
-        &self,
-        request: &PlanRequest,
-        shard: usize,
-        key: RequestKey,
-        request_text: Option<String>,
-        cache_request: Option<PlanRequest>,
-        disposition: TrackDisposition,
-    ) -> u64 {
-        let id = self.shared.alloc_id();
+    /// Registers the job record of `sub` under its pinned or a fresh id,
+    /// counts it admitted and journals its `submit` record (a replayed
+    /// job's is journaled already).
+    fn track(&self, sub: &Submission, cache_request: Option<PlanRequest>, waiting: bool) -> u64 {
+        let id = sub.job.unwrap_or_else(|| self.shared.alloc_id());
         lock(&self.shared.jobs).insert(
             id,
             JobRecord {
-                name: request.name.clone(),
-                shard,
-                key,
-                request_text,
+                name: sub.request.name.clone(),
+                shard: sub.shard,
+                key: sub.key,
+                request_text: self.shared.journal.as_ref().map(|_| sub.text.clone()),
                 cache_request,
                 handle: None,
                 cancel_requested: false,
-                waiting: matches!(disposition, TrackDisposition::Waiting),
+                waiting,
                 dispatched: false,
                 terminal: false,
             },
         );
-        let mut counts = lock(&self.shared.counts);
-        counts.admitted += 1;
+        lock(&self.shared.counts).admitted += 1;
+        if let (Some(journal), None) = (&self.shared.journal, sub.job) {
+            journal.append(&journal::submit_record(
+                id,
+                sub.key,
+                sub.priority,
+                sub.client,
+                &sub.doc,
+            ));
+        }
         id
     }
 
-    /// Keeps the executor's handle for cancellation, unless the job
-    /// already finished.
-    fn store_handle(&self, id: u64, handle: JobHandle) {
-        if let Some(record) = lock(&self.shared.jobs).get_mut(&id) {
-            if !record.terminal {
+    /// Answers `sub` from a stored outcome: the job is tracked, then
+    /// goes `queued` → `completed` without planning.
+    fn answer_stored(
+        &self,
+        sub: &Submission,
+        cache_request: Option<PlanRequest>,
+        outcome: PlanOutcome,
+    ) -> JobId {
+        let job = JobId(self.track(sub, cache_request, false));
+        self.shared.emit_event(&PlanEvent::Queued {
+            job,
+            request: sub.request.name.clone(),
+        });
+        self.shared.finish_synthetic(&PlanEvent::Completed {
+            job,
+            request: sub.request.name.clone(),
+            outcome: Box::new(outcome),
+        });
+        job
+    }
+
+    /// Tracks `sub` and hands it to its shard: with a queue depth the
+    /// tier announces `queued` and parks it in the waiting room, without
+    /// one it goes straight into the shard executor.
+    fn hand_off(&self, sub: Submission, cache_request: Option<PlanRequest>) -> JobId {
+        let admission = self.shared.queue_depth.is_some();
+        let id = self.track(&sub, cache_request, admission);
+        let mut spec = SubmitSpec::new(sub.request)
+            .with_priority(sub.priority)
+            .with_id(JobId(id));
+        if let Some(client) = sub.client {
+            spec = spec.with_client(client);
+        }
+        if admission {
+            self.shared.emit_event(&PlanEvent::Queued {
+                job: JobId(id),
+                request: spec.request.name.clone(),
+            });
+            let spec = spec.quiet_queued();
+            {
+                let mut room = lock(&self.shared.rooms[sub.shard].room);
+                room.enqueue(sub.client.unwrap_or(""), WaitingJob { id, spec });
+            }
+            self.shared.rooms[sub.shard].cv.notify_all();
+        } else {
+            let handle = self.executors[sub.shard].submit_spec(spec);
+            // Kept for cancellation, unless the job already finished.
+            if let Some(record) = lock(&self.shared.jobs)
+                .get_mut(&id)
+                .filter(|record| !record.terminal)
+            {
                 record.handle = Some(handle);
             }
         }
+        JobId(id)
     }
 
     /// Cancels the job with `id`. Returns `false` when no such job was
@@ -1012,16 +968,6 @@ impl ServeTier {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-}
-
-/// How a freshly tracked job will reach execution.
-enum TrackDisposition {
-    /// Parked in an admission room.
-    Waiting,
-    /// Submitted straight to an executor.
-    Direct,
-    /// Never executes (deduplicated completion).
-    Synthetic,
 }
 
 impl Drop for ServeTier {

@@ -532,3 +532,132 @@ fn journal_dedupe_serves_outcomes_byte_identically_across_restarts() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn journal_replays_a_pending_job_through_the_admission_room() {
+    let path = temp_journal("replay-room");
+    // A previous process admitted two jobs for `alice` and died before
+    // either finished: job 5 pins the single worker, job 6 must wait.
+    let gate = d695("blocker").with_name("gate");
+    let survivor = d695("serial").with_name("survivor");
+    {
+        let journal = Journal::open_append(&path).unwrap();
+        for (job, request) in [(5, &gate), (6, &survivor)] {
+            journal.append(&journal::submit_record(
+                job,
+                RequestKey::of(request),
+                0,
+                Some("alice"),
+                &request.to_json(),
+            ));
+        }
+    }
+
+    let release = Arc::new(AtomicBool::new(false));
+    let collector = Arc::new(EventCollector::new());
+    let tier = ServeTier::builder()
+        .campaign(blocking_campaign(&release))
+        .threads(1)
+        .unwrap()
+        .queue_depth(1)
+        .journal(&path)
+        .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
+        .build()
+        .unwrap();
+    // Both were replayed past the depth-1 cap, and job 6 waits in the
+    // room: `alice` is at her bound there.
+    let SubmitOutcome::Rejected { reason, .. } =
+        tier.submit_for(d695("serial").with_name("a1"), Some("alice"), 0)
+    else {
+        panic!("the replayed job must hold alice's waiting slot");
+    };
+    assert_eq!(
+        reason,
+        "queue full: client `alice` already holds 1 waiting jobs on shard s0"
+    );
+    // A fresh submission gets the next id past the journaled maximum.
+    let fresh = tier.submit_for(d695("serial"), Some("bob"), 0).job();
+    assert_eq!(fresh, Some(JobId(7)));
+    release.store(true, Ordering::Relaxed);
+    tier.join();
+    let events = collector.snapshot();
+    for (job, name) in [(JobId(5), "gate"), (JobId(6), "survivor")] {
+        assert_eq!(
+            kinds_of(&events, job),
+            vec![
+                "queued",
+                "started",
+                "stage_finished",
+                "stage_finished",
+                "stage_finished",
+                "completed"
+            ],
+            "job {job:?}"
+        );
+        assert!(events.iter().all(|e| e.job() != job || e.request() == name));
+    }
+    assert_eq!(tier.admitted(), 3);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn journal_and_plan_cache_answers_feed_each_other() {
+    let path = temp_journal("journal-cache");
+    let request = d695("greedy").with_name("first");
+    let renamed = request.clone().with_name("renamed");
+    let tier_on = |collector: &Arc<EventCollector>| {
+        ServeTier::builder()
+            .journal(&path)
+            .plan_cache(8)
+            .sink(Arc::clone(collector) as Arc<dyn EventSink>)
+            .build()
+            .unwrap()
+    };
+
+    // Lifetime 1 plans the request for real.
+    {
+        let tier = tier_on(&Arc::new(EventCollector::new()));
+        assert!(matches!(
+            tier.submit(request.clone()),
+            SubmitOutcome::Admitted { .. }
+        ));
+        tier.join();
+    }
+
+    // Lifetime 2: the cache starts empty and the journal is recovered.
+    let collector = Arc::new(EventCollector::new());
+    let tier = tier_on(&collector);
+    // The journal is checked first: the identical request is deduped.
+    assert!(matches!(
+        tier.submit(request),
+        SubmitOutcome::Deduped { .. }
+    ));
+    // The dedupe answer fed the cache, so a renamed copy is a cache hit.
+    let SubmitOutcome::Cached { job: cached, .. } = tier.submit(renamed.clone()) else {
+        panic!("the dedupe answer must have fed the plan cache");
+    };
+    // The cache hit was journaled as `submit` + `completed`, so the
+    // renamed copy resubmitted verbatim is deduped.
+    let SubmitOutcome::Deduped { job: deduped } = tier.submit(renamed) else {
+        panic!("the cache answer must have fed the dedupe map");
+    };
+    tier.join();
+    let events = collector.snapshot();
+    for job in [cached, deduped] {
+        assert_eq!(kinds_of(&events, job), vec!["queued", "completed"]);
+    }
+    assert_eq!(
+        completed_outcome(&events, deduped).to_json().compact(),
+        completed_outcome(&events, cached).to_json().compact()
+    );
+    drop(tier);
+
+    // Every stored answer was journaled as terminal: a third lifetime
+    // has nothing pending to replay.
+    let collector = Arc::new(EventCollector::new());
+    let tier = tier_on(&collector);
+    tier.join();
+    assert_eq!(tier.admitted(), 0);
+    assert!(collector.snapshot().is_empty());
+    std::fs::remove_file(&path).ok();
+}
