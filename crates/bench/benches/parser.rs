@@ -5,7 +5,7 @@
 use noctest_bench::{harness::Runner, SystemId};
 use noctest_core::plan::{Campaign, PlanOutcome, PlanRequest};
 use noctest_core::BudgetSpec;
-use noctest_cpu::bist;
+use noctest_cpu::{bist, Isa};
 use noctest_itc02::{data, parse_soc, write_soc};
 
 fn main() {
@@ -23,10 +23,10 @@ fn main() {
 
     println!("# instruction-set simulators: BIST kernel, 1k words");
     runner.case("iss_bist_1k_words/mips", || {
-        bist::run_mips_bist(bist::DEFAULT_SEED, 1000).expect("runs")
+        bist::run_bist(Isa::MipsI, bist::DEFAULT_SEED, 1000).expect("runs")
     });
     runner.case("iss_bist_1k_words/sparc", || {
-        bist::run_sparc_bist(bist::DEFAULT_SEED, 1000).expect("runs")
+        bist::run_bist(Isa::SparcV8, bist::DEFAULT_SEED, 1000).expect("runs")
     });
 
     println!("# campaign serialisation: request/outcome JSON round-trips");

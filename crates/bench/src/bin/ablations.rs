@@ -25,7 +25,7 @@ use noctest_core::plan::{
     ApplicationSpec, Campaign, CoreRequest, PlanRequest, RequestMatrix, SocSource,
 };
 use noctest_core::{BudgetSpec, GenerationModel, PriorityPolicy};
-use noctest_cpu::decompress;
+use noctest_cpu::{decompress, Isa};
 use noctest_noc::RoutingKind;
 
 /// Full-reuse base request for a system (no power limit, greedy).
@@ -186,7 +186,7 @@ fn main() {
     for density in [0.02, 0.10, 0.50] {
         let data = decompress::synthetic_test_words(4096, density, 0x5EED);
         let stream = decompress::compress(&data);
-        let run = decompress::run_mips_decompress(&stream).expect("kernel runs");
+        let run = decompress::run_decompress(Isa::MipsI, &stream).expect("kernel runs");
         println!(
             "    care density {density:>4}: ratio {:>5.2}x, {:>5.2} cy/word",
             run.compression_ratio(),

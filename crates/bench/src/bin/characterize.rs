@@ -11,7 +11,7 @@
 //!    on the MIPS-I and SPARC V8 instruction-set simulators.
 
 use noctest_bench::SystemId;
-use noctest_cpu::{bist, characterize as cpu_char, Isa};
+use noctest_cpu::{bist, characterize as cpu_char, decompress, Isa};
 use noctest_noc::{characterize as noc_char, NocConfig, TrafficSpec};
 
 fn main() {
@@ -42,10 +42,11 @@ fn main() {
     println!();
     println!("== Processor characterisation (paper section 2, step 2) ==");
     println!("paper's assumption: 10 clock cycles to generate a test pattern");
-    for (name, isa) in [
+    let processors = [
         ("plasma (MIPS-I)", Isa::MipsI),
         ("leon (SPARC V8)", Isa::SparcV8),
-    ] {
+    ];
+    for (name, isa) in processors {
         let gen = cpu_char::measure(isa, 4096).expect("ISS run succeeds");
         let sink = cpu_char::measure_sink(isa, 4096).expect("ISS run succeeds");
         println!(
@@ -59,21 +60,11 @@ fn main() {
 
     println!();
     println!("== Decompression application (paper's future work) ==");
-    for (name, run_fn) in [
-        (
-            "plasma (MIPS-I)",
-            noctest_cpu::decompress::run_mips_decompress
-                as fn(&[u32]) -> Result<noctest_cpu::decompress::DecompressRun, _>,
-        ),
-        (
-            "leon (SPARC V8)",
-            noctest_cpu::decompress::run_sparc_decompress,
-        ),
-    ] {
+    for (name, isa) in processors {
         for density in [0.02, 0.10, 0.50] {
-            let data = noctest_cpu::decompress::synthetic_test_words(4096, density, 0x5EED);
-            let stream = noctest_cpu::decompress::compress(&data);
-            let run = run_fn(&stream).expect("kernel runs");
+            let data = decompress::synthetic_test_words(4096, density, 0x5EED);
+            let stream = decompress::compress(&data);
+            let run = decompress::run_decompress(isa, &stream).expect("kernel runs");
             println!(
                 "  {name:<17} care density {density:>4}: ratio {:>5.2}x, \
                  {:>5.2} cy/word, stream {} words",
@@ -87,11 +78,12 @@ fn main() {
     println!();
     println!("== BIST kernel correctness spot check ==");
     let n = 16;
-    let mips = bist::run_mips_bist(bist::DEFAULT_SEED, n).expect("kernel runs");
-    let sparc = bist::run_sparc_bist(bist::DEFAULT_SEED, n).expect("kernel runs");
     let host = bist::reference_sequence(bist::DEFAULT_SEED, n as usize);
-    println!(
-        "  first {n} LFSR words agree across host / MIPS ISS / SPARC ISS: {}",
-        mips.words == host && sparc.words == host
-    );
+    let agree = processors.iter().all(|&(_, isa)| {
+        bist::run_bist(isa, bist::DEFAULT_SEED, n)
+            .expect("kernel runs")
+            .words
+            == host
+    });
+    println!("  first {n} LFSR words agree across host / MIPS ISS / SPARC ISS: {agree}");
 }

@@ -67,7 +67,6 @@ pub mod path;
 pub mod plan;
 pub mod power;
 pub mod replay;
-pub mod report;
 pub mod sched;
 pub mod system;
 pub mod timing;

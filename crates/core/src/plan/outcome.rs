@@ -275,8 +275,7 @@ impl PlanOutcome {
     }
 
     /// Renders a text Gantt chart of the sessions (one row per session,
-    /// time bucketed into `width` columns) — the outcome-level counterpart
-    /// of [`crate::report::gantt`], needing no system object.
+    /// time bucketed into `width` columns, at least 10).
     #[must_use]
     pub fn gantt(&self, width: usize) -> String {
         let width = width.max(10);
@@ -567,6 +566,13 @@ mod tests {
         assert!(chart.contains("leon#0"));
         assert!(chart.contains('#'));
         assert!(chart.contains("makespan 1234"));
+    }
+
+    #[test]
+    fn gantt_width_is_clamped() {
+        let chart = sample().gantt(0);
+        let row = chart.lines().nth(1).unwrap();
+        assert_eq!(row.rsplit(' ').next().unwrap().len(), 10);
     }
 
     #[test]

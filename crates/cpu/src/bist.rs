@@ -8,15 +8,16 @@
 //! which the NoC wrapper would serialise it into flits towards the core
 //! under test.
 //!
-//! The same kernel is written in both assembly dialects; the harnesses run
-//! it on the respective ISS and check the emitted words against
-//! [`reference_sequence`], proving the processor models, assemblers and
-//! memory system agree bit-for-bit with the host reference.
+//! The same kernel is written in both assembly dialects; [`run_bist`] runs
+//! it on the simulator of the [`Isa`] it is given, and the tests check the
+//! emitted words against [`reference_sequence`], proving the processor
+//! models, assemblers and memory system agree bit-for-bit with the host
+//! reference. [`run_check`] does the same for the response checker.
 
 use crate::error::ExecError;
+use crate::harness::{Kernel, Program};
 use crate::mem::Memory;
-use crate::mips::{self, Mips};
-use crate::sparc::{self, Sparc};
+use crate::profile::Isa;
 
 /// Galois feedback mask for the maximal-length polynomial
 /// x^32 + x^22 + x^2 + x + 1.
@@ -169,45 +170,69 @@ impl BistRun {
     }
 }
 
-/// Assembles and runs the MIPS BIST kernel for `n` words from `seed`.
+/// The BIST kernel's calling convention in both dialects: TX port, word
+/// count, seed.
+const BIST: Kernel = Kernel {
+    mips: Program {
+        source: MIPS_BIST,
+        inputs: &[4, 5, 16], // $a0, $a1, $s0
+        result: None,
+    },
+    sparc: Program {
+        source: SPARC_BIST,
+        inputs: &[8, 9, 1], // %o0, %o1, %g1
+        result: None,
+    },
+};
+
+/// The response checker's calling convention in both dialects: RX port,
+/// word count, seed; mismatch count out.
+const CHECK: Kernel = Kernel {
+    mips: Program {
+        source: MIPS_CHECK,
+        inputs: &[6, 5, 16], // $a2, $a1, $s0
+        result: Some(2),     // $v0
+    },
+    sparc: Program {
+        source: SPARC_CHECK,
+        inputs: &[10, 9, 1], // %o2, %o1, %g1
+        result: Some(11),    // %o3
+    },
+};
+
+/// Cycle budget for a BIST or check run of `n` words.
+fn budget(n: u32) -> u64 {
+    40 * u64::from(n) + 1000
+}
+
+/// Assembles and runs the BIST kernel on `isa`'s simulator for `n` words
+/// from `seed`.
 ///
 /// # Errors
 ///
 /// Propagates ISS faults; the kernel itself is statically correct, so an
 /// error indicates a budget that is too small for `n`.
-pub fn run_mips_bist(seed: u32, n: u32) -> Result<BistRun, ExecError> {
-    let image = mips::assemble(MIPS_BIST).expect("embedded MIPS kernel assembles");
-    let mut mem = Memory::new(4096);
-    mem.load_image(0, &image)?;
-    let mut cpu = Mips::new(mem, 0);
-    cpu.set_reg(4, Memory::TX_PORT); // $a0
-    cpu.set_reg(5, n); // $a1
-    cpu.set_reg(16, seed); // $s0
-    cpu.run(40 * u64::from(n) + 1000)?;
-    Ok(BistRun {
-        words: cpu.memory_mut().take_tx(),
-        cycles: cpu.cycles(),
-    })
+pub fn run_bist(isa: Isa, seed: u32, n: u32) -> Result<BistRun, ExecError> {
+    run_bist_with_code_size(isa, seed, n).map(|(run, _)| run)
 }
 
-/// Assembles and runs the SPARC BIST kernel for `n` words from `seed`.
-///
-/// # Errors
-///
-/// Propagates ISS faults; see [`run_mips_bist`].
-pub fn run_sparc_bist(seed: u32, n: u32) -> Result<BistRun, ExecError> {
-    let image = sparc::assemble(SPARC_BIST).expect("embedded SPARC kernel assembles");
-    let mut mem = Memory::new(4096);
-    mem.load_image(0, &image)?;
-    let mut cpu = Sparc::new(mem, 0);
-    cpu.set_reg(8, Memory::TX_PORT); // %o0
-    cpu.set_reg(9, n); // %o1
-    cpu.set_reg(1, seed); // %g1
-    cpu.run(40 * u64::from(n) + 1000)?;
-    Ok(BistRun {
-        words: cpu.memory_mut().take_tx(),
-        cycles: cpu.cycles(),
-    })
+/// [`run_bist`] plus the kernel's code size in bytes.
+pub(crate) fn run_bist_with_code_size(
+    isa: Isa,
+    seed: u32,
+    n: u32,
+) -> Result<(BistRun, u32), ExecError> {
+    let run = BIST.run(
+        isa,
+        Memory::new(4096),
+        &[Memory::TX_PORT, n, seed],
+        budget(n),
+    )?;
+    let bist = BistRun {
+        words: run.words,
+        cycles: run.cycles,
+    };
+    Ok((bist, run.code_bytes))
 }
 
 /// Result of one response-check kernel execution on an ISS.
@@ -234,48 +259,21 @@ impl CheckRun {
     }
 }
 
-/// Runs the MIPS response checker against a response stream that equals the
-/// reference LFSR sequence except at the word indices in `corrupt`.
+/// Runs the response checker on `isa`'s simulator against a response
+/// stream that equals the reference LFSR sequence except at the word
+/// indices in `corrupt`.
 ///
 /// # Errors
 ///
-/// Propagates ISS faults; see [`run_mips_bist`].
-pub fn run_mips_check(seed: u32, n: u32, corrupt: &[usize]) -> Result<CheckRun, ExecError> {
-    let image = mips::assemble(MIPS_CHECK).expect("embedded MIPS checker assembles");
+/// Propagates ISS faults; see [`run_bist`].
+pub fn run_check(isa: Isa, seed: u32, n: u32, corrupt: &[usize]) -> Result<CheckRun, ExecError> {
     let mut mem = Memory::new(4096);
-    mem.load_image(0, &image)?;
     mem.feed_rx(corrupted_stream(seed, n, corrupt));
-    let mut cpu = Mips::new(mem, 0);
-    cpu.set_reg(6, Memory::RX_PORT); // $a2
-    cpu.set_reg(5, n); // $a1
-    cpu.set_reg(16, seed); // $s0
-    cpu.run(40 * u64::from(n) + 1000)?;
+    let run = CHECK.run(isa, mem, &[Memory::RX_PORT, n, seed], budget(n))?;
     Ok(CheckRun {
         words: n,
-        mismatches: cpu.reg(2), // $v0
-        cycles: cpu.cycles(),
-    })
-}
-
-/// Runs the SPARC response checker; see [`run_mips_check`].
-///
-/// # Errors
-///
-/// Propagates ISS faults; see [`run_sparc_bist`].
-pub fn run_sparc_check(seed: u32, n: u32, corrupt: &[usize]) -> Result<CheckRun, ExecError> {
-    let image = sparc::assemble(SPARC_CHECK).expect("embedded SPARC checker assembles");
-    let mut mem = Memory::new(4096);
-    mem.load_image(0, &image)?;
-    mem.feed_rx(corrupted_stream(seed, n, corrupt));
-    let mut cpu = Sparc::new(mem, 0);
-    cpu.set_reg(10, Memory::RX_PORT); // %o2
-    cpu.set_reg(9, n); // %o1
-    cpu.set_reg(1, seed); // %g1
-    cpu.run(40 * u64::from(n) + 1000)?;
-    Ok(CheckRun {
-        words: n,
-        mismatches: cpu.reg(11), // %o3
-        cycles: cpu.cycles(),
+        mismatches: run.result,
+        cycles: run.cycles,
     })
 }
 
@@ -307,20 +305,20 @@ mod tests {
 
     #[test]
     fn mips_kernel_matches_reference() {
-        let run = run_mips_bist(DEFAULT_SEED, 64).unwrap();
+        let run = run_bist(Isa::MipsI, DEFAULT_SEED, 64).unwrap();
         assert_eq!(run.words, reference_sequence(DEFAULT_SEED, 64));
     }
 
     #[test]
     fn sparc_kernel_matches_reference() {
-        let run = run_sparc_bist(DEFAULT_SEED, 64).unwrap();
+        let run = run_bist(Isa::SparcV8, DEFAULT_SEED, 64).unwrap();
         assert_eq!(run.words, reference_sequence(DEFAULT_SEED, 64));
     }
 
     #[test]
     fn kernels_agree_across_isas() {
-        let a = run_mips_bist(0xDEAD_BEEF, 32).unwrap();
-        let b = run_sparc_bist(0xDEAD_BEEF, 32).unwrap();
+        let a = run_bist(Isa::MipsI, 0xDEAD_BEEF, 32).unwrap();
+        let b = run_bist(Isa::SparcV8, 0xDEAD_BEEF, 32).unwrap();
         assert_eq!(a.words, b.words);
     }
 
@@ -328,8 +326,8 @@ mod tests {
     fn cycles_per_word_near_papers_assumption() {
         // The paper assumes 10 cycles per generated pattern; both kernels
         // must land in single-digit-to-low-teens territory.
-        let mips = run_mips_bist(DEFAULT_SEED, 512).unwrap();
-        let sparc = run_sparc_bist(DEFAULT_SEED, 512).unwrap();
+        let mips = run_bist(Isa::MipsI, DEFAULT_SEED, 512).unwrap();
+        let sparc = run_bist(Isa::SparcV8, DEFAULT_SEED, 512).unwrap();
         let m = mips.cycles_per_word();
         let s = sparc.cycles_per_word();
         assert!((6.0..14.0).contains(&m), "MIPS cycles/word = {m}");
@@ -339,8 +337,8 @@ mod tests {
     #[test]
     fn word_count_is_exact() {
         for n in [1u32, 2, 7, 100] {
-            assert_eq!(run_mips_bist(1, n).unwrap().words.len() as u32, n);
-            assert_eq!(run_sparc_bist(1, n).unwrap().words.len() as u32, n);
+            assert_eq!(run_bist(Isa::MipsI, 1, n).unwrap().words.len() as u32, n);
+            assert_eq!(run_bist(Isa::SparcV8, 1, n).unwrap().words.len() as u32, n);
         }
     }
 
@@ -356,18 +354,18 @@ mod tests {
 
     #[test]
     fn clean_stream_checks_without_mismatches() {
-        let m = run_mips_check(DEFAULT_SEED, 128, &[]).unwrap();
+        let m = run_check(Isa::MipsI, DEFAULT_SEED, 128, &[]).unwrap();
         assert_eq!(m.mismatches, 0);
-        let s = run_sparc_check(DEFAULT_SEED, 128, &[]).unwrap();
+        let s = run_check(Isa::SparcV8, DEFAULT_SEED, 128, &[]).unwrap();
         assert_eq!(s.mismatches, 0);
     }
 
     #[test]
     fn corrupted_words_are_detected_exactly() {
         let corrupt = [3usize, 17, 90];
-        let m = run_mips_check(DEFAULT_SEED, 128, &corrupt).unwrap();
+        let m = run_check(Isa::MipsI, DEFAULT_SEED, 128, &corrupt).unwrap();
         assert_eq!(m.mismatches, 3);
-        let s = run_sparc_check(DEFAULT_SEED, 128, &corrupt).unwrap();
+        let s = run_check(Isa::SparcV8, DEFAULT_SEED, 128, &corrupt).unwrap();
         assert_eq!(s.mismatches, 3);
     }
 
@@ -375,13 +373,17 @@ mod tests {
     fn checking_costs_more_than_generating() {
         // The sink recomputes the LFSR *and* loads/compares the response,
         // so it must be slower per word than the generator.
-        let gen = run_mips_bist(DEFAULT_SEED, 512).unwrap().cycles_per_word();
-        let chk = run_mips_check(DEFAULT_SEED, 512, &[])
+        let gen = run_bist(Isa::MipsI, DEFAULT_SEED, 512)
+            .unwrap()
+            .cycles_per_word();
+        let chk = run_check(Isa::MipsI, DEFAULT_SEED, 512, &[])
             .unwrap()
             .cycles_per_word();
         assert!(chk > gen, "check {chk} must exceed generate {gen}");
-        let gen_s = run_sparc_bist(DEFAULT_SEED, 512).unwrap().cycles_per_word();
-        let chk_s = run_sparc_check(DEFAULT_SEED, 512, &[])
+        let gen_s = run_bist(Isa::SparcV8, DEFAULT_SEED, 512)
+            .unwrap()
+            .cycles_per_word();
+        let chk_s = run_check(Isa::SparcV8, DEFAULT_SEED, 512, &[])
             .unwrap()
             .cycles_per_word();
         assert!(chk_s > gen_s);

@@ -10,7 +10,7 @@
 //! [`measure`] runs the BIST kernel of [`crate::bist`] on the requested ISS
 //! and reduces the run to the numbers the planner consumes.
 
-use crate::bist::{self, BistRun};
+use crate::bist;
 use crate::error::ExecError;
 use crate::profile::Isa;
 
@@ -49,11 +49,7 @@ impl GenCharacterization {
 ///
 /// Propagates ISS faults (which would indicate a kernel/simulator bug).
 pub fn measure_sink(isa: Isa, words: u32) -> Result<f64, ExecError> {
-    let run = match isa {
-        Isa::MipsI => bist::run_mips_check(bist::DEFAULT_SEED, words, &[])?,
-        Isa::SparcV8 => bist::run_sparc_check(bist::DEFAULT_SEED, words, &[])?,
-    };
-    Ok(run.cycles_per_word())
+    Ok(bist::run_check(isa, bist::DEFAULT_SEED, words, &[])?.cycles_per_word())
 }
 
 /// Runs the BIST kernel for `words` words on `isa` and characterises it.
@@ -62,22 +58,13 @@ pub fn measure_sink(isa: Isa, words: u32) -> Result<f64, ExecError> {
 ///
 /// Propagates ISS faults (which would indicate a kernel/simulator bug).
 pub fn measure(isa: Isa, words: u32) -> Result<GenCharacterization, ExecError> {
-    let (run, code_words): (BistRun, usize) = match isa {
-        Isa::MipsI => {
-            let code = crate::mips::assemble(bist::MIPS_BIST).expect("kernel assembles");
-            (bist::run_mips_bist(bist::DEFAULT_SEED, words)?, code.len())
-        }
-        Isa::SparcV8 => {
-            let code = crate::sparc::assemble(bist::SPARC_BIST).expect("kernel assembles");
-            (bist::run_sparc_bist(bist::DEFAULT_SEED, words)?, code.len())
-        }
-    };
+    let (run, code_bytes) = bist::run_bist_with_code_size(isa, bist::DEFAULT_SEED, words)?;
     Ok(GenCharacterization {
         isa,
         cycles_per_word: run.cycles_per_word(),
         total_cycles: run.cycles,
         words: run.words.len(),
-        code_bytes: (code_words * 4) as u32,
+        code_bytes,
     })
 }
 

@@ -14,7 +14,8 @@
 //!   of identical words): [`compress`] / [`decompress_host`];
 //! * **decompression kernels** in MIPS-I and SPARC V8 assembly that read
 //!   the compressed stream from memory and emit expanded pattern words to
-//!   the network-interface TX port;
+//!   the network-interface TX port, run by [`run_decompress`] on the
+//!   simulator of either [`Isa`];
 //! * a synthetic **test-cube generator** ([`synthetic_test_words`]) with a
 //!   configurable care-bit density, so the compression ratio and the
 //!   decompression throughput can be characterised as a function of the
@@ -29,9 +30,9 @@
 //! `n` words are emitted verbatim. The stream ends with a zero token.
 
 use crate::error::ExecError;
+use crate::harness::{Kernel, Program};
 use crate::mem::Memory;
-use crate::mips::{self, Mips};
-use crate::sparc::{self, Sparc};
+use crate::profile::Isa;
 
 /// Top bit marking a run token.
 pub const RUN_FLAG: u32 = 0x8000_0000;
@@ -227,44 +228,34 @@ impl DecompressRun {
 
 const STREAM_BASE: u32 = 0x1000;
 
-/// Runs the MIPS decompression kernel over `stream`.
+/// The decompressor's calling convention in both dialects: TX port,
+/// stream base address.
+const DECOMPRESS: Kernel = Kernel {
+    mips: Program {
+        source: MIPS_DECOMPRESS,
+        inputs: &[4, 5], // $a0, $a1
+        result: None,
+    },
+    sparc: Program {
+        source: SPARC_DECOMPRESS,
+        inputs: &[8, 9], // %o0, %o1
+        result: None,
+    },
+};
+
+/// Runs the decompression kernel on `isa`'s simulator over `stream`.
 ///
 /// # Errors
 ///
 /// Propagates ISS faults (stream too large for memory, or a kernel bug).
-pub fn run_mips_decompress(stream: &[u32]) -> Result<DecompressRun, ExecError> {
-    let image = mips::assemble(MIPS_DECOMPRESS).expect("embedded kernel assembles");
+pub fn run_decompress(isa: Isa, stream: &[u32]) -> Result<DecompressRun, ExecError> {
     let mut mem = Memory::new(STREAM_BASE + stream.len() as u32 * 4 + 64);
-    mem.load_image(0, &image)?;
     mem.load_image(STREAM_BASE, stream)?;
-    let mut cpu = Mips::new(mem, 0);
-    cpu.set_reg(4, Memory::TX_PORT); // $a0
-    cpu.set_reg(5, STREAM_BASE); // $a1
-    cpu.run(200 * stream.len() as u64 * 32 + 10_000)?;
+    let budget = 200 * stream.len() as u64 * 32 + 10_000;
+    let run = DECOMPRESS.run(isa, mem, &[Memory::TX_PORT, STREAM_BASE], budget)?;
     Ok(DecompressRun {
-        words: cpu.memory_mut().take_tx(),
-        cycles: cpu.cycles(),
-        stream_words: stream.len(),
-    })
-}
-
-/// Runs the SPARC decompression kernel over `stream`.
-///
-/// # Errors
-///
-/// Propagates ISS faults; see [`run_mips_decompress`].
-pub fn run_sparc_decompress(stream: &[u32]) -> Result<DecompressRun, ExecError> {
-    let image = sparc::assemble(SPARC_DECOMPRESS).expect("embedded kernel assembles");
-    let mut mem = Memory::new(STREAM_BASE + stream.len() as u32 * 4 + 64);
-    mem.load_image(0, &image)?;
-    mem.load_image(STREAM_BASE, stream)?;
-    let mut cpu = Sparc::new(mem, 0);
-    cpu.set_reg(8, Memory::TX_PORT); // %o0
-    cpu.set_reg(9, STREAM_BASE); // %o1
-    cpu.run(200 * stream.len() as u64 * 32 + 10_000)?;
-    Ok(DecompressRun {
-        words: cpu.memory_mut().take_tx(),
-        cycles: cpu.cycles(),
+        words: run.words,
+        cycles: run.cycles,
         stream_words: stream.len(),
     })
 }
@@ -336,7 +327,7 @@ mod tests {
     fn mips_kernel_matches_host() {
         let data = synthetic_test_words(256, 0.05, 0xBEEF);
         let stream = compress(&data);
-        let run = run_mips_decompress(&stream).unwrap();
+        let run = run_decompress(Isa::MipsI, &stream).unwrap();
         assert_eq!(run.words, data);
     }
 
@@ -344,7 +335,7 @@ mod tests {
     fn sparc_kernel_matches_host() {
         let data = synthetic_test_words(256, 0.05, 0xBEEF);
         let stream = compress(&data);
-        let run = run_sparc_decompress(&stream).unwrap();
+        let run = run_decompress(Isa::SparcV8, &stream).unwrap();
         assert_eq!(run.words, data);
     }
 
@@ -352,8 +343,8 @@ mod tests {
     fn kernels_agree_on_literal_heavy_data() {
         let data = synthetic_test_words(128, 0.9, 3);
         let stream = compress(&data);
-        let m = run_mips_decompress(&stream).unwrap();
-        let s = run_sparc_decompress(&stream).unwrap();
+        let m = run_decompress(Isa::MipsI, &stream).unwrap();
+        let s = run_decompress(Isa::SparcV8, &stream).unwrap();
         assert_eq!(m.words, s.words);
         assert_eq!(m.words, data);
     }
@@ -364,7 +355,7 @@ mod tests {
         // inner loop (store + count + branch) beats the ~9.5-cycle LFSR.
         let data = synthetic_test_words(2048, 0.05, 0x1234);
         let stream = compress(&data);
-        let run = run_mips_decompress(&stream).unwrap();
+        let run = run_decompress(Isa::MipsI, &stream).unwrap();
         assert!(
             run.compression_ratio() > 2.0,
             "ratio {}",
@@ -381,11 +372,11 @@ mod tests {
     fn dense_cubes_decompress_slower() {
         let sparse = {
             let s = compress(&synthetic_test_words(2048, 0.03, 9));
-            run_mips_decompress(&s).unwrap().cycles_per_word()
+            run_decompress(Isa::MipsI, &s).unwrap().cycles_per_word()
         };
         let dense = {
             let s = compress(&synthetic_test_words(2048, 0.8, 9));
-            run_mips_decompress(&s).unwrap().cycles_per_word()
+            run_decompress(Isa::MipsI, &s).unwrap().cycles_per_word()
         };
         assert!(dense > sparse, "dense {dense} vs sparse {sparse}");
     }

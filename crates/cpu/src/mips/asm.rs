@@ -2,7 +2,10 @@
 //!
 //! Supports the instruction subset of [`mod@super::decode`], labels, `#`
 //! comments, the `.word` directive, decimal/hex immediates and the usual
-//! register names. Pseudo-instructions: `nop`, `move`, `li`, `b`.
+//! register names. Pseudo-instructions: `nop`, `move`, `li`, `b`. Line
+//! cleaning, labels, `.word` and numbers come from the front end shared
+//! with the SPARC assembler; this module holds the registers, operand
+//! forms and encoder.
 //!
 //! ```
 //! let program = noctest_cpu::mips::assemble(
@@ -16,8 +19,7 @@
 //! # Ok::<(), noctest_cpu::mips::asm::AsmError>(())
 //! ```
 
-use std::collections::HashMap;
-
+use crate::asm::{self, err, need, parse_i64, Dialect, Labels};
 pub use crate::error::AsmError;
 
 /// Assembles MIPS-I source into instruction words (base address 0).
@@ -25,123 +27,23 @@ pub use crate::error::AsmError;
 /// # Errors
 ///
 /// Returns [`AsmError`] with a line number for syntax errors, unknown
-/// mnemonics/registers, out-of-range immediates and undefined labels.
+/// mnemonics/registers, out-of-range immediates, bad `.word` values and
+/// undefined or redefined labels.
 pub fn assemble(src: &str) -> Result<Vec<u32>, AsmError> {
-    let lines = clean_lines(src);
-    let labels = collect_labels(&lines)?;
-    let mut words = Vec::new();
-    for line in &lines {
-        for item in &line.items {
-            if let Item::Instr { mnemonic, .. } = item {
-                if mnemonic.ends_with(':') {
-                    continue; // label marker, emits nothing
-                }
-            }
-            let pc = words.len() as u32 * 4;
-            words.push(encode(item, pc, line.no, &labels)?);
-        }
-    }
-    Ok(words)
+    asm::assemble(&MIPS, src)
 }
 
-struct Line {
-    no: usize,
-    items: Vec<Item>,
-}
-
-enum Item {
-    Word(u32),
-    Instr { mnemonic: String, args: Vec<String> },
-}
-
-fn clean_lines(src: &str) -> Vec<Line> {
-    let mut out = Vec::new();
-    for (i, raw) in src.lines().enumerate() {
-        let mut text = raw.split('#').next().unwrap_or("").trim().to_owned();
-        let mut items = Vec::new();
-        // Peel leading labels (possibly several) -- they attach to the
-        // position of the *next* emitted item, handled in collect_labels.
-        while let Some(colon) = text.find(':') {
-            let (label, rest) = text.split_at(colon);
-            if label.contains(char::is_whitespace) {
-                break;
-            }
-            items.push(Item::Instr {
-                mnemonic: format!("{label}:"),
-                args: vec![],
-            });
-            text = rest[1..].trim().to_owned();
-        }
-        if !text.is_empty() {
-            if let Some(rest) = text.strip_prefix(".word") {
-                for tok in rest.split(',') {
-                    let v = parse_imm_u32(tok.trim()).unwrap_or(0);
-                    items.push(Item::Word(v));
-                }
-            } else {
-                let mut parts = text.splitn(2, char::is_whitespace);
-                let mnemonic = parts.next().unwrap_or("").to_lowercase();
-                let args: Vec<String> = parts
-                    .next()
-                    .unwrap_or("")
-                    .split(',')
-                    .map(|s| s.trim().to_owned())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                items.push(Item::Instr { mnemonic, args });
-            }
-        }
-        if !items.is_empty() {
-            out.push(Line { no: i + 1, items });
-        }
-    }
-    out
-}
-
-/// First pass: assign addresses; expand pseudo-instruction sizes.
-fn collect_labels(lines: &[Line]) -> Result<HashMap<String, u32>, AsmError> {
-    let mut labels = HashMap::new();
-    let mut pc = 0u32;
-    for line in lines {
-        for item in &line.items {
-            match item {
-                Item::Instr { mnemonic, .. } if mnemonic.ends_with(':') => {
-                    let name = mnemonic.trim_end_matches(':').to_owned();
-                    if labels.insert(name.clone(), pc).is_some() {
-                        return Err(AsmError {
-                            line: line.no,
-                            message: format!("label `{name}` redefined"),
-                        });
-                    }
-                }
-                Item::Instr { .. } | Item::Word(_) => pc += 4,
-            }
-        }
-    }
-    Ok(labels)
-}
-
-#[allow(clippy::too_many_lines)] // a flat mnemonic table reads better split
-fn encode(
-    item: &Item,
-    pc: u32,
-    line: usize,
-    labels: &HashMap<String, u32>,
-) -> Result<u32, AsmError> {
-    // NOTE: multi-word pseudo-instructions are expanded by the caller via
-    // encode_multi; single-word paths land here.
-    match item {
-        Item::Word(w) => Ok(*w),
-        Item::Instr { mnemonic, args } => encode_instr(mnemonic, args, pc, line, labels),
-    }
-}
-
-fn err(line: usize, message: impl Into<String>) -> AsmError {
-    AsmError {
-        line,
-        message: message.into(),
-    }
-}
+const MIPS: Dialect = Dialect {
+    comment: &['#'],
+    is_label: |label| !label.contains(char::is_whitespace),
+    split_args: |text| {
+        text.split(',')
+            .map(|s| s.trim().to_owned())
+            .filter(|s| !s.is_empty())
+            .collect()
+    },
+    encode,
+};
 
 fn reg(name: &str, line: usize) -> Result<u8, AsmError> {
     const NAMES: [&str; 32] = [
@@ -164,26 +66,8 @@ fn reg(name: &str, line: usize) -> Result<u8, AsmError> {
         .ok_or_else(|| err(line, format!("unknown register `{name}`")))
 }
 
-fn parse_imm_i64(tok: &str) -> Result<i64, ()> {
-    let tok = tok.trim();
-    let (neg, rest) = match tok.strip_prefix('-') {
-        Some(r) => (true, r),
-        None => (false, tok),
-    };
-    let v = if let Some(hex) = rest.strip_prefix("0x").or_else(|| rest.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16).map_err(|_| ())?
-    } else {
-        rest.parse::<i64>().map_err(|_| ())?
-    };
-    Ok(if neg { -v } else { v })
-}
-
-fn parse_imm_u32(tok: &str) -> Result<u32, ()> {
-    parse_imm_i64(tok).map(|v| v as u32)
-}
-
 fn imm16(tok: &str, line: usize) -> Result<u16, AsmError> {
-    let v = parse_imm_i64(tok).map_err(|()| err(line, format!("bad immediate `{tok}`")))?;
+    let v = parse_i64(tok).ok_or_else(|| err(line, format!("bad immediate `{tok}`")))?;
     if (-32768..=65535).contains(&v) {
         Ok(v as u16)
     } else {
@@ -209,18 +93,8 @@ fn mem_operand(tok: &str, line: usize) -> Result<(u16, u8), AsmError> {
     Ok((offset, base))
 }
 
-fn branch_offset(
-    target: &str,
-    pc: u32,
-    line: usize,
-    labels: &HashMap<String, u32>,
-) -> Result<u16, AsmError> {
-    let dest = match labels.get(target) {
-        Some(&d) => d,
-        None => {
-            parse_imm_u32(target).map_err(|()| err(line, format!("undefined label `{target}`")))?
-        }
-    };
+fn branch_offset(target: &str, pc: u32, line: usize, labels: &Labels) -> Result<u16, AsmError> {
+    let dest = asm::target(target, line, labels)?;
     let diff = (i64::from(dest) - i64::from(pc) - 4) / 4;
     if (-32768..=32767).contains(&diff) {
         Ok((diff as i16) as u16)
@@ -241,23 +115,12 @@ fn i_type(op: u32, rs: u8, rt: u8, imm: u16) -> u32 {
     (op << 26) | (u32::from(rs) << 21) | (u32::from(rt) << 16) | u32::from(imm)
 }
 
-fn need(args: &[String], n: usize, line: usize, mnem: &str) -> Result<(), AsmError> {
-    if args.len() == n {
-        Ok(())
-    } else {
-        Err(err(
-            line,
-            format!("`{mnem}` expects {n} operands, found {}", args.len()),
-        ))
-    }
-}
-
-fn encode_instr(
+fn encode(
     mnemonic: &str,
     args: &[String],
     pc: u32,
     line: usize,
-    labels: &HashMap<String, u32>,
+    labels: &Labels,
 ) -> Result<u32, AsmError> {
     let three_r = |funct: u32| -> Result<u32, AsmError> {
         need(args, 3, line, mnemonic)?;
@@ -271,7 +134,7 @@ fn encode_instr(
     };
     let shift = |funct: u32| -> Result<u32, AsmError> {
         need(args, 3, line, mnemonic)?;
-        let sa = parse_imm_i64(&args[2]).map_err(|()| err(line, "bad shift amount"))?;
+        let sa = parse_i64(&args[2]).ok_or_else(|| err(line, "bad shift amount"))?;
         if !(0..32).contains(&sa) {
             return Err(err(line, "shift amount out of range"));
         }
@@ -327,11 +190,7 @@ fn encode_instr(
     };
     let jump = |op: u32| -> Result<u32, AsmError> {
         need(args, 1, line, mnemonic)?;
-        let dest = match labels.get(&args[0]) {
-            Some(&d) => d,
-            None => parse_imm_u32(&args[0])
-                .map_err(|()| err(line, format!("undefined label `{}`", args[0])))?,
-        };
+        let dest = asm::target(&args[0], line, labels)?;
         Ok((op << 26) | ((dest >> 2) & 0x03FF_FFFF))
     };
 
@@ -441,7 +300,7 @@ fn encode_instr(
         }
         "li" => {
             need(args, 2, line, mnemonic)?;
-            let v = parse_imm_i64(&args[1]).map_err(|()| err(line, "bad immediate"))?;
+            let v = parse_i64(&args[1]).ok_or_else(|| err(line, "bad immediate"))?;
             if (-32768..=65535).contains(&v) {
                 if v < 0 {
                     Ok(i_type(9, 0, reg(&args[0], line)?, v as i16 as u16))

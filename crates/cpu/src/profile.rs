@@ -184,10 +184,7 @@ impl ProcessorProfile {
     pub fn calibrated_decompression(mut self, care_density: f64) -> Result<Self, ExecError> {
         let data = decompress::synthetic_test_words(4096, care_density, 0x5EED);
         let stream = decompress::compress(&data);
-        let run = match self.isa {
-            Isa::MipsI => decompress::run_mips_decompress(&stream)?,
-            Isa::SparcV8 => decompress::run_sparc_decompress(&stream)?,
-        };
+        let run = decompress::run_decompress(self.isa, &stream)?;
         self.decomp_cycles_per_word = Some(run.cycles_per_word());
         self.decomp_ratio = Some(run.compression_ratio());
         self.source_mode = SourceMode::Decompression;
@@ -278,6 +275,70 @@ mod tests {
         decomp.source_mode = SourceMode::Decompression;
         // Not calibrated for decompression: cost unknown.
         assert_eq!(decomp.source_cycles_per_word(), None);
+    }
+
+    /// 64-bit FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: &[u32]) -> u64 {
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Every kernel image, calibrated profile and checker run is pinned
+    /// bit for bit, so a change to the assemblers, the harness or the
+    /// simulators that moves any of them fails here.
+    #[test]
+    fn kernel_images_and_calibrations_are_pinned() {
+        use crate::{bist, mips, sparc};
+        let images = [
+            (mips::assemble(bist::MIPS_BIST), 12, 0x65e4_ffa4_f2cf_8843),
+            (mips::assemble(bist::MIPS_CHECK), 15, 0x66ed_844a_e33f_6df2),
+            (
+                mips::assemble(decompress::MIPS_DECOMPRESS),
+                28,
+                0x842a_1216_00c2_6e71,
+            ),
+            (sparc::assemble(bist::SPARC_BIST), 11, 0xd9b4_bd37_b000_269e),
+            (
+                sparc::assemble(bist::SPARC_CHECK),
+                15,
+                0x34c1_e82a_d562_d138,
+            ),
+            (
+                sparc::assemble(decompress::SPARC_DECOMPRESS),
+                29,
+                0xacd4_8131_370c_34e4,
+            ),
+        ];
+        for (image, len, hash) in images {
+            let image = image.unwrap();
+            assert_eq!((image.len(), fnv1a(&image)), (len, hash));
+        }
+        for (profile, decomp_bits) in [
+            (ProcessorProfile::plasma(), 0x401a_5e40_0000_0000_u64),
+            (ProcessorProfile::leon(), 0x401d_a4c0_0000_0000),
+        ] {
+            let p = profile.calibrated().unwrap();
+            assert_eq!(p.gen_cycles_per_word, Some(9.525_390_625));
+            assert_eq!(p.sink_cycles_per_word, Some(11.525_390_625));
+            assert_eq!(p.memory_bytes, 2048);
+            let p = p.calibrated_decompression(0.05).unwrap();
+            assert_eq!(
+                p.decomp_cycles_per_word.map(f64::to_bits),
+                Some(decomp_bits)
+            );
+            assert_eq!(
+                p.decomp_ratio.map(f64::to_bits),
+                Some(0x4014_5a50_c670_938f)
+            );
+        }
+        for isa in [Isa::MipsI, Isa::SparcV8] {
+            let run = bist::run_check(isa, bist::DEFAULT_SEED, 128, &[3, 77]).unwrap();
+            assert_eq!((run.mismatches, run.cycles), (2, 1482), "{isa}");
+        }
     }
 
     #[test]

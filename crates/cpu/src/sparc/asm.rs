@@ -4,7 +4,10 @@
 //! `op src1, src2, dst` (destination last), `[%r+off]` memory operands,
 //! `%hi(x)`/`%lo(x)` relocations for `sethi`/`or`, `!` or `#` comments,
 //! branch annul suffixes (`bne,a`), and the register aliases `%sp`
-//! (= `%o6`) and `%fp` (= `%i6`).
+//! (= `%o6`) and `%fp` (= `%i6`). Line cleaning, labels, `.word` and
+//! numbers come from the front end shared with the MIPS assembler; this
+//! module holds the bracket-aware operand splitting, registers, operand
+//! forms and encoder.
 //!
 //! ```
 //! let program = noctest_cpu::sparc::assemble(
@@ -16,8 +19,7 @@
 //! # Ok::<(), noctest_cpu::sparc::asm::AsmError>(())
 //! ```
 
-use std::collections::HashMap;
-
+use crate::asm::{self, err, need, parse_u32, Dialect, Labels};
 pub use crate::error::AsmError;
 
 /// Assembles SPARC V8 source into instruction words (base address 0).
@@ -25,68 +27,18 @@ pub use crate::error::AsmError;
 /// # Errors
 ///
 /// Returns [`AsmError`] with a line number for syntax errors, unknown
-/// mnemonics/registers, out-of-range immediates and undefined labels.
+/// mnemonics/registers, out-of-range immediates, bad `.word` values and
+/// undefined or redefined labels.
 pub fn assemble(src: &str) -> Result<Vec<u32>, AsmError> {
-    let lines = clean_lines(src);
-    let labels = collect_labels(&lines);
-    let mut words = Vec::new();
-    for line in &lines {
-        for item in &line.items {
-            match item {
-                Item::Label(_) => {}
-                Item::Word(w) => words.push(*w),
-                Item::Instr { mnemonic, args } => {
-                    let pc = words.len() as u32 * 4;
-                    words.push(encode(mnemonic, args, pc, line.no, &labels)?);
-                }
-            }
-        }
-    }
-    Ok(words)
+    asm::assemble(&SPARC, src)
 }
 
-struct Line {
-    no: usize,
-    items: Vec<Item>,
-}
-
-enum Item {
-    Label(String),
-    Word(u32),
-    Instr { mnemonic: String, args: Vec<String> },
-}
-
-fn clean_lines(src: &str) -> Vec<Line> {
-    let mut out = Vec::new();
-    for (i, raw) in src.lines().enumerate() {
-        let mut text = raw.split(['!', '#']).next().unwrap_or("").trim().to_owned();
-        let mut items = Vec::new();
-        while let Some(colon) = text.find(':') {
-            let (label, rest) = text.split_at(colon);
-            if label.contains(char::is_whitespace) || label.contains('%') {
-                break;
-            }
-            items.push(Item::Label(label.to_owned()));
-            text = rest[1..].trim().to_owned();
-        }
-        if !text.is_empty() {
-            if let Some(rest) = text.strip_prefix(".word") {
-                for tok in rest.split(',') {
-                    items.push(Item::Word(parse_u32(tok.trim()).unwrap_or(0)));
-                }
-            } else {
-                let mut parts = text.splitn(2, char::is_whitespace);
-                let mnemonic = parts.next().unwrap_or("").to_lowercase();
-                let args = split_args(parts.next().unwrap_or(""));
-                items.push(Item::Instr { mnemonic, args });
-            }
-        }
-        if !items.is_empty() {
-            out.push(Line { no: i + 1, items });
-        }
-    }
-    out
-}
+const SPARC: Dialect = Dialect {
+    comment: &['!', '#'],
+    is_label: |label| !label.contains(char::is_whitespace) && !label.contains('%'),
+    split_args,
+    encode,
+};
 
 /// Splits on commas that are not inside `[...]` or `(...)`.
 fn split_args(s: &str) -> Vec<String> {
@@ -118,96 +70,40 @@ fn split_args(s: &str) -> Vec<String> {
     args
 }
 
-fn collect_labels(lines: &[Line]) -> HashMap<String, u32> {
-    let mut labels = HashMap::new();
-    let mut pc = 0u32;
-    for line in lines {
-        for item in &line.items {
-            match item {
-                Item::Label(name) => {
-                    labels.insert(name.clone(), pc);
-                }
-                Item::Instr { .. } | Item::Word(_) => pc += 4,
-            }
-        }
-    }
-    labels
-}
-
-fn err(line: usize, message: impl Into<String>) -> AsmError {
-    AsmError {
-        line,
-        message: message.into(),
-    }
-}
-
-fn parse_u32(tok: &str) -> Result<u32, ()> {
-    let tok = tok.trim();
-    let (neg, rest) = match tok.strip_prefix('-') {
-        Some(r) => (true, r),
-        None => (false, tok),
-    };
-    let v = if let Some(hex) = rest.strip_prefix("0x").or_else(|| rest.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16).map_err(|_| ())?
-    } else {
-        rest.parse::<i64>().map_err(|_| ())?
-    };
-    Ok(if neg { (-v) as u32 } else { v as u32 })
-}
-
 fn reg(name: &str, line: usize) -> Result<u8, AsmError> {
     let n = name
         .strip_prefix('%')
-        .ok_or_else(|| err(line, format!("expected register, found `{name}`")))?;
-    let n = n.to_lowercase();
-    let parse_idx = |s: &str, base: u8| -> Option<u8> {
-        s.parse::<u8>().ok().filter(|&i| i < 8).map(|i| base + i)
-    };
+        .ok_or_else(|| err(line, format!("expected register, found `{name}`")))?
+        .to_lowercase();
+    // The four windowed groups of eight, then the flat names %r0-%r31.
+    let groups = [
+        ('g', 0, 8),
+        ('o', 8, 8),
+        ('l', 16, 8),
+        ('i', 24, 8),
+        ('r', 0, 32),
+    ];
+    let numbered = groups.iter().find_map(|&(prefix, base, count)| {
+        let i = n.strip_prefix(prefix)?.parse::<u8>().ok()?;
+        (i < count).then_some(base + i)
+    });
     match n.as_str() {
-        "sp" => return Ok(14),
-        "fp" => return Ok(30),
-        _ => {}
+        "sp" => Ok(14),
+        "fp" => Ok(30),
+        _ => numbered.ok_or_else(|| err(line, format!("unknown register `{name}`"))),
     }
-    if let Some(rest) = n.strip_prefix('g') {
-        if let Some(r) = parse_idx(rest, 0) {
-            return Ok(r);
-        }
-    }
-    if let Some(rest) = n.strip_prefix('o') {
-        if let Some(r) = parse_idx(rest, 8) {
-            return Ok(r);
-        }
-    }
-    if let Some(rest) = n.strip_prefix('l') {
-        if let Some(r) = parse_idx(rest, 16) {
-            return Ok(r);
-        }
-    }
-    if let Some(rest) = n.strip_prefix('i') {
-        if let Some(r) = parse_idx(rest, 24) {
-            return Ok(r);
-        }
-    }
-    if let Some(rest) = n.strip_prefix('r') {
-        if let Ok(i) = rest.parse::<u8>() {
-            if i < 32 {
-                return Ok(i);
-            }
-        }
-    }
-    Err(err(line, format!("unknown register `{name}`")))
 }
 
 /// A format-3 second operand: register, immediate or %lo(x).
 fn operand2(tok: &str, line: usize) -> Result<(bool, u32), AsmError> {
     if tok.starts_with('%') {
         if let Some(inner) = tok.strip_prefix("%lo(").and_then(|s| s.strip_suffix(')')) {
-            let v = parse_u32(inner).map_err(|()| err(line, format!("bad %lo `{tok}`")))?;
+            let v = parse_u32(inner).ok_or_else(|| err(line, format!("bad %lo `{tok}`")))?;
             return Ok((true, v & 0x3FF));
         }
         return Ok((false, u32::from(reg(tok, line)?)));
     }
-    let v = parse_u32(tok).map_err(|()| err(line, format!("bad immediate `{tok}`")))?;
+    let v = parse_u32(tok).ok_or_else(|| err(line, format!("bad immediate `{tok}`")))?;
     let signed = v as i32;
     if !(-4096..=4095).contains(&signed) {
         return Err(err(line, format!("immediate `{tok}` out of simm13 range")));
@@ -241,17 +137,6 @@ fn fmt3(op: u32, op3: u32, rd: u8, rs1: u8, imm: bool, op2: u32) -> u32 {
         | (u32::from(rs1) << 14)
         | (u32::from(imm) << 13)
         | (op2 & 0x1FFF)
-}
-
-fn need(args: &[String], n: usize, line: usize, mnem: &str) -> Result<(), AsmError> {
-    if args.len() == n {
-        Ok(())
-    } else {
-        Err(err(
-            line,
-            format!("`{mnem}` expects {n} operands, found {}", args.len()),
-        ))
-    }
 }
 
 const BRANCHES: [(&str, u32); 16] = [
@@ -300,7 +185,7 @@ fn encode(
     args: &[String],
     pc: u32,
     line: usize,
-    labels: &HashMap<String, u32>,
+    labels: &Labels,
 ) -> Result<u32, AsmError> {
     // Branches, optionally with the ,a annul suffix.
     let (base_mnem, annul) = match mnemonic.strip_suffix(",a") {
@@ -309,11 +194,7 @@ fn encode(
     };
     if let Some(&(_, cond)) = BRANCHES.iter().find(|&&(m, _)| m == base_mnem) {
         need(args, 1, line, mnemonic)?;
-        let dest = match labels.get(&args[0]) {
-            Some(&d) => d,
-            None => parse_u32(&args[0])
-                .map_err(|()| err(line, format!("undefined label `{}`", args[0])))?,
-        };
+        let dest = asm::target(&args[0], line, labels)?;
         let disp = (i64::from(dest) - i64::from(pc)) / 4;
         if !(-(1 << 21)..(1 << 21)).contains(&disp) {
             return Err(err(line, "branch displacement out of range"));
@@ -339,20 +220,16 @@ fn encode(
                 .strip_prefix("%hi(")
                 .and_then(|s| s.strip_suffix(')'))
             {
-                parse_u32(inner).map_err(|()| err(line, "bad %hi() value"))? >> 10
+                parse_u32(inner).ok_or_else(|| err(line, "bad %hi() value"))? >> 10
             } else {
-                parse_u32(&args[0]).map_err(|()| err(line, "bad sethi immediate"))?
+                parse_u32(&args[0]).ok_or_else(|| err(line, "bad sethi immediate"))?
             };
             let rd = reg(&args[1], line)?;
             Ok((u32::from(rd) << 25) | (0b100 << 22) | (value & 0x003F_FFFF))
         }
         "call" => {
             need(args, 1, line, mnemonic)?;
-            let dest = match labels.get(&args[0]) {
-                Some(&d) => d,
-                None => parse_u32(&args[0])
-                    .map_err(|()| err(line, format!("undefined label `{}`", args[0])))?,
-            };
+            let dest = asm::target(&args[0], line, labels)?;
             let disp = (i64::from(dest) - i64::from(pc)) / 4;
             Ok((1 << 30) | ((disp as u32) & 0x3FFF_FFFF))
         }

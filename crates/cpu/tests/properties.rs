@@ -2,8 +2,8 @@
 //! for any seed, and assembled programs decode cleanly (seeded,
 //! dependency-free generators from `noctest-testkit`).
 
-use noctest_cpu::bist::{reference_sequence, run_mips_bist, run_sparc_bist};
-use noctest_cpu::{mips, sparc, Memory};
+use noctest_cpu::bist::{reference_sequence, run_bist};
+use noctest_cpu::{mips, sparc, Isa, Memory};
 use noctest_testkit::Rng;
 
 /// The MIPS-simulated BIST kernel reproduces the host LFSR bit-exactly
@@ -14,7 +14,7 @@ fn mips_bist_matches_reference() {
         let mut rng = Rng::new(seed);
         let lfsr_seed = rng.next_u32();
         let n = rng.range_u32(1, 199);
-        let run = run_mips_bist(lfsr_seed, n).unwrap();
+        let run = run_bist(Isa::MipsI, lfsr_seed, n).unwrap();
         assert_eq!(
             run.words,
             reference_sequence(lfsr_seed, n as usize),
@@ -30,7 +30,7 @@ fn sparc_bist_matches_reference() {
         let mut rng = Rng::new(seed);
         let lfsr_seed = rng.next_u32();
         let n = rng.range_u32(1, 199);
-        let run = run_sparc_bist(lfsr_seed, n).unwrap();
+        let run = run_bist(Isa::SparcV8, lfsr_seed, n).unwrap();
         assert_eq!(
             run.words,
             reference_sequence(lfsr_seed, n as usize),
@@ -46,8 +46,8 @@ fn bist_cycles_deterministic() {
         let mut rng = Rng::new(seed);
         let lfsr_seed = rng.next_u32();
         let n = rng.range_u32(1, 99);
-        let a = run_mips_bist(lfsr_seed, n).unwrap();
-        let b = run_mips_bist(lfsr_seed, n).unwrap();
+        let a = run_bist(Isa::MipsI, lfsr_seed, n).unwrap();
+        let b = run_bist(Isa::MipsI, lfsr_seed, n).unwrap();
         assert_eq!(a.cycles, b.cycles, "seed {seed}");
     }
 }

@@ -4,7 +4,7 @@
 //! machine.
 
 use noctest::core::{BudgetSpec, GreedyScheduler, Scheduler, SmartScheduler, SystemBuilder};
-use noctest::cpu::{bist, ProcessorProfile};
+use noctest::cpu::{bist, Isa, ProcessorProfile};
 use noctest::itc02::data;
 use noctest::noc::{characterize, NocConfig, TrafficSpec};
 
@@ -14,8 +14,8 @@ fn iss_characterisation_is_bit_stable() {
     let b = ProcessorProfile::leon().calibrated().unwrap();
     assert_eq!(a.gen_cycles_per_word, b.gen_cycles_per_word);
     assert_eq!(a.sink_cycles_per_word, b.sink_cycles_per_word);
-    let r1 = bist::run_mips_bist(42, 100).unwrap();
-    let r2 = bist::run_mips_bist(42, 100).unwrap();
+    let r1 = bist::run_bist(Isa::MipsI, 42, 100).unwrap();
+    let r2 = bist::run_bist(Isa::MipsI, 42, 100).unwrap();
     assert_eq!(r1, r2);
 }
 

@@ -3,7 +3,7 @@
 //! wrapper shift bound.
 
 use noctest::core::{GreedyScheduler, Scheduler, SystemBuilder, TimingModel, WrapperDesign};
-use noctest::cpu::{decompress, ProcessorProfile, SourceMode};
+use noctest::cpu::{decompress, Isa, ProcessorProfile, SourceMode};
 use noctest::itc02::data;
 
 #[test]
@@ -42,11 +42,11 @@ fn decompression_advantage_vanishes_on_dense_cubes() {
     // decompressor is no faster than the LFSR.
     let run_sparse = {
         let stream = decompress::compress(&decompress::synthetic_test_words(2048, 0.02, 11));
-        decompress::run_mips_decompress(&stream).unwrap()
+        decompress::run_decompress(Isa::MipsI, &stream).unwrap()
     };
     let run_dense = {
         let stream = decompress::compress(&decompress::synthetic_test_words(2048, 0.5, 11));
-        decompress::run_mips_decompress(&stream).unwrap()
+        decompress::run_decompress(Isa::MipsI, &stream).unwrap()
     };
     assert!(run_sparse.cycles_per_word() < run_dense.cycles_per_word());
     assert!(run_dense.compression_ratio() < 1.5);
@@ -104,8 +104,8 @@ fn decompressed_stream_is_bit_exact_through_both_isas() {
     let stream = decompress::compress(&cubes);
     let host = decompress::decompress_host(&stream);
     assert_eq!(host, cubes);
-    let mips = decompress::run_mips_decompress(&stream).unwrap();
-    let sparc = decompress::run_sparc_decompress(&stream).unwrap();
+    let mips = decompress::run_decompress(Isa::MipsI, &stream).unwrap();
+    let sparc = decompress::run_decompress(Isa::SparcV8, &stream).unwrap();
     assert_eq!(mips.words, cubes);
     assert_eq!(sparc.words, cubes);
 }
