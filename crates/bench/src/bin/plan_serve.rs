@@ -8,8 +8,10 @@
 //!   [`PlanRequest::from_json_str`]) — submitted to the service tier;
 //!   jobs are numbered in submission order starting at 1. Two optional
 //!   daemon-level members ride alongside the request: `"client"` (a
-//!   string identity used for fair admission accounting) and
-//!   `"priority"` (an integer; higher runs first), or
+//!   string identity used for fair admission accounting) and a numeric
+//!   `"priority"` (an integer in `i32` range; higher runs first; a string
+//!   `"priority"` is the request's own core-ordering policy). A mistyped
+//!   one gets an `error` line and the request is not submitted, or
 //! * a control object `{"cancel": 3}` / `{"cancel": "name"}` — cancels
 //!   the job with that id (or the most recent job submitted under that
 //!   request name).
@@ -67,7 +69,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use noctest_bench::parse_threads_value;
-use noctest_core::json::Json;
+use noctest_core::json::{field, field_opt, Json};
 use noctest_core::plan::exec::{EventSink, NdjsonSink};
 use noctest_core::plan::PlanRequest;
 use noctest_serve::wire;
@@ -113,6 +115,14 @@ fn parse_count(flag: &str, value: Option<String>) -> Result<usize, String> {
     value
         .parse::<usize>()
         .map_err(|_| format!("{flag} value `{value}` is not a non-negative integer"))
+}
+
+/// A priority is an exact integer in `i32` range, never a saturated or
+/// truncated float.
+fn i32_of(value: &Json) -> Option<i32> {
+    let n = value.as_f64()?;
+    (n.fract() == 0.0 && (f64::from(i32::MIN)..=f64::from(i32::MAX)).contains(&n))
+        .then_some(n as i32)
 }
 
 fn main() -> ExitCode {
@@ -248,7 +258,7 @@ fn main() -> ExitCode {
         if text.is_empty() {
             continue;
         }
-        let doc = match Json::parse(text) {
+        let mut doc = match Json::parse(text) {
             Ok(doc) => doc,
             Err(error) => {
                 sink.write_line(&wire::error_line(lineno, &error.to_string()));
@@ -271,10 +281,25 @@ fn main() -> ExitCode {
             }
             continue;
         }
-        match PlanRequest::from_json(&doc) {
-            Ok(request) => {
-                let client = doc.get("client").and_then(Json::as_str);
-                let priority = doc.get("priority").and_then(Json::as_f64).unwrap_or(0.0) as i32;
+        // A numeric `priority` is the job's and leaves the document; a
+        // string one is the request's core-ordering policy.
+        let priority = match doc.get("priority") {
+            Some(Json::Num(_)) => {
+                let priority = field(&doc, "priority", "an integer fitting i32", i32_of);
+                if let Json::Obj(members) = &mut doc {
+                    members.retain(|(key, _)| key != "priority");
+                }
+                priority
+            }
+            _ => Ok(0),
+        };
+        let decoded = priority.and_then(|priority| {
+            let request = PlanRequest::from_json(&doc)?;
+            let client = field_opt(&doc, "client", "a string", Json::as_str)?;
+            Ok((request, client, priority))
+        });
+        match decoded {
+            Ok((request, client, priority)) => {
                 let name = request.name.clone();
                 match tier.submit_for(request, client, priority) {
                     SubmitOutcome::Rejected {

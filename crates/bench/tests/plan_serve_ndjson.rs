@@ -165,3 +165,85 @@ fn eight_request_session_produces_the_expected_deterministic_stream() {
         .lines()
         .any(|l| l.contains(r#""event":"started","job":2,"#)));
 }
+
+/// The daemon-level `priority` and `client` members are typed: a
+/// numeric priority that is not an integer in `i32` range, or a client
+/// that is not a string, gets an in-band `error` line instead of running
+/// at a saturated priority or under no client. A string `priority` is
+/// the request's core-ordering policy, decoded by the request.
+#[test]
+fn mistyped_priority_and_client_are_errors_not_ignored() {
+    let with = |members: &str| {
+        let line = d695_line("p", "greedy");
+        format!("{}, {members}}}", &line[..line.len() - 1])
+    };
+    let input = [
+        with(r#""priority": "high""#),
+        with(r#""priority": 1e12"#),
+        with(r#""priority": 1.5"#),
+        with(r#""client": 5"#),
+        with(r#""priority": -3, "client": "alice""#),
+        with(r#""priority": "index""#),
+    ]
+    .join("\n")
+        + "\n";
+    let journal = std::env::temp_dir().join(format!(
+        "noctest-plan-serve-typed-members-{}.ndjson",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&journal);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_plan-serve"))
+        .args(["--threads", "1", "--journal"])
+        .arg(&journal)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("plan-serve spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(input.as_bytes())
+        .expect("request stream written");
+    let output = child.wait_with_output().expect("plan-serve exits");
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("utf8 stream");
+    let errors: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.contains(r#""event":"error""#))
+        .collect();
+    assert_eq!(
+        errors,
+        [
+            r#"{"event":"error","line":1,"error":"json error at byte 0: unknown priority `high`"}"#,
+            r#"{"event":"error","line":2,"error":"json error at byte 0: member `priority` is not an integer fitting i32"}"#,
+            r#"{"event":"error","line":3,"error":"json error at byte 0: member `priority` is not an integer fitting i32"}"#,
+            r#"{"event":"error","line":4,"error":"json error at byte 0: member `client` is not a string"}"#,
+        ],
+        "stream:\n{stdout}"
+    );
+    // The well-typed members reached the job.
+    let records = std::fs::read_to_string(&journal).expect("journal written");
+    let _ = std::fs::remove_file(&journal);
+    assert!(
+        records.contains(r#""record":"submit","job":1,"key":"#)
+            && records.contains(r#","priority":-3,"client":"alice","request":"#),
+        "{records}"
+    );
+    // The two well-typed lines are the jobs the daemon ran.
+    let campaign = noctest_core::plan::Campaign::new();
+    let makespan = |line: &str| {
+        let request = noctest_core::plan::PlanRequest::from_json_str(line).unwrap();
+        campaign.run(&request).unwrap().makespan
+    };
+    assert_eq!(
+        canonical_digest(&stdout),
+        format!(
+            "job=1 p completed makespan={}\njob=2 p completed makespan={}\ndone jobs=2",
+            makespan(&d695_line("p", "greedy")),
+            makespan(&with(r#""priority": "index""#)),
+        ),
+        "stream:\n{stdout}"
+    );
+}

@@ -34,7 +34,7 @@ pub(crate) fn validate_thread_count(threads: usize) -> Result<usize, CampaignErr
 /// that actually ran (with its wall-clock microseconds — the same value
 /// recorded in the outcome's [`StageTiming`]); `cancel`, when present,
 /// is polled between stages and threaded into
-/// [`crate::sched::Scheduler::schedule_cancellable`].
+/// [`crate::sched::Scheduler::schedule_tuned`].
 ///
 /// With `cancel`, `builds` and `replays` all `None` this is byte-for-byte the
 /// behaviour [`Campaign::run`] always had.
@@ -79,9 +79,6 @@ pub(crate) fn run_pipeline(
 
     check(cancel)?;
     let schedule_start = Instant::now();
-    // `schedule_tuned` honours the request's search knobs on schedulers
-    // that have tunable machinery and falls back to the plain
-    // schedule/schedule_cancellable entry points everywhere else.
     let schedule = scheduler.schedule_tuned(&sys, &request.search, cancel)?;
     let schedule_micros = schedule_start.elapsed().as_micros() as u64;
     on_stage(Stage::Schedule, schedule_micros);

@@ -8,8 +8,8 @@
 //!   [`Executor::submit`] returns immediately with a [`JobHandle`]
 //!   carrying a process-unique [`JobId`]; jobs run in priority order
 //!   (ties broken by submission order) and can be cancelled at any time,
-//!   cooperatively even *inside* a long branch-and-bound search (via
-//!   [`crate::sched::Scheduler::schedule_cancellable`]).
+//!   cooperatively even *inside* a long branch-and-bound search (the
+//!   job's token reaches [`crate::sched::Scheduler::schedule_tuned`]).
 //! * [`PlanEvent`] — the typed lifecycle stream every job emits:
 //!   `Queued → Started → StageFinished* → Completed | Failed | Cancelled`,
 //!   with [`StageFinished`](PlanEvent::StageFinished) carrying the same
@@ -536,7 +536,8 @@ impl JobHandle {
     /// immediately (its `Cancelled` event is emitted from this call, and
     /// workers skip it when they reach it); a running job stops at the
     /// next pipeline stage boundary — or inside the stage, for schedulers
-    /// implementing [`crate::sched::Scheduler::schedule_cancellable`].
+    /// that poll the token [`crate::sched::Scheduler::schedule_tuned`]
+    /// hands them.
     /// Jobs already terminal are unaffected; cancelling twice is a no-op.
     pub fn cancel(&self) {
         self.inner.cancel.cancel();
@@ -1212,12 +1213,11 @@ mod tests {
     struct Blocker(Arc<std::sync::atomic::AtomicBool>);
 
     impl crate::sched::Scheduler for Blocker {
-        fn name(&self) -> &'static str {
-            "blocker"
-        }
-        fn schedule(
+        fn schedule_tuned(
             &self,
             sys: &crate::system::SystemUnderTest,
+            _tuning: &crate::sched::SearchTuning,
+            _cancel: Option<&crate::sched::CancelToken>,
         ) -> Result<crate::sched::Schedule, PlanError> {
             while !self.0.load(Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -1330,12 +1330,11 @@ mod tests {
     struct Panicky;
 
     impl crate::sched::Scheduler for Panicky {
-        fn name(&self) -> &'static str {
-            "panicky"
-        }
-        fn schedule(
+        fn schedule_tuned(
             &self,
             _sys: &crate::system::SystemUnderTest,
+            _tuning: &crate::sched::SearchTuning,
+            _cancel: Option<&crate::sched::CancelToken>,
         ) -> Result<crate::sched::Schedule, PlanError> {
             panic!("scheduler exploded");
         }
@@ -1387,12 +1386,11 @@ mod tests {
     struct SelfCancelling;
 
     impl crate::sched::Scheduler for SelfCancelling {
-        fn name(&self) -> &'static str {
-            "self-cancelling"
-        }
-        fn schedule(
+        fn schedule_tuned(
             &self,
             _sys: &crate::system::SystemUnderTest,
+            _tuning: &crate::sched::SearchTuning,
+            _cancel: Option<&crate::sched::CancelToken>,
         ) -> Result<crate::sched::Schedule, PlanError> {
             Err(PlanError::Cancelled)
         }

@@ -20,14 +20,18 @@ use crate::sched::{
 ///
 /// ```
 /// use noctest_core::plan::SchedulerRegistry;
-/// use noctest_core::{Schedule, Scheduler, SystemUnderTest, PlanError};
+/// use noctest_core::{CancelToken, PlanError, Schedule, Scheduler, SearchTuning, SystemUnderTest};
 /// use std::sync::Arc;
 ///
 /// #[derive(Debug)]
 /// struct ReversePriority;
 /// impl Scheduler for ReversePriority {
-///     fn name(&self) -> &'static str { "reverse" }
-///     fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError> {
+///     fn schedule_tuned(
+///         &self,
+///         sys: &SystemUnderTest,
+///         _tuning: &SearchTuning,
+///         _cancel: Option<&CancelToken>,
+///     ) -> Result<Schedule, PlanError> {
 ///         noctest_core::SerialScheduler.schedule(sys)
 ///     }
 /// }
@@ -144,8 +148,16 @@ mod tests {
                 "smart"
             ]
         );
-        for name in r.names() {
-            assert_eq!(r.get(&name).unwrap().name(), name);
+        for (name, ty) in [
+            ("greedy", "GreedyScheduler"),
+            ("optimal", "OptimalScheduler {"),
+            ("optimal-par", "ParallelOptimalScheduler {"),
+            ("portfolio", "PortfolioScheduler {"),
+            ("serial", "SerialScheduler"),
+            ("smart", "SmartScheduler"),
+        ] {
+            let debug = format!("{:?}", r.get(name).unwrap());
+            assert!(debug.starts_with(ty), "`{name}` serves {debug}");
         }
     }
 
@@ -193,9 +205,9 @@ mod tests {
         assert!(r.is_empty());
         r.register("mine", Arc::new(SerialScheduler));
         assert_eq!(r.len(), 1);
-        assert_eq!(r.get("mine").unwrap().name(), "serial");
+        assert_eq!(format!("{:?}", r.get("mine").unwrap()), "SerialScheduler");
         r.register("mine", Arc::new(GreedyScheduler));
-        assert_eq!(r.get("mine").unwrap().name(), "greedy");
+        assert_eq!(format!("{:?}", r.get("mine").unwrap()), "GreedyScheduler");
         assert!(r.unregister("mine").is_some());
         assert!(r.unregister("mine").is_none());
         assert!(r.is_empty());

@@ -1,4 +1,14 @@
-//! Shared event-driven scheduling engine.
+//! The start rule every scheduler shares, and the heuristics'
+//! event-driven engine.
+//!
+//! [`Running`] is the part of a partial schedule the paper's rules read:
+//! the sessions running at `now`, their summed power and each reused
+//! processor's self-test completion. [`Running::feasible_now`] is the one
+//! statement of "may this session start now?"; the heuristic engine below
+//! and the branch-and-bound's `SearchCore` both ask it. Each keeps its own
+//! retire arithmetic (the engine subtracts finished powers one at a time,
+//! the search one sum over them): feasibility compares float sums, so each
+//! order is part of its scheduler's pinned results.
 //!
 //! Both the paper's greedy scheduler and the smart variant run the same
 //! loop — maintain a set of running sessions, and at every completion
@@ -12,62 +22,101 @@ use crate::interface::InterfaceId;
 use crate::sched::{Schedule, ScheduledTest};
 use crate::system::SystemUnderTest;
 
-/// A running session inside the engine.
+/// A session running in a partial schedule.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ActiveTest {
-    pub cut: CutId,
-    pub interface: InterfaceId,
-    pub end: u64,
-    pub power: f64,
+pub(crate) struct Active {
+    pub(crate) cut: CutId,
+    pub(crate) interface: InterfaceId,
+    pub(crate) end: u64,
+    pub(crate) power: f64,
     /// The session's slot in the system's session table.
-    pub slot: usize,
+    pub(crate) slot: usize,
 }
 
-/// Scheduler state visible to an [`InterfacePolicy`].
-#[derive(Debug)]
-pub(crate) struct EngineState<'a> {
-    pub sys: &'a SystemUnderTest,
-    pub now: u64,
-    pub active: Vec<ActiveTest>,
+impl Active {
+    /// The running-session record for starting (`cut`, `iface`) at `now`.
+    #[inline]
+    pub(crate) fn start(sys: &SystemUnderTest, now: u64, cut: CutId, iface: InterfaceId) -> Active {
+        let slot = sys.slot(iface, cut);
+        let session = sys.session(slot);
+        Active {
+            cut,
+            interface: iface,
+            end: now + session.cycles,
+            power: session.power,
+            slot,
+        }
+    }
+}
+
+/// What the start rule reads of a partial schedule.
+#[derive(Debug, Clone)]
+pub(crate) struct Running {
+    pub(crate) now: u64,
+    pub(crate) active: Vec<Active>,
+    /// Summed power of `active`, in the owning scheduler's order.
+    pub(crate) power: f64,
     /// Completion cycle of each reusable processor's self-test, if done.
-    pub proc_ready_at: Vec<Option<u64>>,
-    /// Busy-until cycle per interface (0 = free since forever).
-    pub iface_busy_until: Vec<u64>,
-    pub active_power: f64,
+    pub(crate) proc_ready: Vec<Option<u64>>,
 }
 
-impl EngineState<'_> {
-    /// `true` if `iface` may start `cut` *right now*: interface free,
-    /// processor self-tested (and not testing itself), links disjoint from
-    /// every running session, and power within budget.
-    pub fn feasible_now(&self, iface: InterfaceId, cut: CutId) -> bool {
-        let slot = self.sys.slot(iface, cut);
-        let session = self.sys.session(slot);
+impl Running {
+    /// Nothing running at cycle 0 and no processor self-tested.
+    pub(crate) fn idle(sys: &SystemUnderTest) -> Running {
+        let procs = sys.interfaces().iter().filter(|i| !i.is_external()).count();
+        Running {
+            now: 0,
+            active: Vec::new(),
+            power: 0.0,
+            proc_ready: vec![None; procs],
+        }
+    }
+
+    /// `true` if `iface` may start `cut` *right now*: the pair has a
+    /// surviving route, the interface is free, a processor is self-tested
+    /// (and not testing itself), the links are disjoint from every
+    /// running session's, and the power stays within budget.
+    ///
+    /// Forced inline: the search calls it for every candidate pair at
+    /// every node, from another module.
+    #[inline(always)]
+    pub(crate) fn feasible_now(
+        &self,
+        sys: &SystemUnderTest,
+        iface: InterfaceId,
+        cut: CutId,
+    ) -> bool {
+        let slot = sys.slot(iface, cut);
+        let session = sys.session(slot);
         if session.path.is_none() {
             return false; // the fault set severed this pairing
         }
         if self.active.iter().any(|a| a.interface == iface) {
             return false;
         }
-        let interface = self.sys.interface(iface);
-        if let Some(idx) = interface.processor_index() {
-            match self.proc_ready_at[idx] {
+        if let Some(idx) = sys.interface(iface).processor_index() {
+            match self.proc_ready[idx] {
                 Some(t) if t <= self.now => {}
                 _ => return false,
             }
-            if self.sys.cut(cut).kind == CutKind::Processor(idx) {
+            if sys.cut(cut).kind == CutKind::Processor(idx) {
                 return false; // a processor cannot test itself
             }
         }
-        if self
-            .active
-            .iter()
-            .any(|a| self.sys.slots_overlap(a.slot, slot))
-        {
+        if self.active.iter().any(|a| sys.slots_overlap(a.slot, slot)) {
             return false;
         }
-        self.sys.budget().allows(self.active_power + session.power)
+        sys.budget().allows(self.power + session.power)
     }
+}
+
+/// Scheduler state visible to an [`InterfacePolicy`].
+#[derive(Debug)]
+pub(crate) struct EngineState<'a> {
+    pub sys: &'a SystemUnderTest,
+    pub running: Running,
+    /// Busy-until cycle per interface (0 = free since forever).
+    pub iface_busy_until: Vec<u64>,
 }
 
 /// The pluggable decision: given the waiting cores in priority order,
@@ -90,16 +139,11 @@ pub(crate) fn run_engine(
     if sys.interfaces().is_empty() {
         return Err(PlanError::NoInterfaces);
     }
-    let order = sys.priority_order();
-    let mut remaining: Vec<CutId> = order;
-    let proc_count = sys.interfaces().iter().filter(|i| !i.is_external()).count();
+    let mut remaining: Vec<CutId> = sys.priority_order();
     let mut state = EngineState {
         sys,
-        now: 0,
-        active: Vec::new(),
-        proc_ready_at: vec![None; proc_count],
+        running: Running::idle(sys),
         iface_busy_until: vec![0; sys.interfaces().len()],
-        active_power: 0.0,
     };
     let mut entries: Vec<ScheduledTest> = Vec::new();
 
@@ -107,25 +151,17 @@ pub(crate) fn run_engine(
         // Let the policy start sessions one at a time until it declines
         // (each start changes link/power feasibility for the next call).
         while let Some((cut, iface)) = policy.next_start(&state, &remaining) {
-            debug_assert!(state.feasible_now(iface, cut));
-            let slot = sys.slot(iface, cut);
-            let session = sys.session(slot);
-            let end = state.now + session.cycles;
-            let power = session.power;
-            state.active.push(ActiveTest {
-                cut,
-                interface: iface,
-                end,
-                power,
-                slot,
-            });
-            state.active_power += power;
-            state.iface_busy_until[iface.0] = end;
+            let run = &mut state.running;
+            debug_assert!(run.feasible_now(sys, iface, cut));
+            let session = Active::start(sys, run.now, cut, iface);
+            run.active.push(session);
+            run.power += session.power;
+            state.iface_busy_until[iface.0] = session.end;
             entries.push(ScheduledTest {
                 cut,
                 interface: iface,
-                start: state.now,
-                end,
+                start: run.now,
+                end: session.end,
             });
             let pos = remaining
                 .iter()
@@ -134,37 +170,39 @@ pub(crate) fn run_engine(
             remaining.remove(pos);
         }
 
-        if state.active.is_empty() {
+        let run = &mut state.running;
+        if run.active.is_empty() {
             if remaining.is_empty() {
                 break;
             }
             // Nothing running and nothing startable: a policy bug.
             return Err(PlanError::Stalled {
-                at: state.now,
+                at: run.now,
                 waiting: remaining.len(),
             });
         }
 
-        // Advance to the next completion event.
-        let next = state
+        // Advance to the next completion event, retiring finished
+        // sessions' powers one at a time.
+        let next = run
             .active
             .iter()
             .map(|a| a.end)
             .min()
             .expect("active set non-empty");
-        state.now = next;
-        let mut still_active = Vec::with_capacity(state.active.len());
-        for a in state.active.drain(..) {
+        run.now = next;
+        let mut still_active = Vec::with_capacity(run.active.len());
+        for a in run.active.drain(..) {
             if a.end <= next {
-                state.active_power -= a.power;
+                run.power -= a.power;
                 if let CutKind::Processor(idx) = sys.cut(a.cut).kind {
-                    state.proc_ready_at[idx] = Some(a.end);
+                    run.proc_ready[idx] = Some(a.end);
                 }
             } else {
                 still_active.push(a);
             }
         }
-        state.active = still_active;
+        run.active = still_active;
     }
 
     Ok(Schedule::new(entries))

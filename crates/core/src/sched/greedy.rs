@@ -21,7 +21,7 @@ use crate::cut::CutId;
 use crate::error::PlanError;
 use crate::interface::InterfaceId;
 use crate::sched::engine::{run_engine, EngineState, InterfacePolicy};
-use crate::sched::{Schedule, Scheduler};
+use crate::sched::{CancelToken, Schedule, Scheduler, SearchTuning};
 use crate::system::SystemUnderTest;
 
 /// The paper's first-available-interface policy.
@@ -48,7 +48,7 @@ impl InterfacePolicy for FirstAvailable {
             if let Some(iface) = state
                 .sys
                 .interface_ids()
-                .find(|&iface| state.feasible_now(iface, cut))
+                .find(|&iface| state.running.feasible_now(state.sys, iface, cut))
             {
                 return Some((cut, iface));
             }
@@ -58,11 +58,12 @@ impl InterfacePolicy for FirstAvailable {
 }
 
 impl Scheduler for GreedyScheduler {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError> {
+    fn schedule_tuned(
+        &self,
+        sys: &SystemUnderTest,
+        _tuning: &SearchTuning,
+        _cancel: Option<&CancelToken>,
+    ) -> Result<Schedule, PlanError> {
         run_engine(sys, &FirstAvailable)
     }
 }

@@ -157,8 +157,9 @@ impl Schedule {
 
     /// Checks every planner invariant against `sys`:
     ///
-    /// 1. each core tested exactly once, on an interface with a surviving
-    ///    route to it, with the correct session length;
+    /// 1. each entry names a core and an interface of `sys`, each core is
+    ///    tested exactly once, on an interface with a surviving route to
+    ///    it, with the correct session length;
     /// 2. an interface drives at most one session at a time;
     /// 3. concurrent sessions occupy disjoint link sets;
     /// 4. the power budget holds at every instant;
@@ -174,6 +175,14 @@ impl Schedule {
         // 1. Coverage and durations.
         let mut seen: HashMap<CutId, usize> = HashMap::new();
         for e in &self.entries {
+            // The session table is indexed by id: reject foreign ids
+            // before any lookup reads another pair's slot.
+            if e.cut.0 as usize >= sys.cuts().len() {
+                return invalid(format!("unknown core {}", e.cut));
+            }
+            if e.interface.0 >= sys.interfaces().len() {
+                return invalid(format!("unknown interface {}", e.interface));
+            }
             *seen.entry(e.cut).or_insert(0) += 1;
             if !sys.reachable(e.interface, e.cut) {
                 return invalid(format!(
@@ -272,64 +281,40 @@ impl Schedule {
 /// Implementations must be `Send + Sync`: the Campaign API shares them
 /// across worker threads as [`std::sync::Arc`]`<dyn Scheduler>` entries of
 /// a [`crate::plan::SchedulerRegistry`]. Keep per-run state inside
-/// [`Scheduler::schedule`], not in the scheduler value.
+/// [`Scheduler::schedule_tuned`], not in the scheduler value. A scheduler
+/// has no name of its own: outcomes report the registry key it was
+/// requested under.
 pub trait Scheduler: Send + Sync + std::fmt::Debug {
-    /// Algorithm name (for reports).
-    fn name(&self) -> &'static str;
-
-    /// Plans the complete test of `sys`.
+    /// Plans the complete test of `sys` under per-request `tuning`,
+    /// polling `cancel` cooperatively.
+    ///
+    /// Tuning is advice: the branch-and-bound searches honour its thread
+    /// count and warm start, and the heuristics, which finish in
+    /// microseconds, ignore it and the token alike. A scheduler that
+    /// polls the token abandons its work when it trips; with an idle
+    /// token or none, the result is the one [`Scheduler::schedule`]
+    /// returns under default tuning.
     ///
     /// # Errors
     ///
-    /// Implementations return [`PlanError`] if no valid schedule exists or
-    /// an internal invariant breaks.
-    fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError>;
-
-    /// Plans the complete test of `sys`, polling `cancel` cooperatively.
-    ///
-    /// Long-running searches (the branch-and-bound of
-    /// [`OptimalScheduler`]) override this to poll the token and abandon
-    /// the search mid-stage; the default implementation ignores the token
-    /// and delegates to [`Scheduler::schedule`], which is fine for
-    /// heuristics that finish in microseconds. When the token is *not*
-    /// cancelled, the result must be identical to [`Scheduler::schedule`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError::Cancelled`] when the token fires mid-search; otherwise
-    /// exactly the errors of [`Scheduler::schedule`].
-    fn schedule_cancellable(
-        &self,
-        sys: &SystemUnderTest,
-        cancel: &CancelToken,
-    ) -> Result<Schedule, PlanError> {
-        let _ = cancel;
-        self.schedule(sys)
-    }
-
-    /// Plans the complete test of `sys` under per-request search tuning.
-    ///
-    /// Schedulers with tunable search machinery (the work-stealing
-    /// [`ParallelOptimalScheduler`], the [`PortfolioScheduler`] racer)
-    /// override this to honour [`SearchTuning`] — today a thread count —
-    /// without baking per-request knobs into the scheduler value shared
-    /// across the registry. The default ignores the tuning and delegates
-    /// to the cancellable/plain entry points, so heuristics need not care.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Scheduler::schedule_cancellable`].
+    /// [`PlanError::Cancelled`] when the token fires mid-search;
+    /// otherwise [`PlanError`] if no valid schedule exists or an internal
+    /// invariant breaks.
     fn schedule_tuned(
         &self,
         sys: &SystemUnderTest,
         tuning: &SearchTuning,
         cancel: Option<&CancelToken>,
-    ) -> Result<Schedule, PlanError> {
-        let _ = tuning;
-        match cancel {
-            Some(token) => self.schedule_cancellable(sys, token),
-            None => self.schedule(sys),
-        }
+    ) -> Result<Schedule, PlanError>;
+
+    /// Plans the complete test of `sys` with default tuning and no
+    /// cancellation.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of [`Scheduler::schedule_tuned`].
+    fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError> {
+        self.schedule_tuned(sys, &SearchTuning::default(), None)
     }
 }
 
@@ -379,8 +364,8 @@ impl SearchTuning {
 ///
 /// Cloning yields another handle to the *same* flag. The executor of
 /// [`crate::plan::exec`] hands every job one token; cancelling the job
-/// trips it, and the pipeline (plus any [`Scheduler::schedule_cancellable`]
-/// override) polls it at its next opportunity.
+/// trips it, and the pipeline (plus any scheduler that polls the token it
+/// gets in [`Scheduler::schedule_tuned`]) sees it at its next opportunity.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(std::sync::Arc<std::sync::atomic::AtomicBool>);
 

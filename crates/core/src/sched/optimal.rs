@@ -31,8 +31,8 @@
 //! links its path occupies, on which
 //! [`SystemUnderTest::footprints_overlap`] is one word-wise AND.
 //! `SearchCore` adds only what the search alone needs: each cut's
-//! shortest usable session, for the lower bound, and each interface's
-//! processor index, for the precedence rule. The search sums powers in
+//! shortest usable session, for the lower bound. Its start rule is the
+//! heuristics' own, `Running::feasible_now`. The search sums powers in
 //! one fixed order (added as sessions start; subtracted, when time
 //! advances, as one sum over the finished sessions in running order), so
 //! every feasibility test, expansion count and schedule is a pure
@@ -43,7 +43,7 @@
 use crate::cut::{CutId, CutKind};
 use crate::error::PlanError;
 use crate::interface::InterfaceId;
-use crate::power::PowerBudget;
+use crate::sched::engine::Running;
 use crate::sched::parallel::{branch_and_bound, SearchStats, SeedKind};
 use crate::sched::{CancelToken, Schedule, Scheduler, SearchTuning};
 use crate::system::SystemUnderTest;
@@ -91,17 +91,6 @@ impl OptimalScheduler {
         self.max_expansions = max_expansions;
         self
     }
-}
-
-/// A session currently running in a partial schedule.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Active {
-    pub(crate) cut: CutId,
-    pub(crate) interface: InterfaceId,
-    pub(crate) end: u64,
-    pub(crate) power: f64,
-    /// The session's slot in the system's session table.
-    pub(crate) slot: usize,
 }
 
 /// Rejects systems the exponential search must not attempt.
@@ -154,48 +143,35 @@ pub(crate) fn opening_incumbent(
     let (seed, kind) = seed_schedule(sys)?;
     let bound = seed.makespan();
     if let Some(warm) = tuning.warm.as_ref() {
-        // Range-check ids before `validate` (which indexes by id) so a
-        // warm schedule from a differently-shaped system is rejected
-        // rather than panicking.
-        let in_range = warm.entries().iter().all(|e| {
-            (e.cut.0 as usize) < sys.cuts().len() && e.interface.0 < sys.interfaces().len()
-        });
-        if in_range && warm.makespan() < bound && warm.validate(sys).is_ok() {
+        if warm.makespan() < bound && warm.validate(sys).is_ok() {
             return Ok((warm.clone(), warm.makespan() + 1, SeedKind::Warm));
         }
     }
     Ok((seed, bound, kind))
 }
 
-/// The pure, state-free search ingredients: feasibility under the paper's
-/// rules, the admissible lower bound, and canonical candidate
-/// enumeration, all read from the system's session table. Every task of
-/// the explicit-stack search reads it, at any thread count, so all
-/// explore the *same* tree in the *same* order.
+/// The pure, state-free search ingredients: the admissible lower bound
+/// and canonical candidate enumeration under the shared start rule, all
+/// read from the system's session table. Every task of the
+/// explicit-stack search reads it, at any thread count, so all explore
+/// the *same* tree in the *same* order.
 pub(crate) struct SearchCore<'a> {
     pub(crate) sys: &'a SystemUnderTest,
     /// Minimal session duration per cut over all usable interfaces.
-    pub(crate) min_dur: Vec<u64>,
-    budget: PowerBudget,
-    interfaces: usize,
-    /// Processor index of each interface (`None` for the external tester).
-    iface_proc: Vec<Option<usize>>,
+    min_dur: Vec<u64>,
 }
 
 impl<'a> SearchCore<'a> {
     pub(crate) fn new(sys: &'a SystemUnderTest) -> Self {
-        let iface_proc: Vec<Option<usize>> = sys
-            .interfaces()
-            .iter()
-            .map(|i| i.processor_index())
-            .collect();
         let min_dur = sys
             .cuts()
             .iter()
             .map(|cut| {
                 sys.interface_ids()
                     .filter(|&iface| {
-                        !iface_proc[iface.0].is_some_and(|idx| cut.kind == CutKind::Processor(idx))
+                        !sys.interface(iface)
+                            .processor_index()
+                            .is_some_and(|idx| cut.kind == CutKind::Processor(idx))
                     })
                     .filter_map(|iface| {
                         let session = sys.session(sys.slot(iface, cut.id));
@@ -205,54 +181,13 @@ impl<'a> SearchCore<'a> {
                     .unwrap_or(u64::MAX)
             })
             .collect();
-        SearchCore {
-            sys,
-            min_dur,
-            budget: sys.budget(),
-            interfaces: sys.interfaces().len(),
-            iface_proc,
-        }
-    }
-
-    pub(crate) fn proc_count(&self) -> usize {
-        self.iface_proc.iter().flatten().count()
-    }
-
-    fn feasible_now(
-        &self,
-        active: &[Active],
-        active_power: f64,
-        proc_ready: &[Option<u64>],
-        now: u64,
-        cut: CutId,
-        iface: InterfaceId,
-    ) -> bool {
-        let slot = self.sys.slot(iface, cut);
-        let session = self.sys.session(slot);
-        if session.path.is_none() {
-            return false; // the fault set severed this pairing
-        }
-        if active.iter().any(|a| a.interface == iface) {
-            return false;
-        }
-        if let Some(idx) = self.iface_proc[iface.0] {
-            match proc_ready[idx] {
-                Some(t) if t <= now => {}
-                _ => return false,
-            }
-            if self.sys.cut(cut).kind == CutKind::Processor(idx) {
-                return false; // a processor cannot test itself
-            }
-        }
-        if active.iter().any(|a| self.sys.slots_overlap(a.slot, slot)) {
-            return false;
-        }
-        self.budget.allows(active_power + session.power)
+        SearchCore { sys, min_dur }
     }
 
     /// A makespan lower bound for the current partial schedule.
-    pub(crate) fn lower_bound(&self, now: u64, active: &[Active], remaining: &[CutId]) -> u64 {
-        let active_bound = active.iter().map(|a| a.end).max().unwrap_or(now);
+    pub(crate) fn lower_bound(&self, running: &Running, remaining: &[CutId]) -> u64 {
+        let now = running.now;
+        let active_bound = running.active.iter().map(|a| a.end).max().unwrap_or(now);
         let longest_remaining = remaining
             .iter()
             .map(|&c| now + self.min_dur[c.0 as usize])
@@ -261,7 +196,7 @@ impl<'a> SearchCore<'a> {
         // Work bound: all remaining sessions spread perfectly over all
         // interfaces cannot finish earlier than total/interfaces.
         let total_work: u64 = remaining.iter().map(|&c| self.min_dur[c.0 as usize]).sum();
-        let spread = now + total_work / self.interfaces as u64;
+        let spread = now + total_work / self.sys.interfaces().len() as u64;
         active_bound.max(longest_remaining).max(spread)
     }
 
@@ -269,54 +204,26 @@ impl<'a> SearchCore<'a> {
     /// every feasible (cut, interface) pair past `min_start`, in
     /// (cut, interface) order — the one enumeration order that keeps
     /// results byte-identical across thread counts.
-    #[allow(clippy::too_many_arguments)] // mirrors the node state tuple
     pub(crate) fn candidates(
         &self,
-        active: &[Active],
-        active_power: f64,
-        proc_ready: &[Option<u64>],
-        now: u64,
+        running: &Running,
         remaining: &[CutId],
         min_start: Option<(CutId, InterfaceId)>,
         out: &mut Vec<(CutId, InterfaceId)>,
     ) {
         for &cut in remaining {
-            for iface in (0..self.interfaces).map(InterfaceId) {
+            for iface in self.sys.interface_ids() {
                 if min_start.is_none_or(|m| (cut, iface) > m)
-                    && self.feasible_now(active, active_power, proc_ready, now, cut, iface)
+                    && running.feasible_now(self.sys, iface, cut)
                 {
                     out.push((cut, iface));
                 }
             }
         }
     }
-
-    /// The running-session record for starting (`cut`, `iface`) at `now`.
-    pub(crate) fn start(&self, now: u64, cut: CutId, iface: InterfaceId) -> Active {
-        let slot = self.sys.slot(iface, cut);
-        let session = self.sys.session(slot);
-        Active {
-            cut,
-            interface: iface,
-            end: now + session.cycles,
-            power: session.power,
-            slot,
-        }
-    }
 }
 
 impl OptimalScheduler {
-    /// The search proper; `cancel` aborts it between node expansions.
-    fn search(
-        &self,
-        sys: &SystemUnderTest,
-        tuning: &SearchTuning,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Schedule, PlanError> {
-        self.schedule_with_stats(sys, tuning, cancel)
-            .map(|(s, _)| s)
-    }
-
     /// Runs the search and reports how it ended: how many nodes were
     /// expanded, which incumbent seeded it, and whether the budget cut it
     /// short. The stats let callers (the portfolio racer, `search_bench`,
@@ -336,29 +243,14 @@ impl OptimalScheduler {
 }
 
 impl Scheduler for OptimalScheduler {
-    fn name(&self) -> &'static str {
-        "optimal"
-    }
-
-    fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError> {
-        self.search(sys, &SearchTuning::default(), None)
-    }
-
-    fn schedule_cancellable(
-        &self,
-        sys: &SystemUnderTest,
-        cancel: &CancelToken,
-    ) -> Result<Schedule, PlanError> {
-        self.search(sys, &SearchTuning::default(), Some(cancel))
-    }
-
     fn schedule_tuned(
         &self,
         sys: &SystemUnderTest,
         tuning: &SearchTuning,
         cancel: Option<&CancelToken>,
     ) -> Result<Schedule, PlanError> {
-        self.search(sys, tuning, cancel)
+        self.schedule_with_stats(sys, tuning, cancel)
+            .map(|(s, _)| s)
     }
 }
 
@@ -719,22 +611,29 @@ mod tests {
         assert!(optimal.makespan() < sys.serial_external_cycles());
     }
 
+    /// The calling contract of every registered scheduler: an idle token
+    /// under default tuning changes nothing, and a tripped one aborts the
+    /// searches with `Cancelled`, not a half-refined plan, while the
+    /// heuristics ignore it.
     #[test]
     fn cancellation_aborts_the_search_and_an_idle_token_changes_nothing() {
         let sys = small_system(5, 2);
-        let token = CancelToken::new();
-        // An un-cancelled token is invisible: identical schedule.
-        let plain = OptimalScheduler::new().schedule(&sys).unwrap();
-        let observed = OptimalScheduler::new()
-            .schedule_cancellable(&sys, &token)
-            .unwrap();
-        assert_eq!(plain.entries(), observed.entries());
-        // A tripped token aborts with Cancelled, not a half-refined plan.
-        token.cancel();
-        let err = OptimalScheduler::new()
-            .schedule_cancellable(&sys, &token)
-            .unwrap_err();
-        assert!(matches!(err, PlanError::Cancelled));
+        let registry = crate::plan::SchedulerRegistry::with_defaults();
+        let tuning = SearchTuning::default();
+        for name in registry.names() {
+            let scheduler = registry.get(&name).unwrap();
+            let plain = scheduler.schedule(&sys).unwrap();
+            let token = CancelToken::new();
+            let observed = scheduler.schedule_tuned(&sys, &tuning, Some(&token));
+            assert_eq!(observed.unwrap().entries(), plain.entries(), "{name}");
+            token.cancel();
+            let tripped = scheduler.schedule_tuned(&sys, &tuning, Some(&token));
+            if ["optimal", "optimal-par", "portfolio"].contains(&name.as_str()) {
+                assert!(matches!(tripped, Err(PlanError::Cancelled)), "{name}");
+            } else {
+                assert_eq!(tripped.unwrap().entries(), plain.entries(), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -82,7 +82,8 @@ use std::time::Duration;
 use crate::cut::{CutId, CutKind};
 use crate::error::PlanError;
 use crate::interface::InterfaceId;
-use crate::sched::optimal::{check_guards, opening_incumbent, Active, SearchCore};
+use crate::sched::engine::{Active, Running};
+use crate::sched::optimal::{check_guards, opening_incumbent, SearchCore};
 use crate::sched::{
     CancelToken, GreedyScheduler, Schedule, ScheduledTest, Scheduler, SearchTuning,
     SerialScheduler, SmartScheduler, CANCEL_POLL_PERIOD,
@@ -165,10 +166,7 @@ impl SearchStats {
 /// apply/undo edge deltas (cheaper than cloning per node).
 #[derive(Debug, Clone)]
 struct NodeState {
-    now: u64,
-    active: Vec<Active>,
-    active_power: f64,
-    proc_ready: Vec<Option<u64>>,
+    running: Running,
     remaining: Vec<CutId>,
     entries: Vec<ScheduledTest>,
     /// Sessions retired by the time edges applied so far, stacked in
@@ -179,10 +177,7 @@ struct NodeState {
 impl NodeState {
     fn root(core: &SearchCore<'_>) -> NodeState {
         NodeState {
-            now: 0,
-            active: Vec::new(),
-            active_power: 0.0,
-            proc_ready: vec![None; core.proc_count()],
+            running: Running::idle(core.sys),
             remaining: core.sys.cuts().iter().map(|c| c.id).collect(),
             entries: Vec::new(),
             retired: Vec::new(),
@@ -226,7 +221,7 @@ fn start_edge(state: &mut NodeState, session: Active) -> Undo {
         power,
         ..
     } = session;
-    state.active.push(session);
+    state.running.active.push(session);
     let pos = state
         .remaining
         .iter()
@@ -236,11 +231,11 @@ fn start_edge(state: &mut NodeState, session: Active) -> Undo {
     state.entries.push(ScheduledTest {
         cut,
         interface,
-        start: state.now,
+        start: state.running.now,
         end,
     });
-    let prev_power = state.active_power;
-    state.active_power = prev_power + power;
+    let prev_power = state.running.power;
+    state.running.power = prev_power + power;
     Undo::Start {
         cut,
         pos,
@@ -252,7 +247,8 @@ fn start_edge(state: &mut NodeState, session: Active) -> Undo {
 /// ends then.
 #[inline(always)]
 fn advance_edge(core: &SearchCore<'_>, state: &mut NodeState) -> Undo {
-    let next = state
+    let run = &mut state.running;
+    let next = run
         .active
         .iter()
         .map(|a| a.end)
@@ -261,19 +257,19 @@ fn advance_edge(core: &SearchCore<'_>, state: &mut NodeState) -> Undo {
     let base = state.retired.len();
     state
         .retired
-        .extend(state.active.iter().filter(|a| a.end <= next));
-    state.active.retain(|a| a.end > next);
+        .extend(run.active.iter().filter(|a| a.end <= next));
+    run.active.retain(|a| a.end > next);
     let finished = &state.retired[base..];
     let freed_power: f64 = finished.iter().map(|a| a.power).sum();
     for a in finished {
         if let CutKind::Processor(idx) = core.sys.cut(a.cut).kind {
-            state.proc_ready[idx] = Some(a.end);
+            run.proc_ready[idx] = Some(a.end);
         }
     }
-    let prev_now = state.now;
-    let prev_power = state.active_power;
-    state.now = next;
-    state.active_power = prev_power - freed_power;
+    let prev_now = run.now;
+    let prev_power = run.power;
+    run.now = next;
+    run.power = prev_power - freed_power;
     Undo::Advance {
         base,
         prev_now,
@@ -293,13 +289,14 @@ fn undo_edge(core: &SearchCore<'_>, state: &mut NodeState, undo: Undo) {
             state.remaining.insert(pos, cut);
             // The subtree may have reordered `active` (the time branch
             // retains and re-extends it), so remove by identity.
-            let mine = state
+            let run = &mut state.running;
+            let mine = run
                 .active
                 .iter()
                 .position(|a| a.cut == cut)
                 .expect("session still active on unwind");
-            state.active.remove(mine);
-            state.active_power = prev_power;
+            run.active.remove(mine);
+            run.power = prev_power;
         }
         Undo::Advance {
             base,
@@ -309,14 +306,15 @@ fn undo_edge(core: &SearchCore<'_>, state: &mut NodeState, undo: Undo) {
             // A processor is ready only once its own test retired, and
             // each cut retires once on a path: the edge that set it is
             // the one being undone.
+            let run = &mut state.running;
             for a in &state.retired[base..] {
                 if let CutKind::Processor(idx) = core.sys.cut(a.cut).kind {
-                    state.proc_ready[idx] = None;
+                    run.proc_ready[idx] = None;
                 }
             }
-            state.active.extend(state.retired.drain(base..));
-            state.now = prev_now;
-            state.active_power = prev_power;
+            run.active.extend(state.retired.drain(base..));
+            run.now = prev_now;
+            run.power = prev_power;
         }
     }
 }
@@ -457,7 +455,7 @@ impl Task {
             let min_start = if top.next < top.end {
                 let (cut, iface) = self.candidates[top.next];
                 top.next += 1;
-                let session = core.start(self.state.now, cut, iface);
+                let session = Active::start(core.sys, self.state.running.now, cut, iface);
                 // Strict `>` against the cross-task bound: the cell
                 // holds achieved values, so this can never prune the
                 // first achiever of the optimum.
@@ -468,7 +466,7 @@ impl Task {
                 Some((cut, iface))
             } else if !top.advanced {
                 top.advanced = true;
-                if self.state.active.is_empty() {
+                if self.state.running.active.is_empty() {
                     continue;
                 }
                 top.undo = Some(advance_edge(core, &mut self.state));
@@ -532,16 +530,13 @@ impl Task {
             return ControlFlow::Break(TaskStatus::Cancelled);
         }
         *used += 1;
-        let lb = core.lower_bound(self.state.now, &self.state.active, &self.state.remaining);
+        let lb = core.lower_bound(&self.state.running, &self.state.remaining);
         if lb >= self.local_best || lb > bound.value() {
             return ControlFlow::Continue(());
         }
         let start = self.candidates.len();
         core.candidates(
-            &self.state.active,
-            self.state.active_power,
-            &self.state.proc_ready,
-            self.state.now,
+            &self.state.running,
             &self.state.remaining,
             min_start,
             &mut self.candidates,
@@ -583,24 +578,19 @@ fn split_frontier(
         let mut next = Vec::new();
         for node in &level {
             cost += 1;
-            if core.lower_bound(node.state.now, &node.state.active, &node.state.remaining)
-                >= seed_value
-            {
+            if core.lower_bound(&node.state.running, &node.state.remaining) >= seed_value {
                 continue;
             }
             let mut candidates = Vec::new();
             core.candidates(
-                &node.state.active,
-                node.state.active_power,
-                &node.state.proc_ready,
-                node.state.now,
+                &node.state.running,
                 &node.state.remaining,
                 node.min_start,
                 &mut candidates,
             );
             let mut child_idx = 0u32;
             for (cut, iface) in candidates {
-                let session = core.start(node.state.now, cut, iface);
+                let session = Active::start(core.sys, node.state.running.now, cut, iface);
                 if session.end >= seed_value {
                     continue;
                 }
@@ -626,7 +616,7 @@ fn split_frontier(
                     });
                 }
             }
-            if !node.state.active.is_empty() {
+            if !node.state.running.active.is_empty() {
                 let mut child = node.state.clone();
                 advance_edge(core, &mut child);
                 let mut path = node.path.clone();
@@ -1088,24 +1078,6 @@ impl ParallelOptimalScheduler {
 }
 
 impl Scheduler for ParallelOptimalScheduler {
-    fn name(&self) -> &'static str {
-        "optimal-par"
-    }
-
-    fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError> {
-        self.schedule_with_stats(sys, &SearchTuning::default(), None)
-            .map(|(s, _)| s)
-    }
-
-    fn schedule_cancellable(
-        &self,
-        sys: &SystemUnderTest,
-        cancel: &CancelToken,
-    ) -> Result<Schedule, PlanError> {
-        self.schedule_with_stats(sys, &SearchTuning::default(), Some(cancel))
-            .map(|(s, _)| s)
-    }
-
     fn schedule_tuned(
         &self,
         sys: &SystemUnderTest,
@@ -1177,8 +1149,10 @@ impl PortfolioScheduler {
         self.entrants.push(entrant);
         self
     }
+}
 
-    fn race(
+impl Scheduler for PortfolioScheduler {
+    fn schedule_tuned(
         &self,
         sys: &SystemUnderTest,
         tuning: &SearchTuning,
@@ -1203,7 +1177,7 @@ impl PortfolioScheduler {
                 let tx = tx.clone();
                 let token = tokens[i + 1].clone();
                 s.spawn(move || {
-                    let res = entrant.schedule_cancellable(sys, &token);
+                    let res = entrant.schedule_tuned(sys, &SearchTuning::default(), Some(&token));
                     let _ = tx.send((i + 1, res.map(|sch| (sch, None))));
                 });
             }
@@ -1264,33 +1238,6 @@ impl PortfolioScheduler {
             }
         }
         Err(PlanError::Cancelled)
-    }
-}
-
-impl Scheduler for PortfolioScheduler {
-    fn name(&self) -> &'static str {
-        "portfolio"
-    }
-
-    fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError> {
-        self.race(sys, &SearchTuning::default(), None)
-    }
-
-    fn schedule_cancellable(
-        &self,
-        sys: &SystemUnderTest,
-        cancel: &CancelToken,
-    ) -> Result<Schedule, PlanError> {
-        self.race(sys, &SearchTuning::default(), Some(cancel))
-    }
-
-    fn schedule_tuned(
-        &self,
-        sys: &SystemUnderTest,
-        tuning: &SearchTuning,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Schedule, PlanError> {
-        self.race(sys, tuning, cancel)
     }
 }
 
@@ -1399,7 +1346,7 @@ mod tests {
         token.cancel();
         let err = ParallelOptimalScheduler::new()
             .with_threads(2)
-            .schedule_cancellable(&sys, &token)
+            .schedule_tuned(&sys, &SearchTuning::default(), Some(&token))
             .unwrap_err();
         assert!(matches!(err, PlanError::Cancelled));
     }
@@ -1424,7 +1371,7 @@ mod tests {
             let result = ParallelOptimalScheduler::new()
                 .with_threads(2)
                 .with_max_expansions(None)
-                .schedule_cancellable(&sys, &token);
+                .schedule_tuned(&sys, &SearchTuning::default(), Some(&token));
             (result, started.elapsed())
         });
         assert!(matches!(result, Err(PlanError::Cancelled)), "{result:?}");

@@ -3,7 +3,7 @@
 
 use crate::error::PlanError;
 use crate::interface::InterfaceId;
-use crate::sched::{Schedule, ScheduledTest, Scheduler};
+use crate::sched::{CancelToken, Schedule, ScheduledTest, Scheduler, SearchTuning};
 use crate::system::SystemUnderTest;
 
 /// Tests every core back-to-back on the external tester, in priority
@@ -21,11 +21,12 @@ impl SerialScheduler {
 }
 
 impl Scheduler for SerialScheduler {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError> {
+    fn schedule_tuned(
+        &self,
+        sys: &SystemUnderTest,
+        _tuning: &SearchTuning,
+        _cancel: Option<&CancelToken>,
+    ) -> Result<Schedule, PlanError> {
         if sys.interfaces().is_empty() {
             return Err(PlanError::NoInterfaces);
         }

@@ -13,7 +13,7 @@ use crate::cut::CutId;
 use crate::error::PlanError;
 use crate::interface::InterfaceId;
 use crate::sched::engine::{run_engine, EngineState, InterfacePolicy};
-use crate::sched::{Schedule, Scheduler};
+use crate::sched::{CancelToken, Schedule, Scheduler, SearchTuning};
 use crate::system::SystemUnderTest;
 
 /// Minimum-estimated-completion interface selection.
@@ -43,16 +43,17 @@ impl InterfacePolicy for MinCompletion {
         waiting: &[CutId],
     ) -> Option<(CutId, InterfaceId)> {
         let ext = InterfaceId(0);
+        let now = state.running.now;
         let mut claim = self.claim.borrow_mut();
 
         // Serve or re-evaluate an outstanding claim first.
         if let Some(holder) = *claim {
             if !waiting.contains(&holder) {
                 *claim = None; // holder already started elsewhere
-            } else if state.feasible_now(ext, holder) {
+            } else if state.running.feasible_now(state.sys, ext, holder) {
                 *claim = None;
                 return Some((holder, ext));
-            } else if state.iface_busy_until[ext.0] <= state.now {
+            } else if state.iface_busy_until[ext.0] <= now {
                 // The tester is free but the holder's path is blocked by a
                 // running session's links: the wait was for the tester, and
                 // the tester arrived. Release it to the other cores.
@@ -66,13 +67,13 @@ impl InterfacePolicy for MinCompletion {
                 // Abandon the claim if waiting no longer pays: some free
                 // interface now completes the holder sooner than the
                 // (re-estimated) external tester would.
-                let ext_completion = state.iface_busy_until[ext.0].max(state.now)
-                    + state.sys.session_cycles(ext, holder);
+                let ext_completion =
+                    state.iface_busy_until[ext.0].max(now) + state.sys.session_cycles(ext, holder);
                 let best_free = state
                     .sys
                     .interface_ids()
-                    .filter(|&i| i != ext && state.feasible_now(i, holder))
-                    .map(|i| state.now + state.sys.session_cycles(i, holder))
+                    .filter(|&i| i != ext && state.running.feasible_now(state.sys, i, holder))
+                    .map(|i| now + state.sys.session_cycles(i, holder))
                     .min();
                 if best_free.is_some_and(|free_c| free_c <= ext_completion) {
                     *claim = None;
@@ -91,8 +92,8 @@ impl InterfacePolicy for MinCompletion {
                 .sys
                 .interface_ids()
                 .filter(|&iface| claim.is_none() || iface != ext)
-                .filter(|&iface| state.feasible_now(iface, cut))
-                .map(|iface| (state.now + state.sys.session_cycles(iface, cut), iface))
+                .filter(|&iface| state.running.feasible_now(state.sys, iface, cut))
+                .map(|iface| (now + state.sys.session_cycles(iface, cut), iface))
                 .min();
             let Some((now_completion, now_iface)) = best_now else {
                 continue;
@@ -105,10 +106,10 @@ impl InterfacePolicy for MinCompletion {
             // short relative to the session being scheduled.
             if claim.is_none() && now_iface != ext && state.sys.reachable(ext, cut) {
                 let ext_busy_until = state.iface_busy_until[ext.0];
-                if ext_busy_until > state.now {
-                    let wait = ext_busy_until - state.now;
+                if ext_busy_until > now {
+                    let wait = ext_busy_until - now;
                     let ext_completion = ext_busy_until + state.sys.session_cycles(ext, cut);
-                    if ext_completion < now_completion && 4 * wait <= now_completion - state.now {
+                    if ext_completion < now_completion && 4 * wait <= now_completion - now {
                         *claim = Some(cut);
                         continue;
                     }
@@ -121,11 +122,12 @@ impl InterfacePolicy for MinCompletion {
 }
 
 impl Scheduler for SmartScheduler {
-    fn name(&self) -> &'static str {
-        "smart"
-    }
-
-    fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError> {
+    fn schedule_tuned(
+        &self,
+        sys: &SystemUnderTest,
+        _tuning: &SearchTuning,
+        _cancel: Option<&CancelToken>,
+    ) -> Result<Schedule, PlanError> {
         run_engine(
             sys,
             &MinCompletion {

@@ -213,10 +213,17 @@ fn budget(n: u32) -> u64 {
 /// Propagates ISS faults; the kernel itself is statically correct, so an
 /// error indicates a budget that is too small for `n`.
 pub fn run_bist(isa: Isa, seed: u32, n: u32) -> Result<BistRun, ExecError> {
+    if n == 0 {
+        return Ok(BistRun {
+            words: Vec::new(),
+            cycles: 0,
+        });
+    }
     run_bist_with_code_size(isa, seed, n).map(|(run, _)| run)
 }
 
-/// [`run_bist`] plus the kernel's code size in bytes.
+/// [`run_bist`] plus the kernel's code size in bytes, for `n > 0`: the
+/// kernels test the count after their first word, so 0 would wrap.
 pub(crate) fn run_bist_with_code_size(
     isa: Isa,
     seed: u32,
@@ -267,6 +274,14 @@ impl CheckRun {
 ///
 /// Propagates ISS faults; see [`run_bist`].
 pub fn run_check(isa: Isa, seed: u32, n: u32, corrupt: &[usize]) -> Result<CheckRun, ExecError> {
+    if n == 0 {
+        // See `run_bist_with_code_size`: the kernel would wrap the count.
+        return Ok(CheckRun {
+            words: 0,
+            mismatches: 0,
+            cycles: 0,
+        });
+    }
     let mut mem = Memory::new(4096);
     mem.feed_rx(corrupted_stream(seed, n, corrupt));
     let run = CHECK.run(isa, mem, &[Memory::RX_PORT, n, seed], budget(n))?;
@@ -336,7 +351,7 @@ mod tests {
 
     #[test]
     fn word_count_is_exact() {
-        for n in [1u32, 2, 7, 100] {
+        for n in [0u32, 1, 2, 7, 100] {
             assert_eq!(run_bist(Isa::MipsI, 1, n).unwrap().words.len() as u32, n);
             assert_eq!(run_bist(Isa::SparcV8, 1, n).unwrap().words.len() as u32, n);
         }
@@ -354,10 +369,12 @@ mod tests {
 
     #[test]
     fn clean_stream_checks_without_mismatches() {
-        let m = run_check(Isa::MipsI, DEFAULT_SEED, 128, &[]).unwrap();
-        assert_eq!(m.mismatches, 0);
-        let s = run_check(Isa::SparcV8, DEFAULT_SEED, 128, &[]).unwrap();
-        assert_eq!(s.mismatches, 0);
+        for n in [0u32, 128] {
+            for isa in [Isa::MipsI, Isa::SparcV8] {
+                let run = run_check(isa, DEFAULT_SEED, n, &[]).unwrap();
+                assert_eq!((run.words, run.mismatches), (n, 0), "{isa} {n}");
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,10 @@ impl GenCharacterization {
 /// # Errors
 ///
 /// Propagates ISS faults (which would indicate a kernel/simulator bug).
+///
+/// # Panics
+///
+/// Panics if `words` is 0: a rate over no words is undefined.
 pub fn measure_sink(isa: Isa, words: u32) -> Result<f64, ExecError> {
     Ok(bist::run_check(isa, bist::DEFAULT_SEED, words, &[])?.cycles_per_word())
 }

@@ -828,12 +828,11 @@ mod tests {
     struct Sleepy;
 
     impl noctest_core::Scheduler for Sleepy {
-        fn name(&self) -> &'static str {
-            "sleepy"
-        }
-        fn schedule(
+        fn schedule_tuned(
             &self,
             sys: &noctest_core::SystemUnderTest,
+            _tuning: &noctest_core::SearchTuning,
+            _cancel: Option<&noctest_core::CancelToken>,
         ) -> Result<noctest_core::Schedule, noctest_core::PlanError> {
             std::thread::sleep(std::time::Duration::from_millis(50));
             noctest_core::SerialScheduler.schedule(sys)

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use noctest_core::plan::exec::{EventCollector, EventSink, JobId, PlanEvent};
 use noctest_core::plan::{Campaign, CoreRequest, PlanRequest, SocSource};
-use noctest_core::sched::{Schedule, Scheduler, SerialScheduler};
+use noctest_core::sched::{CancelToken, Schedule, Scheduler, SearchTuning, SerialScheduler};
 use noctest_core::system::SystemUnderTest;
 use noctest_core::{BudgetSpec, ContentHash, PlanError};
 use noctest_serve::journal::{self, Journal};
@@ -35,10 +35,12 @@ fn d695(scheduler: &str) -> PlanRequest {
 struct Blocker(Arc<AtomicBool>);
 
 impl Scheduler for Blocker {
-    fn name(&self) -> &'static str {
-        "blocker"
-    }
-    fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError> {
+    fn schedule_tuned(
+        &self,
+        sys: &SystemUnderTest,
+        _tuning: &SearchTuning,
+        _cancel: Option<&CancelToken>,
+    ) -> Result<Schedule, PlanError> {
         while !self.0.load(Ordering::Relaxed) {
             std::thread::sleep(Duration::from_millis(1));
         }

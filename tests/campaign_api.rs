@@ -149,11 +149,12 @@ fn user_registered_scheduler_runs_through_campaign() {
     struct ExternalOnly;
 
     impl Scheduler for ExternalOnly {
-        fn name(&self) -> &'static str {
-            "external-only"
-        }
-
-        fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, noctest::core::PlanError> {
+        fn schedule_tuned(
+            &self,
+            sys: &SystemUnderTest,
+            _tuning: &noctest::core::SearchTuning,
+            _cancel: Option<&noctest::core::CancelToken>,
+        ) -> Result<Schedule, noctest::core::PlanError> {
             let ext = noctest::core::InterfaceId(0);
             let mut entries = Vec::new();
             let mut clock = 0;

@@ -184,20 +184,13 @@ struct Blocker {
 }
 
 impl Scheduler for Blocker {
-    fn name(&self) -> &'static str {
-        "blocker"
-    }
-
-    fn schedule(&self, sys: &SystemUnderTest) -> Result<Schedule, PlanError> {
-        // Only reachable outside a race; keep it harmless.
-        GreedyScheduler.schedule(sys)
-    }
-
-    fn schedule_cancellable(
+    fn schedule_tuned(
         &self,
         _sys: &SystemUnderTest,
-        cancel: &CancelToken,
+        _tuning: &SearchTuning,
+        cancel: Option<&CancelToken>,
     ) -> Result<Schedule, PlanError> {
+        let cancel = cancel.expect("the portfolio hands every entrant a token");
         self.started.store(true, Ordering::SeqCst);
         let start = std::time::Instant::now();
         while start.elapsed() < std::time::Duration::from_secs(60) {

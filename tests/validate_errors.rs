@@ -4,8 +4,8 @@
 
 use noctest::core::plan::{Campaign, PlanRequest};
 use noctest::core::{
-    BudgetSpec, CutId, FaultSet, InterfaceId, PlanError, Schedule, ScheduledTest, SystemBuilder,
-    SystemUnderTest,
+    BudgetSpec, CutId, FaultSet, GreedyScheduler, InterfaceId, PlanError, Schedule, ScheduledTest,
+    Scheduler, SystemBuilder, SystemUnderTest,
 };
 use noctest::cpu::ProcessorProfile;
 use noctest::noc::{Direction, LinkId, NodeId};
@@ -183,6 +183,44 @@ fn severed_pair_is_rejected_not_a_panic() {
         end: 1,
     };
     assert_invalid_with(&sys, vec![entry], "no surviving route");
+}
+
+/// A greedy d695 schedule with `edit` applied to entry `index`.
+fn edited_greedy(
+    sys: &SystemUnderTest,
+    index: usize,
+    edit: impl Fn(&mut ScheduledTest),
+) -> Vec<ScheduledTest> {
+    let mut entries = GreedyScheduler.schedule(sys).unwrap().entries().to_vec();
+    edit(&mut entries[index]);
+    entries
+}
+
+#[test]
+fn unknown_interface_is_rejected_not_a_panic() {
+    // Slots are `cut × interfaces + interface`: an interface one past the
+    // end would read the next core's slot, or past the table's end.
+    let sys = d695(2, BudgetSpec::Unlimited);
+    let unknown = InterfaceId(sys.interfaces().len());
+    for index in 0..sys.cuts().len() {
+        let entries = edited_greedy(&sys, index, |e| e.interface = unknown);
+        assert_eq!(
+            Schedule::new(entries).validate(&sys),
+            Err(PlanError::InvalidSchedule("unknown interface i3".into())),
+            "entry {index}"
+        );
+    }
+}
+
+#[test]
+fn unknown_cut_is_rejected_not_a_panic() {
+    let sys = d695(2, BudgetSpec::Unlimited);
+    let unknown = CutId(sys.cuts().len() as u32 + 3);
+    let entries = edited_greedy(&sys, 0, |e| e.cut = unknown);
+    assert_eq!(
+        Schedule::new(entries).validate(&sys),
+        Err(PlanError::InvalidSchedule("unknown core c19".into()))
+    );
 }
 
 #[test]
