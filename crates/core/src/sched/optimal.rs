@@ -19,8 +19,10 @@
 //! candidate enumeration — live in the crate-private `SearchCore`. The
 //! search that drives them is the explicit-stack engine of
 //! [`crate::sched::parallel`]: `optimal` runs it on the caller's thread
-//! as one task over the unsplit root, and `optimal-par` splits the root
-//! frontier over worker threads; both explore the same tree.
+//! as one task over the unsplit root. Under a finite budget,
+//! `optimal-par` runs that same search for its first budget round, and
+//! splits the root frontier over worker threads only when the round
+//! leaves the tree open; both explore the same tree.
 //!
 //! `SearchCore` reads the system's session table
 //! ([`crate::system`]), built once when the system is built and shared
@@ -365,7 +367,10 @@ mod tests {
             )
         );
         // A budget-exhausted search, at one and at two threads (finite
-        // budgets make the two-thread tree deterministic too).
+        // budgets make the two-thread tree deterministic too). At two
+        // threads the unsplit first round (2,500 expansions) leaves the
+        // tree open at 21,600, below the heuristic seed's 22,688, and
+        // the split then opens at 21,601 over 70 tasks.
         let large = small_system(6, 2);
         assert_eq!(
             optimal_pin(&large, Some(20_000)),

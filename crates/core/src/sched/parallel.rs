@@ -9,6 +9,19 @@
 //! within-budget runs** and **deterministic at any fixed thread count**
 //! when the expansion budget trips. The machinery:
 //!
+//! - **First round unsplit.** Under a finite budget, a search at more
+//!   than one thread first runs the one-thread search for its first
+//!   budget round (`budget / BUDGET_ROUNDS` expansions) on the caller's
+//!   thread, with no split and no crew. A lone task spends a budget
+//!   exactly as one uninterrupted run would, so a tree that round
+//!   finishes is returned at once as the one-thread answer, expansion
+//!   count included; most small trees end there. A tree the round leaves
+//!   open is split with the rest of the budget, and the split opens with
+//!   the round's incumbent by the warm-start rule of
+//!   `opening_incumbent`: bound `W + 1`, the round's entries as the
+//!   fallback. The answer is never worse than the round's, and within
+//!   budget it is still the depth-first-first optimum. Unbudgeted
+//!   searches split at once.
 //! - **Frontier split.** A breadth-first sweep from the root keeps only
 //!   *complete* levels, so the frontier is one full level of the search
 //!   tree in lexicographic path order — exactly the order the one-thread
@@ -21,9 +34,10 @@
 //!   between rounds the helpers park on a generation counter, and the
 //!   caller deals, publishes, works, and takes the tasks back once the
 //!   round's last one is done. A round of one task runs on the caller
-//!   without waking anyone, and a search at one thread, or whose split
-//!   leaves at most one task, spawns no thread at all. A helper that
-//!   panics wakes the caller, and the panic reaches it through the scope.
+//!   without waking anyone. A search at one thread, a search its first
+//!   round finishes, and a split that leaves at most one task spawn no
+//!   thread at all. A helper that panics wakes the caller, and the panic
+//!   reaches it through the scope.
 //! - **Work stealing.** Tasks are dealt round-robin into per-worker
 //!   deques; a worker pops its own deque from the front and steals from
 //!   the tail of a neighbour's when it drains. Which worker runs a task,
@@ -137,17 +151,21 @@ impl SeedKind {
 /// budget-limited incumbent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Total node expansions charged against the budget: the frontier
-    /// split's cost plus every task's count.
+    /// Total node expansions charged against the budget: the unsplit
+    /// first round's (when one ran), the frontier split's cost, and every
+    /// task's count.
     pub expansions: u64,
     /// True when the expansion budget cut the search short; the result
     /// is the best incumbent, not a proof of optimality.
     pub exhausted: bool,
-    /// Worker threads used (always 1 for
-    /// [`OptimalScheduler`](crate::sched::OptimalScheduler)).
+    /// Worker threads the search was given (always 1 for
+    /// [`OptimalScheduler`](crate::sched::OptimalScheduler)). A budgeted
+    /// search whose first round finished the tree ran on the caller's
+    /// thread alone.
     pub threads: usize,
-    /// Tasks searched: 1 at one thread (the unsplit root); at more, the
-    /// frontier size (0 when the split alone finished the tree).
+    /// Tasks searched: 1 at one thread (the unsplit root), and 1 whenever
+    /// the first budget round finished the tree; otherwise the frontier
+    /// size (0 when the split alone finished the tree).
     pub tasks: usize,
     /// Which incumbent opened the search (seed provenance).
     pub seed: SeedKind,
@@ -845,6 +863,12 @@ fn run_round<'g>(
     (after - before, cancelled)
 }
 
+/// The expansions a round deals out of `remaining` with `rounds_left`
+/// rounds to go: an even share, at least one expansion, none of nothing.
+fn round_budget(remaining: u64, rounds_left: u64) -> u64 {
+    (remaining / rounds_left).max(1).min(remaining)
+}
+
 /// Spends the search on the split's tasks, round by round through `run`,
 /// and returns whether a task observed cancellation.
 fn run_rounds<'g>(
@@ -870,8 +894,7 @@ fn run_rounds<'g>(
         if unfinished.is_empty() || remaining == 0 {
             return false;
         }
-        let rounds_left = BUDGET_ROUNDS.saturating_sub(round).max(1);
-        let round_budget = (remaining / rounds_left).clamp(1, remaining);
+        let round_budget = round_budget(remaining, BUDGET_ROUNDS.saturating_sub(round).max(1));
         let n = unfinished.len() as u64;
         let base = round_budget / n;
         let extra = round_budget % n;
@@ -898,8 +921,11 @@ fn run_rounds<'g>(
 }
 
 /// The branch-and-bound behind both exact schedulers, on `threads`
-/// workers. One thread searches the root as one unsplit task; more
-/// split the root frontier into tasks first.
+/// workers. One thread searches the root as one unsplit task. More
+/// threads under a finite budget first run that one-thread search for
+/// its first budget round, on the caller's thread; only a tree the round
+/// leaves open is split, with the rest of the budget, over the crew.
+/// Unbudgeted searches split at once.
 pub(crate) fn branch_and_bound(
     sys: &SystemUnderTest,
     max_cores: usize,
@@ -915,13 +941,53 @@ pub(crate) fn branch_and_bound(
     // change the within-budget result.
     let (seed, seed_value, seed_kind) = opening_incumbent(sys, tuning)?;
     let core = SearchCore::new(sys);
+    let run = |seed, seed_value, threads, budget| {
+        search(&core, seed, seed_value, seed_kind, threads, budget, cancel)
+    };
+    let Some(budget) = max_expansions.filter(|_| threads > 1) else {
+        return run(seed, seed_value, threads, max_expansions);
+    };
+    // The one-thread search's first round. A lone task spends a budget
+    // exactly as one uninterrupted run would, so a tree this finishes is
+    // the one-thread answer, expansions included.
+    let first_round = round_budget(budget, BUDGET_ROUNDS);
+    let (best, first) = run(seed, seed_value, 1, Some(first_round))?;
+    if !first.exhausted {
+        return Ok((best, SearchStats { threads, ..first }));
+    }
+    // The round's incumbent opens the split by the warm-start rule: a
+    // bound one above its makespan keeps the within-budget answer the
+    // depth-first-first optimum, and its entries are the fallback.
+    let bound = seed_value.min(best.makespan() + 1);
+    let (schedule, rest) = run(best, bound, threads, Some(budget - first.expansions))?;
+    Ok((
+        schedule,
+        SearchStats {
+            expansions: first.expansions + rest.expansions,
+            ..rest
+        },
+    ))
+}
+
+/// One search from the incumbent `seed` (bound `seed_value`): the root
+/// split into a frontier of tasks (the unsplit root at one thread), its
+/// budget spent in rounds on `threads` workers, and the ordered merge.
+fn search(
+    core: &SearchCore<'_>,
+    seed: Schedule,
+    seed_value: u64,
+    seed_kind: SeedKind,
+    threads: usize,
+    max_expansions: Option<u64>,
+    cancel: Option<&CancelToken>,
+) -> Result<(Schedule, SearchStats), PlanError> {
     let target = if threads == 1 {
         1
     } else {
         (threads * TASKS_PER_THREAD).min(MAX_FRONTIER)
     };
     let split_budget = max_expansions.map_or(u64::MAX, |b| b / 2);
-    let (frontier, leaves, split_cost) = split_frontier(&core, seed_value, target, split_budget);
+    let (frontier, leaves, split_cost) = split_frontier(core, seed_value, target, split_budget);
     let task_count = frontier.len();
     let mut slots: Vec<Option<Task>> = frontier
         .into_iter()
@@ -931,7 +997,7 @@ pub(crate) fn branch_and_bound(
     let budget = max_expansions.map(|b| b.saturating_sub(split_cost));
     let work = |job: &mut Job<'_>| {
         job.cancelled =
-            job.task.run(&core, job.slice, job.bound, &global, cancel) == TaskStatus::Cancelled;
+            job.task.run(core, job.slice, job.bound, &global, cancel) == TaskStatus::Cancelled;
     };
     // Threads are paid for once per search, and only when there are
     // tasks to share: one crew serves every round.

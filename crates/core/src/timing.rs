@@ -18,8 +18,9 @@
 //! pipeline-fill term of `(hops_in + hops_out) * (routing + flow)` is added
 //! per session. Stimulus and response are *not* overlapped: a processor
 //! interface is a single-threaded program, and the paper's serialized model
-//! is kept for the external tester for consistency (see EXPERIMENTS.md
-//! calibration notes).
+//! is kept for the external tester for consistency (README, "Reproducing
+//! the paper": `characterize` and `validate_model` report the
+//! calibration).
 
 use crate::cut::CoreUnderTest;
 use crate::interface::TestInterface;

@@ -1,7 +1,7 @@
 //! The entire pipeline must be deterministic: identical inputs produce
 //! identical characterisations, schedules and experiment panels. This is
-//! what makes EXPERIMENTS.md's recorded numbers reproducible on any
-//! machine.
+//! what makes the numbers README's "Reproducing the paper" regenerates
+//! reproducible on any machine.
 
 use noctest::core::{BudgetSpec, GreedyScheduler, Scheduler, SmartScheduler, SystemBuilder};
 use noctest::cpu::{bist, Isa, ProcessorProfile};

@@ -1,6 +1,6 @@
 //! Integration tests pinning the *shape* of the paper's Figure 1 and its
 //! headline claims. Absolute cycle counts depend on the calibration
-//! documented in EXPERIMENTS.md; these tests assert the qualitative
+//! (README, "Reproducing the paper"); these tests assert the qualitative
 //! structure that must survive any recalibration:
 //!
 //! * reusing processors reduces test time on every system;
@@ -100,7 +100,8 @@ fn noproc_times_are_ordered_like_the_paper() {
     let p93791 = noproc("p93791");
     assert!(d695 < p22810 && p22810 < p93791);
     // Paper axes: ~160k / ~900k / ~1.4M. Accept a generous band around
-    // the calibrated values (see EXPERIMENTS.md for the exact numbers).
+    // the calibrated values (`figure1 --summary`, README's "Reproducing
+    // the paper", prints the exact numbers).
     assert!((150_000..600_000).contains(&d695), "d695 noproc {d695}");
     assert!(
         (700_000..1_600_000).contains(&p22810),

@@ -6,7 +6,11 @@
 //! Schedule JSON to the serial `optimal` search at 1, 2, 4 and N
 //! (machine) threads whenever the search completes within budget, and
 //! budget-exhausted runs must return a valid incumbent that is
-//! deterministic at every fixed thread count. The portfolio tests prove
+//! deterministic at every fixed thread count. Under a finite budget
+//! `optimal-par` runs the budget's first round unsplit: a tree that
+//! round finishes must be `optimal`'s answer down to the expansion count
+//! at 2, 3 and 4 threads, and a tree it leaves open must be split into
+//! an answer no worse than the round's. The portfolio tests prove
 //! losers observe cancellation — both when the exact entrant wins the
 //! race and when the parent job is cancelled through the Executor —
 //! and that racing never writes to the profile cache.
@@ -18,7 +22,8 @@ use noctest::core::plan::exec::{Executor, JobResult};
 use noctest::core::plan::{profile_cache_stats, Campaign, CoreRequest, PlanRequest, SocSource};
 use noctest::core::{
     CancelToken, GreedyScheduler, OptimalScheduler, ParallelOptimalScheduler, PlanError,
-    PortfolioScheduler, Schedule, Scheduler, SearchTuning, SmartScheduler, SystemUnderTest,
+    PortfolioScheduler, Schedule, Scheduler, SearchStats, SearchTuning, SmartScheduler,
+    SystemUnderTest,
 };
 use noctest::gen::RecipeFamily;
 
@@ -173,6 +178,120 @@ fn budget_exhausted_runs_are_deterministic_at_fixed_thread_count() {
         exhausted_instances >= 48,
         "only {exhausted_instances}/96 starved runs actually exhausted the budget"
     );
+}
+
+/// The expansion budget of the first-round tests (the exact-search
+/// benchmark's).
+const ROUND_BUDGET: u64 = 20_000;
+
+/// The first of the eight rounds a finite budget is spent in:
+/// `optimal-par` searches it unsplit on the caller's thread, as
+/// `optimal` does, before it splits anything.
+fn first_round(budget: u64) -> u64 {
+    budget / 8
+}
+
+fn optimal(sys: &SystemUnderTest, budget: u64) -> (Schedule, SearchStats) {
+    OptimalScheduler::new()
+        .with_max_expansions(Some(budget))
+        .schedule_with_stats(sys, &SearchTuning::default(), None)
+        .unwrap()
+}
+
+fn parallel(sys: &SystemUnderTest, threads: usize, budget: u64) -> (Schedule, SearchStats) {
+    ParallelOptimalScheduler::new()
+        .with_threads(threads)
+        .with_max_expansions(Some(budget))
+        .schedule_with_stats(sys, &SearchTuning::default(), None)
+        .unwrap()
+}
+
+#[test]
+fn a_tree_the_first_round_finishes_is_the_one_thread_search() {
+    let _guard = serialised();
+    let mut finished = 0usize;
+    for seed in 0..SEEDS {
+        let sys = system_for_seed(seed);
+        if optimal(&sys, first_round(ROUND_BUDGET)).1.exhausted {
+            continue;
+        }
+        finished += 1;
+        let (serial, serial_stats) = optimal(&sys, ROUND_BUDGET);
+        for threads in [2usize, 3, 4] {
+            let (par, stats) = parallel(&sys, threads, ROUND_BUDGET);
+            assert_eq!(
+                schedule_json(&par),
+                schedule_json(&serial),
+                "seed {seed}, {threads} threads"
+            );
+            assert_eq!(
+                (stats.expansions, stats.exhausted, stats.tasks),
+                (serial_stats.expansions, serial_stats.exhausted, 1),
+                "seed {seed}, {threads} threads"
+            );
+        }
+    }
+    assert!(
+        finished >= 24,
+        "the first round finished only {finished}/48 trees"
+    );
+}
+
+#[test]
+fn budgets_below_the_round_count_return_the_seed_or_better() {
+    let _guard = serialised();
+    for seed in 0..SEEDS {
+        let sys = system_for_seed(seed);
+        for budget in [0, 1, 7] {
+            let (schedule, stats) = parallel(&sys, 2, budget);
+            schedule.validate(&sys).unwrap();
+            assert!(
+                schedule.makespan() <= heuristic_seed_makespan(&sys),
+                "seed {seed}, budget {budget}"
+            );
+            assert!(stats.expansions <= budget, "seed {seed}, budget {budget}");
+        }
+    }
+}
+
+/// The split that follows an open first round opens with that round's
+/// incumbent, so it never answers worse. At the smaller budget the
+/// split alone often could not find that incumbent again.
+#[test]
+fn a_tree_the_first_round_leaves_open_keeps_its_incumbent_and_repeats() {
+    let _guard = serialised();
+    for budget in [1_000, ROUND_BUDGET] {
+        let mut open = 0usize;
+        for seed in 0..SEEDS {
+            let sys = system_for_seed(seed);
+            let (round, round_stats) = optimal(&sys, first_round(budget));
+            if !round_stats.exhausted {
+                continue;
+            }
+            open += 1;
+            let (first, stats) = parallel(&sys, 2, budget);
+            first.validate(&sys).unwrap();
+            assert!(
+                first.makespan() <= round.makespan(),
+                "seed {seed}, budget {budget}: {} is worse than the first round's {}",
+                first.makespan(),
+                round.makespan()
+            );
+            assert!(stats.tasks > 1, "seed {seed}, budget {budget}: not split");
+            for run in 1..20 {
+                let (again, again_stats) = parallel(&sys, 2, budget);
+                assert_eq!(
+                    (schedule_json(&again), again_stats),
+                    (schedule_json(&first), stats),
+                    "seed {seed}, budget {budget}, run {run}"
+                );
+            }
+        }
+        assert!(
+            open > 0,
+            "budget {budget}: the first round finished every tree"
+        );
+    }
 }
 
 /// A deliberately slow entrant: blocks until its token fires, recording
