@@ -247,3 +247,60 @@ fn mistyped_priority_and_client_are_errors_not_ignored() {
         "stream:\n{stdout}"
     );
 }
+
+/// Pipes `input` through `plan-serve --threads 1` and returns its event
+/// stream.
+fn serve(input: &str) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_plan-serve"))
+        .args(["--threads", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("plan-serve spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(input.as_bytes())
+        .expect("request stream written");
+    let output = child.wait_with_output().expect("plan-serve exits");
+    assert!(output.status.success(), "{output:?}");
+    String::from_utf8(output.stdout).expect("utf8 stream")
+}
+
+/// A misspelt member is refused with one in-band `error` line instead of
+/// planning with the default it was meant to override: no job is queued.
+#[test]
+fn a_misspelt_member_gets_one_error_line_and_no_job() {
+    let stdout = serve(
+        "{\"name\":\"typo\",\"soc\":{\"benchmark\":\"d695\"},\"mesh\":{\"width\":4,\"height\":4},\
+         \"schedular\":\"optimal\",\"fidelty\":2}\n",
+    );
+    assert_eq!(
+        stdout,
+        "{\"event\":\"error\",\"line\":1,\"error\":\"json error at byte 0: \
+         `request` has unknown member `schedular`\"}\n\
+         {\"event\":\"done\",\"jobs\":0}\n"
+    );
+}
+
+/// `client` is a daemon member, not a request member: it is taken off
+/// before the closed request decoder sees the line, and the job plans.
+#[test]
+fn a_client_member_is_removed_before_the_request_decodes() {
+    let line = d695_line("p", "greedy");
+    let with_client = format!("{}, \"client\": \"alice\"}}\n", &line[..line.len() - 1]);
+    let stdout = serve(&with_client);
+    assert!(!stdout.contains(r#""event":"error""#), "{stdout}");
+    let request = noctest_core::plan::PlanRequest::from_json_str(&line).unwrap();
+    let makespan = noctest_core::plan::Campaign::new()
+        .run(&request)
+        .unwrap()
+        .makespan;
+    assert_eq!(
+        canonical_digest(&stdout),
+        format!("job=1 p completed makespan={makespan}\ndone jobs=1"),
+        "stream:\n{stdout}"
+    );
+}

@@ -251,15 +251,10 @@ pub fn field_opt<'a, T>(
     what: &str,
     f: impl FnOnce(&'a Json) -> Option<T>,
 ) -> Result<Option<T>, JsonError> {
-    match doc.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(value) => f(value)
-            .map(Some)
-            .ok_or_else(|| err(0, format!("member `{key}` is not {what}"))),
-    }
+    field_or(doc, key, what, None, |value| f(value).map(Some))
 }
 
-/// Like [`field`] but with a default when the member is absent.
+/// Like [`field`] but with a default when the member is absent or null.
 ///
 /// # Errors
 ///
@@ -274,6 +269,30 @@ pub fn field_or<'a, T>(
     match doc.get(key) {
         None | Some(Json::Null) => Ok(default),
         Some(value) => f(value).ok_or_else(|| err(0, format!("member `{key}` is not {what}"))),
+    }
+}
+
+/// Refuses any member of object `doc` outside `allowed`: a decoder that
+/// skips what it does not know turns a misspelt knob into a silent
+/// default. `path` names the object in the error; a value that is not an
+/// object has no members to refuse.
+///
+/// # Errors
+///
+/// A [`JsonError`] `` `<path>` has unknown member `<key>` `` naming the
+/// first member outside `allowed`.
+pub fn only_members(
+    doc: &Json,
+    path: impl fmt::Display,
+    allowed: &[&str],
+) -> Result<(), JsonError> {
+    match doc.as_obj().and_then(|members| {
+        members
+            .iter()
+            .find(|(key, _)| !allowed.contains(&key.as_str()))
+    }) {
+        Some((key, _)) => Err(err(0, format!("`{path}` has unknown member `{key}`"))),
+        None => Ok(()),
     }
 }
 

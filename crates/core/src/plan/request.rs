@@ -5,7 +5,7 @@ use noctest_faults::FaultSet;
 use noctest_itc02::{data, parse_soc, SocDesc};
 use noctest_noc::{Direction, LinkId, Mesh, NodeId, RoutingKind};
 
-use crate::json::{field, field_opt, field_or, Json, JsonError};
+use crate::json::{field, field_opt, field_or, only_members, Json, JsonError};
 
 /// Range-checked integer decoders: an out-of-range value is a decode
 /// error, never a silent truncation.
@@ -513,7 +513,10 @@ impl PlanRequest {
         Ok(Self::from_json(&Json::parse(text)?)?)
     }
 
-    /// Decodes a request from a parsed JSON value.
+    /// Decodes a request from a parsed JSON value. The member set is
+    /// closed at every level: a member the decoder does not know is
+    /// refused as `` `<path>` has unknown member `<key>` `` (the top level's
+    /// path is `request`), never skipped.
     ///
     /// # Errors
     ///
@@ -524,25 +527,54 @@ impl PlanRequest {
             message: msg.to_owned(),
         };
 
+        only_members(
+            doc,
+            "request",
+            &[
+                "name",
+                "soc",
+                "mesh",
+                "processors",
+                "budget",
+                "scheduler",
+                "priority",
+                "faults",
+                "timing",
+                "search",
+                "validate",
+                "fidelity",
+            ],
+        )?;
+
+        // Each `soc` variant admits only its own members, so two sources
+        // in one object are refused rather than one silently winning.
         let soc_doc = field(doc, "soc", "an object", |v| v.as_obj().map(|_| v))?;
         let soc = if let Some(name) = soc_doc.get("benchmark") {
+            only_members(soc_doc, "soc", &["benchmark"])?;
             SocSource::Benchmark(
                 name.as_str()
                     .ok_or_else(|| bad("`soc.benchmark` is not a string"))?
                     .to_owned(),
             )
         } else if let Some(text) = soc_doc.get("soc_text") {
+            only_members(soc_doc, "soc", &["soc_text"])?;
             SocSource::SocText(
                 text.as_str()
                     .ok_or_else(|| bad("`soc.soc_text` is not a string"))?
                     .to_owned(),
             )
         } else if let Some(cores) = soc_doc.get("cores") {
+            only_members(soc_doc, "soc", &["name", "cores"])?;
             let items = cores
                 .as_arr()
                 .ok_or_else(|| bad("`soc.cores` is not an array"))?;
             let mut parsed = Vec::with_capacity(items.len());
-            for item in items {
+            for (i, item) in items.iter().enumerate() {
+                only_members(
+                    item,
+                    format_args!("soc.cores[{i}]"),
+                    &["name", "bits_in", "bits_out", "patterns", "power"],
+                )?;
                 let core = CoreRequest {
                     name: field(item, "name", "a string", |v| v.as_str().map(str::to_owned))?,
                     bits_in: field(item, "bits_in", "an integer fitting u32", u32_of)?,
@@ -566,6 +598,7 @@ impl PlanRequest {
         };
 
         let mesh_doc = field(doc, "mesh", "an object", |v| v.as_obj().map(|_| v))?;
+        only_members(mesh_doc, "mesh", &["width", "height", "routing"])?;
         let mesh = MeshSpec {
             width: field(mesh_doc, "width", "an integer fitting u16", u16_of)?,
             height: field(mesh_doc, "height", "an integer fitting u16", u16_of)?,
@@ -584,11 +617,22 @@ impl PlanRequest {
         let processors = match doc.get("processors") {
             None | Some(Json::Null) => None,
             Some(p) => {
+                only_members(
+                    p,
+                    "processors",
+                    &["family", "total", "reused", "calibrate", "application"],
+                )?;
                 let application = match p.get("application") {
                     None | Some(Json::Null) => ApplicationSpec::Bist,
                     Some(Json::Str(s)) if s == "bist" => ApplicationSpec::Bist,
                     Some(a) => {
                         if let Some(d) = a.get("decompression") {
+                            only_members(a, "processors.application", &["decompression"])?;
+                            only_members(
+                                d,
+                                "processors.application.decompression",
+                                &["care_density"],
+                            )?;
                             ApplicationSpec::Decompression {
                                 care_density: field(d, "care_density", "a number", Json::as_f64)?,
                             }
@@ -616,12 +660,15 @@ impl PlanRequest {
                 _ => return Err(bad("string `budget` must be \"unlimited\"")),
             },
             Some(b) => {
+                // One kind of cap per budget, as for `soc`.
                 if let Some(f) = b.get("fraction") {
+                    only_members(b, "budget", &["fraction"])?;
                     BudgetSpec::Fraction(
                         f.as_f64()
                             .ok_or_else(|| bad("`budget.fraction` is not a number"))?,
                     )
                 } else if let Some(a) = b.get("absolute") {
+                    only_members(b, "budget", &["absolute"])?;
                     BudgetSpec::Absolute(
                         a.as_f64()
                             .ok_or_else(|| bad("`budget.absolute` is not a number"))?,
@@ -649,9 +696,10 @@ impl PlanRequest {
         let faults = match doc.get("faults") {
             None | Some(Json::Null) => FaultSet::none(),
             Some(f) => {
-                let Some(entries) = f.as_obj() else {
+                if f.as_obj().is_none() {
                     return Err(bad("`faults` must be null or an object"));
-                };
+                }
+                only_members(f, "faults", &["routers", "links"])?;
                 // Decoding needs real mesh geometry: coordinates are
                 // validated here, so a degraded request is rejected at the
                 // wire instead of deep inside planning.
@@ -674,52 +722,43 @@ impl PlanRequest {
                         .node_at(x, y)
                         .ok_or_else(|| bad(&format!("{what} [{x}, {y}] is outside the mesh")))
                 };
-                let mut set = FaultSet::none();
-                for (key, value) in entries {
-                    match key.as_str() {
-                        "routers" => {
-                            let items = value
-                                .as_arr()
-                                .ok_or_else(|| bad("`faults.routers` is not an array"))?;
-                            for item in items {
-                                set.add_router(node_of(item, "`faults.routers` entry")?);
-                            }
-                        }
-                        "links" => {
-                            let items = value
-                                .as_arr()
-                                .ok_or_else(|| bad("`faults.links` is not an array"))?;
-                            for item in items {
-                                let pair =
-                                    item.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                                        bad("`faults.links` entry must be `[[x, y], dir]`")
-                                    })?;
-                                let from = node_of(&pair[0], "`faults.links` entry")?;
-                                let dir = match pair[1].as_str() {
-                                    Some("E") => Direction::East,
-                                    Some("W") => Direction::West,
-                                    Some("N") => Direction::North,
-                                    Some("S") => Direction::South,
-                                    _ => {
-                                        return Err(bad(
-                                            "`faults.links` direction must be \"E\", \"W\", \"N\" or \"S\"",
-                                        ))
-                                    }
-                                };
-                                if geometry.neighbor(from, dir).is_none() {
-                                    return Err(bad(&format!(
-                                        "`faults.links` entry [{}, {}] {dir} leaves the mesh",
-                                        geometry.position(from).x,
-                                        geometry.position(from).y,
-                                    )));
-                                }
-                                set.add_link(LinkId::cardinal(from, dir));
-                            }
-                        }
-                        other => {
-                            return Err(bad(&format!("`faults` has unknown member `{other}`")))
-                        }
+                let list = |member: &str| -> Result<&[Json], JsonError> {
+                    match f.get(member) {
+                        None => Ok(&[]),
+                        Some(items) => items
+                            .as_arr()
+                            .ok_or_else(|| bad(&format!("`faults.{member}` is not an array"))),
                     }
+                };
+                let mut set = FaultSet::none();
+                for item in list("routers")? {
+                    set.add_router(node_of(item, "`faults.routers` entry")?);
+                }
+                for item in list("links")? {
+                    let pair = item
+                        .as_arr()
+                        .filter(|a| a.len() == 2)
+                        .ok_or_else(|| bad("`faults.links` entry must be `[[x, y], dir]`"))?;
+                    let from = node_of(&pair[0], "`faults.links` entry")?;
+                    let dir = match pair[1].as_str() {
+                        Some("E") => Direction::East,
+                        Some("W") => Direction::West,
+                        Some("N") => Direction::North,
+                        Some("S") => Direction::South,
+                        _ => {
+                            return Err(bad(
+                                "`faults.links` direction must be \"E\", \"W\", \"N\" or \"S\"",
+                            ))
+                        }
+                    };
+                    if geometry.neighbor(from, dir).is_none() {
+                        return Err(bad(&format!(
+                            "`faults.links` entry [{}, {}] {dir} leaves the mesh",
+                            geometry.position(from).x,
+                            geometry.position(from).y,
+                        )));
+                    }
+                    set.add_link(LinkId::cardinal(from, dir));
                 }
                 set
             }
@@ -727,18 +766,46 @@ impl PlanRequest {
 
         let timing = match doc.get("timing") {
             None | Some(Json::Null) => TimingSpec::default(),
-            Some(t) => TimingSpec {
-                flit_width_bits: field_opt(t, "flit_width_bits", "an integer fitting u32", u32_of)?,
-                flow_latency: field_opt(t, "flow_latency", "an integer fitting u32", u32_of)?,
-                routing_latency: field_opt(t, "routing_latency", "an integer fitting u32", u32_of)?,
-                generation: match field_opt(t, "generation", "a string", Json::as_str)? {
-                    None => None,
-                    Some("paper_flat") => Some(GenerationModel::PaperFlat),
-                    Some("calibrated") => Some(GenerationModel::Calibrated),
-                    Some(other) => return Err(bad(&format!("unknown generation model `{other}`"))),
-                },
-                wrapper_shift: field_opt(t, "wrapper_shift", "a boolean", Json::as_bool)?,
-            },
+            Some(t) => {
+                if t.as_obj().is_none() {
+                    return Err(bad("`timing` must be null or an object"));
+                }
+                only_members(
+                    t,
+                    "timing",
+                    &[
+                        "flit_width_bits",
+                        "flow_latency",
+                        "routing_latency",
+                        "generation",
+                        "wrapper_shift",
+                    ],
+                )?;
+                TimingSpec {
+                    flit_width_bits: field_opt(
+                        t,
+                        "flit_width_bits",
+                        "an integer fitting u32",
+                        u32_of,
+                    )?,
+                    flow_latency: field_opt(t, "flow_latency", "an integer fitting u32", u32_of)?,
+                    routing_latency: field_opt(
+                        t,
+                        "routing_latency",
+                        "an integer fitting u32",
+                        u32_of,
+                    )?,
+                    generation: match field_opt(t, "generation", "a string", Json::as_str)? {
+                        None => None,
+                        Some("paper_flat") => Some(GenerationModel::PaperFlat),
+                        Some("calibrated") => Some(GenerationModel::Calibrated),
+                        Some(other) => {
+                            return Err(bad(&format!("unknown generation model `{other}`")))
+                        }
+                    },
+                    wrapper_shift: field_opt(t, "wrapper_shift", "a boolean", Json::as_bool)?,
+                }
+            }
         };
         if let Some(msg) = timing_error(&timing) {
             return Err(bad(msg));
@@ -750,6 +817,7 @@ impl PlanRequest {
                 if t.as_obj().is_none() {
                     return Err(bad("`search` must be null or an object"));
                 }
+                only_members(t, "search", &["threads"])?;
                 let threads = field_opt(t, "threads", "an integer", usize_of)?;
                 if threads == Some(0) {
                     // Zero threads is always a typo: 0 means "auto" only
@@ -773,6 +841,7 @@ impl PlanRequest {
                 if f.as_obj().is_none() {
                     return Err(bad("`fidelity` must be null, a boolean, or an object"));
                 }
+                only_members(f, "fidelity", &["patterns_cap"])?;
                 let patterns_cap = field_or(
                     f,
                     "patterns_cap",
@@ -1152,6 +1221,99 @@ mod tests {
             "`faults.links` entry [3, 0] E leaves the mesh"
         );
         assert_eq!(err(r#""faults": 7"#), "`faults` must be null or an object");
+    }
+
+    #[test]
+    fn unknown_members_are_refused_at_every_level() {
+        let mesh = r#""mesh": {"width": 4, "height": 4}"#;
+        let d695 = format!(r#""soc": {{"benchmark": "d695"}}, {mesh}"#);
+        let leon = r#""family": "leon", "total": 2, "reused": 2"#;
+        let core = r#""name": "c", "bits_in": 1, "bits_out": 1, "patterns": 1, "power": 1"#;
+        for (members, message) in [
+            (
+                format!(r#"{d695}, "schedular": "optimal", "fidelty": 2"#),
+                "`request` has unknown member `schedular`",
+            ),
+            (
+                format!(r#""soc": {{"benchmark": "d695", "soc_text": "x"}}, {mesh}"#),
+                "`soc` has unknown member `soc_text`",
+            ),
+            (
+                format!(r#""soc": {{"soc_text": "x", "cores": []}}, {mesh}"#),
+                "`soc` has unknown member `cores`",
+            ),
+            (
+                format!(r#""soc": {{"name": "n", "cores": [], "seed": 1}}, {mesh}"#),
+                "`soc` has unknown member `seed`",
+            ),
+            (
+                format!(r#""soc": {{"cores": [{{{core}}}, {{{core}, "pwr": 2}}]}}, {mesh}"#),
+                "`soc.cores[1]` has unknown member `pwr`",
+            ),
+            (
+                r#""soc": {"benchmark": "d695"}, "mesh": {"width": 4, "height": 4, "rouitng": "yx"}"#
+                    .to_owned(),
+                "`mesh` has unknown member `rouitng`",
+            ),
+            (
+                format!(r#"{d695}, "processors": {{{leon}, "resued": 1}}"#),
+                "`processors` has unknown member `resued`",
+            ),
+            (
+                format!(
+                    r#"{d695}, "processors": {{{leon}, "application": {{"decompression": {{"care_density": 0.1}}, "bist": true}}}}"#
+                ),
+                "`processors.application` has unknown member `bist`",
+            ),
+            (
+                format!(
+                    r#"{d695}, "processors": {{{leon}, "application": {{"decompression": {{"care_density": 0.1, "seed": 3}}}}}}"#
+                ),
+                "`processors.application.decompression` has unknown member `seed`",
+            ),
+            (
+                format!(r#"{d695}, "budget": {{"fraction": 0.5, "absolute": 900}}"#),
+                "`budget` has unknown member `absolute`",
+            ),
+            (
+                format!(r#"{d695}, "budget": {{"absolute": 900, "fraction": 0.5}}"#),
+                "`budget` has unknown member `absolute`",
+            ),
+            (
+                format!(r#"{d695}, "budget": {{"fraction": 0.5, "unit": "mW"}}"#),
+                "`budget` has unknown member `unit`",
+            ),
+            (
+                format!(r#"{d695}, "timing": {{"flow_latncy": 3}}"#),
+                "`timing` has unknown member `flow_latncy`",
+            ),
+            (
+                format!(r#"{d695}, "search": {{"threads": 2, "budget": 10}}"#),
+                "`search` has unknown member `budget`",
+            ),
+            (
+                format!(r#"{d695}, "fidelity": {{"patterns": 4}}"#),
+                "`fidelity` has unknown member `patterns`",
+            ),
+            (
+                format!(r#"{d695}, "faults": {{"routers": [], "nodes": []}}"#),
+                "`faults` has unknown member `nodes`",
+            ),
+        ] {
+            let doc = Json::parse(&format!("{{{members}}}")).unwrap();
+            assert_eq!(
+                PlanRequest::from_json(&doc).unwrap_err().message,
+                message,
+                "{members}"
+            );
+        }
+        // A timing override that is not an object is refused as well,
+        // instead of planning with the defaults.
+        let doc = Json::parse(&format!(r#"{{{d695}, "timing": 5}}"#)).unwrap();
+        assert_eq!(
+            PlanRequest::from_json(&doc).unwrap_err().message,
+            "`timing` must be null or an object"
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! [`CorpusReport::deterministic_json`] omits the measured section,
 //! [`CorpusReport::to_json`] keeps everything.
 
-use noctest_core::json::{field, field_opt, Json, JsonError};
-use noctest_core::plan::{CacheStats, CampaignError};
+use noctest_core::json::Json;
+use noctest_core::plan::CacheStats;
 
 /// Min/mean/max summary of a per-scheduler metric over its successful
 /// scenarios.
@@ -49,15 +49,6 @@ impl DistributionSummary {
             ("max", Json::int(self.max)),
             ("mean", Json::Num(self.mean)),
         ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, JsonError> {
-        Ok(DistributionSummary {
-            count: field(doc, "count", "an integer", Json::as_u64)? as usize,
-            min: field(doc, "min", "an integer", Json::as_u64)?,
-            max: field(doc, "max", "an integer", Json::as_u64)?,
-            mean: field(doc, "mean", "a number", Json::as_f64)?,
-        })
     }
 }
 
@@ -110,23 +101,6 @@ impl SchedulerSummary {
             ),
         ])
     }
-
-    fn from_json(doc: &Json) -> Result<Self, JsonError> {
-        Ok(SchedulerSummary {
-            name: field(doc, "name", "a string", |v| v.as_str().map(str::to_owned))?,
-            runs: field(doc, "runs", "an integer", Json::as_u64)? as usize,
-            failures: field(doc, "failures", "an integer", Json::as_u64)? as usize,
-            wins: field(doc, "wins", "an integer", Json::as_u64)? as usize,
-            win_rate: field(doc, "win_rate", "a number", Json::as_f64)?,
-            makespan: DistributionSummary::from_json(field(doc, "makespan", "an object", |v| {
-                v.as_obj().map(|_| v)
-            })?)?,
-            mean_concurrency: field(doc, "mean_concurrency", "a number", Json::as_f64)?,
-            peak_concurrency: field(doc, "peak_concurrency", "an integer", Json::as_u64)? as usize,
-            mean_reduction_percent: field(doc, "mean_reduction_percent", "a number", Json::as_f64)?,
-            worst_fidelity_error: field_opt(doc, "worst_fidelity_error", "a number", Json::as_f64)?,
-        })
-    }
 }
 
 /// One scheduler's aggregates under one fault-axis value.
@@ -163,19 +137,6 @@ impl FaultSchedulerSummary {
             ("paired", Json::int(self.paired as u64)),
         ])
     }
-
-    fn from_json(doc: &Json) -> Result<Self, JsonError> {
-        Ok(FaultSchedulerSummary {
-            name: field(doc, "name", "a string", |v| v.as_str().map(str::to_owned))?,
-            runs: field(doc, "runs", "an integer", Json::as_u64)? as usize,
-            failures: field(doc, "failures", "an integer", Json::as_u64)? as usize,
-            makespan: DistributionSummary::from_json(field(doc, "makespan", "an object", |v| {
-                v.as_obj().map(|_| v)
-            })?)?,
-            mean_inflation_percent: field(doc, "mean_inflation_percent", "a number", Json::as_f64)?,
-            paired: field(doc, "paired", "an integer", Json::as_u64)? as usize,
-        })
-    }
 }
 
 /// One fault-axis value's aggregates: how every scheduler's makespan
@@ -207,18 +168,6 @@ impl FaultAxisSummary {
             ),
         ])
     }
-
-    fn from_json(doc: &Json) -> Result<Self, JsonError> {
-        let schedulers_doc = field(doc, "schedulers", "an array", Json::as_arr)?;
-        let mut schedulers = Vec::with_capacity(schedulers_doc.len());
-        for s in schedulers_doc {
-            schedulers.push(FaultSchedulerSummary::from_json(s)?);
-        }
-        Ok(FaultAxisSummary {
-            label: field(doc, "label", "a string", |v| v.as_str().map(str::to_owned))?,
-            schedulers,
-        })
-    }
 }
 
 /// One failed scenario: the request's (unique) name and the error text.
@@ -226,7 +175,7 @@ impl FaultAxisSummary {
 pub struct CorpusFailure {
     /// The failing request's name.
     pub request: String,
-    /// Rendered [`CampaignError`].
+    /// Rendered [`CampaignError`](noctest_core::plan::CampaignError).
     pub error: String,
 }
 
@@ -308,7 +257,7 @@ impl CorpusReport {
     fn deterministic_members(&self) -> Vec<(&'static str, Json)> {
         let mut members = vec![
             // As a string: JSON numbers are f64s, and a u64 seed above
-            // 2^53 would silently round (and then fail to decode).
+            // 2^53 would silently round.
             ("seed", Json::str(self.seed.to_string())),
             ("soc_count", Json::int(self.soc_count as u64)),
             ("scenario_count", Json::int(self.scenario_count as u64)),
@@ -351,81 +300,6 @@ impl CorpusReport {
             ));
         }
         members
-    }
-
-    /// Decodes a report from JSON text (inverse of
-    /// [`CorpusReport::to_json_string`]).
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Json`] describing the first malformed member.
-    pub fn from_json_str(text: &str) -> Result<Self, CampaignError> {
-        Ok(Self::from_json(&Json::parse(text)?)?)
-    }
-
-    /// Decodes a report from a parsed JSON value. A missing `measured`
-    /// section (e.g. a deterministic-only document) decodes as zeroes.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError`] describing the first malformed member.
-    pub fn from_json(doc: &Json) -> Result<Self, JsonError> {
-        let schedulers_doc = field(doc, "schedulers", "an array", Json::as_arr)?;
-        let mut schedulers = Vec::with_capacity(schedulers_doc.len());
-        for s in schedulers_doc {
-            schedulers.push(SchedulerSummary::from_json(s)?);
-        }
-        let fault_axis = match doc.get("fault_axis") {
-            // Lenient: reports from before the fault axis (and fault-free
-            // reports, which omit the member) decode as "no axis".
-            None | Some(Json::Null) => Vec::new(),
-            Some(fa) => {
-                let entries = fa.as_arr().ok_or_else(|| JsonError {
-                    at: 0,
-                    message: "`fault_axis` is not an array".to_owned(),
-                })?;
-                let mut parsed = Vec::with_capacity(entries.len());
-                for entry in entries {
-                    parsed.push(FaultAxisSummary::from_json(entry)?);
-                }
-                parsed
-            }
-        };
-        let failures_doc = field(doc, "failures", "an array", Json::as_arr)?;
-        let mut failures = Vec::with_capacity(failures_doc.len());
-        for f in failures_doc {
-            failures.push(CorpusFailure {
-                request: field(f, "request", "a string", |v| v.as_str().map(str::to_owned))?,
-                error: field(f, "error", "a string", |v| v.as_str().map(str::to_owned))?,
-            });
-        }
-        let measured = match doc.get("measured") {
-            None | Some(Json::Null) => CorpusMeasurement::default(),
-            Some(m) => CorpusMeasurement {
-                elapsed_micros: field(m, "elapsed_micros", "an integer", Json::as_u64)?,
-                scenarios_per_second: field(m, "scenarios_per_second", "a number", Json::as_f64)?,
-                cache: CacheStats {
-                    hits: field(m, "cache_hits", "an integer", Json::as_u64)?,
-                    misses: field(m, "cache_misses", "an integer", Json::as_u64)?,
-                    evictions: 0,
-                },
-            },
-        };
-        Ok(CorpusReport {
-            // Accept the string form (canonical) and, leniently, a small
-            // integer (hand-written documents).
-            seed: field(doc, "seed", "a u64 (as a string)", |v| match v {
-                Json::Str(s) => s.parse().ok(),
-                other => other.as_u64(),
-            })?,
-            soc_count: field(doc, "soc_count", "an integer", Json::as_u64)? as usize,
-            scenario_count: field(doc, "scenario_count", "an integer", Json::as_u64)? as usize,
-            group_count: field(doc, "group_count", "an integer", Json::as_u64)? as usize,
-            schedulers,
-            fault_axis,
-            failures,
-            measured,
-        })
     }
 
     /// A human-readable summary table (one row per scheduler).
@@ -543,13 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn full_json_roundtrip_is_exact() {
-        let r = sample();
-        let back = CorpusReport::from_json_str(&r.to_json_string()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
     fn seed_above_f64_precision_roundtrips() {
         // JSON numbers are f64s; (2^53)+1 would round as a numeric
         // member. The string encoding must carry every u64 exactly.
@@ -557,24 +424,23 @@ mod tests {
         r.seed = (1u64 << 53) + 1;
         let text = r.to_json_string();
         assert!(text.contains("\"seed\": \"9007199254740993\""));
-        let back = CorpusReport::from_json_str(&text).unwrap();
-        assert_eq!(back, r);
-        // Lenient decode of a hand-written integer member still works.
-        let hand = text.replace("\"seed\": \"9007199254740993\"", "\"seed\": 7");
-        assert_eq!(CorpusReport::from_json_str(&hand).unwrap().seed, 7);
+        let seed = Json::parse(&text).unwrap().get("seed").cloned();
+        let back = seed.as_ref().and_then(Json::as_str).map(str::parse::<u64>);
+        assert_eq!(back, Some(Ok(r.seed)));
     }
 
     #[test]
-    fn deterministic_json_omits_measured_but_decodes() {
+    fn deterministic_json_omits_measured() {
         let r = sample();
         let text = r.deterministic_json();
         assert!(!text.contains("measured"));
         assert!(!text.contains("scenarios_per_second"));
-        // A deterministic document still decodes (measured zeroes out).
-        let back = CorpusReport::from_json_str(&text).unwrap();
-        assert_eq!(back.measured, CorpusMeasurement::default());
-        assert_eq!(back.schedulers, r.schedulers);
-        assert_eq!(back.failures, r.failures);
+        // The full report is the deterministic section plus `measured`.
+        let Json::Obj(mut full) = Json::parse(&r.to_json_string()).unwrap() else {
+            panic!("a report is an object");
+        };
+        assert_eq!(full.pop().map(|(key, _)| key).as_deref(), Some("measured"));
+        assert_eq!(Json::Obj(full).pretty(), text);
     }
 
     #[test]
@@ -602,11 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_members_are_reported() {
-        assert!(CorpusReport::from_json_str("{}").is_err());
-    }
-
-    #[test]
     fn fault_axis_roundtrips_and_empty_axis_is_omitted() {
         let healthy = sample();
         assert!(
@@ -628,8 +489,14 @@ mod tests {
         let text = degraded.to_json_string();
         assert!(text.contains("\"fault_axis\""));
         assert!(degraded.deterministic_json().contains("\"fault_axis\""));
-        let back = CorpusReport::from_json_str(&text).unwrap();
-        assert_eq!(back, degraded);
+        // Every field of the summary comes back out of the written text.
+        let fault_axis = Json::parse(&text).unwrap().get("fault_axis").cloned();
+        assert_eq!(
+            fault_axis.map(|axis| axis.compact()).as_deref(),
+            Some(
+                r#"[{"label":"links10","schedulers":[{"name":"greedy","runs":10,"failures":2,"makespan":{"count":2,"min":120,"max":340,"mean":230},"mean_inflation_percent":8.5,"paired":8}]}]"#
+            )
+        );
         assert!(degraded.table().contains("links10"));
     }
 }

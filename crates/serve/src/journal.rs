@@ -36,6 +36,7 @@ use noctest_core::json::Json;
 use noctest_core::plan::PlanRequest;
 
 use crate::key::RequestKey;
+use crate::wire::daemon_members;
 
 /// An append-only journal file. Every record is flushed as it is
 /// written; a failed write latches [`Journal::failed`] (mirroring
@@ -193,7 +194,8 @@ pub struct Recovery {
 
 /// Replays a journal file into a [`Recovery`]. A missing file is an
 /// empty recovery, not an error; unparsable lines are skipped and
-/// counted (a kill can truncate the last record mid-write).
+/// counted (a kill can truncate the last record mid-write), and so is a
+/// submit record with a mistyped `client` or `priority`.
 ///
 /// # Errors
 ///
@@ -263,12 +265,13 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
                     let key = RequestKey::from_hex(doc.get("key")?.as_str()?)?;
                     let request_doc = doc.get("request")?;
                     let request = PlanRequest::from_json(request_doc).ok()?;
+                    let (client, priority) = daemon_members(&doc).ok()?;
                     Some(Submit {
                         key,
                         request_text: request_doc.compact(),
                         request,
-                        client: doc.get("client").and_then(Json::as_str).map(str::to_owned),
-                        priority: doc.get("priority").and_then(Json::as_f64).unwrap_or(0.0) as i32,
+                        client,
+                        priority,
                         terminal: false,
                         completed: None,
                     })
@@ -431,6 +434,41 @@ mod tests {
         // The damaged tail never carried a parsable job id: ids resume
         // after the highest *recovered* record.
         assert_eq!(recovery.next_job_id, 4);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn mistyped_daemon_members_are_skipped_and_counted() {
+        let path = temp_path("members");
+        let journal = Journal::open_append(&path).unwrap();
+        let r = request("typed");
+        let key = RequestKey::of(&r);
+        journal.append(&submit_record(1, key, 4, Some("alice"), &r.to_json()));
+        drop(journal);
+        let good = std::fs::read_to_string(&path).unwrap();
+        let mut text = good.clone();
+        for (job, members) in [
+            (2, r#""priority":2.5"#),
+            (3, r#""priority":3e9"#),
+            (4, r#""priority":0,"client":7"#),
+        ] {
+            text.push_str(
+                &good
+                    .replace(r#""job":1,"#, &format!(r#""job":{job},"#))
+                    .replace(r#""priority":4,"client":"alice""#, members),
+            );
+        }
+        std::fs::write(&path, text).unwrap();
+
+        let recovery = recover(&path).unwrap();
+        let pending: Vec<_> = recovery
+            .pending
+            .iter()
+            .map(|p| (p.job, p.priority, p.client.as_deref()))
+            .collect();
+        assert_eq!(pending, [(1, 4, Some("alice"))]);
+        assert_eq!(recovery.skipped_lines, 3);
+        assert_eq!(recovery.next_job_id, 5);
         std::fs::remove_file(&path).ok();
     }
 

@@ -21,9 +21,13 @@
 //! - [`shard`] — the consistent-hash ring over named shards.
 //! - [`admission`] — bounded per-client waiting rooms drained by deficit
 //!   round-robin.
-//! - [`journal`] — the append-only NDJSON job journal and its recovery.
-//! - [`wire`] — the daemon's in-band control lines (`error`, `rejected`,
-//!   `done`, `cached`, `warm_start`), pinned to exact bytes.
+//! - [`wire`] — the daemon's line protocol: the line cap, the decoder
+//!   that turns an input line into a submit or a cancel (the daemon
+//!   members `client` and `priority` included), and the in-band answer
+//!   lines (`error`, `rejected`, `done`, `cached`, `warm_start`), pinned
+//!   to exact bytes.
+//! - [`journal`] — the append-only NDJSON job journal and its recovery,
+//!   which reads a submit record's daemon members through [`wire`].
 //! - [`tier`] — [`ServeTier`], which composes the above.
 //!
 //! ```

@@ -128,11 +128,6 @@ fn every_scheduler_validates_over_twenty_generated_socs() {
     assert!(report.measured.scenarios_per_second > 0.0);
     assert!(report.measured.elapsed_micros > 0);
 
-    // The full report round-trips through JSON exactly.
-    let back = noctest::gen::CorpusReport::from_json_str(&report.to_json_string())
-        .expect("report JSON decodes");
-    assert_eq!(back, report);
-
     // Same spec, same seed: the deterministic section is byte-identical
     // on a second run (only the measured section may differ).
     let again = spec.run(&campaign);
