@@ -32,10 +32,13 @@
 //! * `--shards N` — N executor shards; requests route by consistent
 //!   hashing of their SoC + mesh content, so near-duplicate streams
 //!   share a shard.
-//! * `--queue-depth D` — bounded fair admission: each client may hold at
+//! * `--queue-depth D` — bounded admission: each client may hold at
 //!   most D waiting jobs per shard; excess submissions are refused with
-//!   an in-band `rejected` line, and waiting jobs dispatch by round-robin
-//!   over clients.
+//!   an in-band `rejected` line. With or without it, each shard's queue
+//!   lets clients take turns in first-arrival order and runs a client's
+//!   own jobs by numeric `priority`, ties in submission order (lines
+//!   from several clients without `--queue-depth` used to run in plain
+//!   priority order across clients).
 //! * `--journal PATH` — durable NDJSON job journal. On restart, jobs
 //!   that were queued are replayed (same ids); resubmissions of
 //!   completed requests are served from the journal byte-identically

@@ -304,3 +304,30 @@ fn a_client_member_is_removed_before_the_request_decodes() {
         "stream:\n{stdout}"
     );
 }
+
+/// A SoC with no cores and no processors fails its job with a message
+/// that names the SoC as having nothing to test, not as a mesh error; a
+/// SoC of processors alone still plans their self-tests.
+#[test]
+fn an_empty_soc_fails_as_nothing_to_test() {
+    let processors_only = r#"{"name":"procs","soc":{"cores":[]},"mesh":{"width":3,"height":3},"processors":{"family":"leon","total":2,"reused":2}}"#;
+    let stdout = serve(&format!(
+        "{}\n{processors_only}\n",
+        r#"{"name":"empty","soc":{"cores":[]},"mesh":{"width":2,"height":2}}"#
+    ));
+    let request = noctest_core::plan::PlanRequest::from_json_str(processors_only).unwrap();
+    let makespan = noctest_core::plan::Campaign::new()
+        .run(&request)
+        .unwrap()
+        .makespan;
+    assert_eq!(
+        canonical_digest(&stdout),
+        format!(
+            "job=1 empty failed error=planning failed: SoC `custom` has nothing to test: \
+             no cores and no processors\n\
+             job=2 procs completed makespan={makespan}\n\
+             done jobs=2"
+        ),
+        "stream:\n{stdout}"
+    );
+}

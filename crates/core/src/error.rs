@@ -10,6 +10,11 @@ use crate::interface::InterfaceId;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum PlanError {
+    /// The SoC has no cores and no processors: there is nothing to test.
+    NothingToTest {
+        /// The SoC's name.
+        soc: String,
+    },
     /// The mesh has no room for the requested placement.
     MeshTooSmall {
         /// Nodes available.
@@ -45,8 +50,10 @@ pub enum PlanError {
         /// Index of the out-of-mesh router (for links, the driving end).
         node: u32,
     },
-    /// No test interface has a surviving route to the core: the fault set
-    /// severed it from every stimulus source.
+    /// No test interface that can serve has a surviving route to the
+    /// core: the fault set severed it from every stimulus source. A
+    /// processor serves only once another interface that serves can
+    /// reach its self-test.
     CutUnreachable {
         /// The severed core.
         cut: CutId,
@@ -76,6 +83,12 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            PlanError::NothingToTest { soc } => {
+                write!(
+                    f,
+                    "SoC `{soc}` has nothing to test: no cores and no processors"
+                )
+            }
             PlanError::MeshTooSmall { nodes, required } => {
                 write!(
                     f,
@@ -125,6 +138,9 @@ mod tests {
     #[test]
     fn displays_are_nonempty() {
         let errs = [
+            PlanError::NothingToTest {
+                soc: "empty".into(),
+            },
             PlanError::MeshTooSmall {
                 nodes: 4,
                 required: 9,

@@ -285,16 +285,17 @@ mod tests {
 
     #[test]
     fn severed_pair_has_an_empty_footprint() {
-        // Killing both links out of router 3 severs its processor from
-        // every other core: those pairs have no path and overlap nothing,
+        // Killing both links into router 0 severs the core there from
+        // every interface but the external tester, whose input sits on
+        // that router: those pairs have no path and overlap nothing,
         // themselves included.
-        let out = |dir| LinkId::cardinal(NodeId::new(3), dir);
+        let into = |from, dir| LinkId::cardinal(NodeId::new(from), dir);
         let sys = grid(
             FaultSet::none()
-                .with_link(out(Direction::West))
-                .with_link(out(Direction::North)),
+                .with_link(into(1, Direction::West))
+                .with_link(into(4, Direction::South)),
         );
-        let severed = (InterfaceId(1), core_on(&sys, 7));
+        let severed = (InterfaceId(1), core_on(&sys, 0));
         assert!(sys.try_path(severed.0, severed.1).is_none());
         assert!(!sys.footprints_overlap(severed, severed));
         for cut in sys.cuts() {

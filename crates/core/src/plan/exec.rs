@@ -6,8 +6,10 @@
 //!
 //! * [`Executor`] — a bounded worker pool over a [`Campaign`].
 //!   [`Executor::submit`] returns immediately with a [`JobHandle`]
-//!   carrying a process-unique [`JobId`]; jobs run in priority order
-//!   (ties broken by submission order) and can be cancelled at any time,
+//!   carrying a process-unique [`JobId`]. Clients take turns in
+//!   first-arrival order, and one client's jobs run in priority order
+//!   (ties broken by submission order); with one client or none that is
+//!   plain priority order. Jobs can be cancelled at any time,
 //!   cooperatively even *inside* a long branch-and-bound search (the
 //!   job's token reaches [`crate::sched::Scheduler::schedule_tuned`]).
 //! * [`PlanEvent`] — the typed lifecycle stream every job emits:
@@ -405,7 +407,8 @@ impl<W: Write + Send> EventSink for NdjsonSink<W> {
 pub struct SubmitSpec {
     /// The request to plan.
     pub request: PlanRequest,
-    /// Scheduling priority (higher runs first; ties in id order).
+    /// Scheduling priority among the client's own jobs (higher runs
+    /// first; ties in id order).
     pub priority: i32,
     /// Explicit job id. `None` (the default) allocates the next internal
     /// id; an explicit id advances the internal counter past it so later
@@ -413,19 +416,17 @@ pub struct SubmitSpec {
     /// the caller's contract — a journal-replaying service tier owns its
     /// own allocator.
     pub id: Option<JobId>,
-    /// Client identity for multi-tenant admission accounting. Carried on
-    /// the job (see [`JobHandle::client`]); deliberately *not* part of
-    /// the event wire format, which predates it.
+    /// Client identity: clients take turns in the queue, and
+    /// [`Executor::waiting`] counts a client's queued jobs. Anonymous
+    /// jobs queue as the client with the empty name. Carried on the job
+    /// (see [`JobHandle::client`]); deliberately *not* part of the event
+    /// wire format, which predates it.
     pub client: Option<String>,
-    /// Emit the `Queued` event on submission (default `true`). A service
-    /// tier that parks jobs in its own admission queue announces them
-    /// itself and suppresses the executor's duplicate announcement.
-    pub announce_queued: bool,
 }
 
 impl SubmitSpec {
-    /// A default-priority, auto-id, anonymous, announced submission —
-    /// exactly what [`Executor::submit`] does.
+    /// A default-priority, auto-id, anonymous submission — exactly what
+    /// [`Executor::submit`] does.
     #[must_use]
     pub fn new(request: PlanRequest) -> Self {
         SubmitSpec {
@@ -433,7 +434,6 @@ impl SubmitSpec {
             priority: 0,
             id: None,
             client: None,
-            announce_queued: true,
         }
     }
 
@@ -455,14 +455,6 @@ impl SubmitSpec {
     #[must_use]
     pub fn with_client(mut self, client: impl Into<String>) -> Self {
         self.client = Some(client.into());
-        self
-    }
-
-    /// Suppresses the `Queued` event (builder style) — for callers that
-    /// already announced the job from their own admission layer.
-    #[must_use]
-    pub fn quiet_queued(mut self) -> Self {
-        self.announce_queued = false;
         self
     }
 }
@@ -489,6 +481,11 @@ impl JobInner {
     fn set_phase(&self, phase: Phase) {
         *lock(&self.phase) = phase;
         self.phase_cv.notify_all();
+    }
+
+    /// The client whose turn the job queues under.
+    fn client_name(&self) -> &str {
+        self.client.as_deref().unwrap_or("")
     }
 }
 
@@ -582,8 +579,8 @@ impl JobHandle {
     }
 }
 
-/// One queue entry; the heap pops the highest priority first, ties going
-/// to the earliest submission (lowest id) for determinism.
+/// One queue entry; a client's heap pops the highest priority first,
+/// ties going to the earliest submission (lowest id) for determinism.
 struct QueuedJob {
     priority: i32,
     inner: Arc<JobInner>,
@@ -608,9 +605,88 @@ impl Ord for QueuedJob {
     }
 }
 
+/// One client's queued jobs.
+struct Lane {
+    client: String,
+    jobs: BinaryHeap<QueuedJob>,
+    /// Jobs in `jobs` that were not cancelled while queued: a cancelled
+    /// job stays in the heap until a worker pops and drops it.
+    waiting: usize,
+}
+
+/// The executor's queue: one lane per client, taking turns in
+/// first-arrival order. A lane leaves the rotation when it empties, so a
+/// client that comes back queues behind every client already waiting.
+/// With one client or none there is one lane, and the order is its
+/// heap's.
 struct Queue {
-    heap: BinaryHeap<QueuedJob>,
+    lanes: Vec<Lane>,
+    /// The lane whose turn is next.
+    turn: usize,
     shutdown: bool,
+}
+
+impl Queue {
+    fn lane_mut(&mut self, client: &str) -> Option<&mut Lane> {
+        self.lanes.iter_mut().find(|lane| lane.client == client)
+    }
+
+    fn push(&mut self, job: QueuedJob) {
+        let client = job.inner.client_name();
+        let lane = match self.lanes.iter().position(|lane| lane.client == client) {
+            Some(lane) => lane,
+            None => {
+                self.lanes.push(Lane {
+                    client: client.to_owned(),
+                    jobs: BinaryHeap::new(),
+                    waiting: 0,
+                });
+                self.lanes.len() - 1
+            }
+        };
+        let lane = &mut self.lanes[lane];
+        lane.waiting += 1;
+        lane.jobs.push(job);
+    }
+
+    /// Pops the next job and marks it running, dropping the jobs that
+    /// were cancelled while queued on the way (they do not use up their
+    /// client's turn).
+    fn pop(&mut self) -> Option<QueuedJob> {
+        while !self.lanes.is_empty() {
+            let turn = self.turn % self.lanes.len();
+            let lane = &mut self.lanes[turn];
+            let next = std::iter::from_fn(|| lane.jobs.pop()).find(QueuedJob::start);
+            if next.is_some() {
+                lane.waiting -= 1;
+            }
+            if lane.jobs.is_empty() {
+                // The next lane slides into this turn.
+                self.lanes.remove(turn);
+                self.turn = turn;
+            } else {
+                self.turn = turn + 1;
+            }
+            if next.is_some() {
+                return next;
+            }
+        }
+        None
+    }
+}
+
+impl QueuedJob {
+    /// Claims the job for a worker: `false` when it was cancelled while
+    /// queued. The phase lock is the arbiter of that race.
+    fn start(&self) -> bool {
+        let mut phase = lock(&self.inner.phase);
+        if matches!(*phase, Phase::Done(_)) {
+            return false;
+        }
+        *phase = Phase::Running;
+        self.inner.phase_cv.notify_all();
+        true
+    }
 }
 
 struct Done {
@@ -649,19 +725,23 @@ impl Shared {
     }
 
     /// Cancels a job that is still queued: flips it terminal under the
-    /// phase lock (so a worker racing to start it backs off), emits the
+    /// queue and phase locks (so a worker racing to start it backs off,
+    /// and its client's waiting count drops with it), emits the
     /// `Cancelled` event and releases any waiter immediately — a busy
     /// pool must not delay the cancellation of work it never started.
     fn finish_if_queued(&self, inner: &JobInner) {
         {
+            let mut queue = lock(&self.queue);
             let mut phase = lock(&inner.phase);
             if !matches!(*phase, Phase::Queued) {
                 return;
             }
-            // Claim the terminal state under the lock (so a worker
-            // racing to start the job backs off) but notify only after
-            // the event is out, so released waiters find it in the sinks.
+            // Claim the terminal state under the lock but notify only
+            // after the event is out, so released waiters find it in the
+            // sinks. A queued job is still in its lane's heap.
             *phase = Phase::Done(JobResult::Cancelled);
+            let lane = queue.lane_mut(inner.client_name());
+            lane.expect("a queued job is in its client's lane").waiting -= 1;
         }
         self.emit(&PlanEvent::Cancelled {
             job: JobId(inner.id),
@@ -710,19 +790,9 @@ impl Shared {
         self.record_done();
     }
 
+    /// Runs a job the queue marked running.
     fn execute(&self, job: QueuedJob) {
         let inner = job.inner;
-        {
-            // A job cancelled while queued was finalised by the
-            // cancelling thread — nothing to do. The phase lock is the
-            // arbiter of that race.
-            let mut phase = lock(&inner.phase);
-            if matches!(*phase, Phase::Done(_)) {
-                return;
-            }
-            *phase = Phase::Running;
-            inner.phase_cv.notify_all();
-        }
         self.emit(&PlanEvent::Started {
             job: JobId(inner.id),
             request: inner.request_name.clone(),
@@ -767,7 +837,7 @@ impl Shared {
             let job = {
                 let mut queue = lock(&self.queue);
                 loop {
-                    if let Some(job) = queue.heap.pop() {
+                    if let Some(job) = queue.pop() {
                         break job;
                     }
                     if queue.shutdown {
@@ -870,7 +940,8 @@ impl ExecutorBuilder {
         let shared = Arc::new(Shared {
             campaign: self.campaign,
             queue: Mutex::new(Queue {
-                heap: BinaryHeap::new(),
+                lanes: Vec::new(),
+                turn: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -901,6 +972,10 @@ impl ExecutorBuilder {
 /// A bounded worker pool executing [`PlanRequest`]s as prioritised,
 /// cancellable jobs with a typed event stream — the execution layer
 /// underneath [`Campaign::run_all`].
+///
+/// The queue is fair between clients ([`SubmitSpec::client`]): they take
+/// turns in first-arrival order, one job a turn, and each client's jobs
+/// run in priority order, ties in submission order.
 ///
 /// Dropping the executor stops accepting the queue as-is: already-queued
 /// jobs still drain (workers are joined), so no submitted job is ever
@@ -952,15 +1027,17 @@ impl Executor {
         self.submit_with_priority(request, 0)
     }
 
-    /// Submits a job; higher priorities run first, ties in submission
-    /// order. The call never blocks: the job is queued and a handle
-    /// returned immediately, with a `Queued` event emitted to the sinks.
+    /// Submits an anonymous job; higher priorities run first, ties in
+    /// submission order (anonymous jobs share one client's turn, see
+    /// [`SubmitSpec::client`]). The call never blocks: the job is queued
+    /// and a handle returned immediately, with a `Queued` event emitted
+    /// to the sinks.
     pub fn submit_with_priority(&self, request: PlanRequest, priority: i32) -> JobHandle {
         self.submit_spec(SubmitSpec::new(request).with_priority(priority))
     }
 
-    /// Submits a job with full control over id, client identity and the
-    /// `Queued` announcement — see [`SubmitSpec`]. An explicit id
+    /// Submits a job with full control over id, priority and client
+    /// identity — see [`SubmitSpec`]. An explicit id
     /// advances the internal allocator past it, so mixing explicit and
     /// internal ids never collides (explicit-vs-explicit uniqueness is
     /// the caller's contract).
@@ -970,7 +1047,6 @@ impl Executor {
             priority,
             id,
             client,
-            announce_queued,
         } = spec;
         let id = match id {
             Some(JobId(id)) => {
@@ -988,20 +1064,15 @@ impl Executor {
             phase_cv: Condvar::new(),
         });
         lock(&self.shared.done).submitted += 1;
-        if announce_queued {
-            self.shared.emit(&PlanEvent::Queued {
-                job: JobId(id),
-                request: inner.request_name.clone(),
-            });
-        }
-        {
-            let mut queue = lock(&self.shared.queue);
-            queue.heap.push(QueuedJob {
-                priority,
-                inner: Arc::clone(&inner),
-                request,
-            });
-        }
+        self.shared.emit(&PlanEvent::Queued {
+            job: JobId(id),
+            request: inner.request_name.clone(),
+        });
+        lock(&self.shared.queue).push(QueuedJob {
+            priority,
+            inner: Arc::clone(&inner),
+            request,
+        });
         self.shared.work_cv.notify_one();
         JobHandle {
             inner,
@@ -1029,6 +1100,15 @@ impl Executor {
     #[must_use]
     pub fn build_counts(&self) -> BuildCounts {
         self.shared.builds.counts()
+    }
+
+    /// Jobs of `client` still queued, not counting those cancelled while
+    /// queued; anonymous jobs count under the empty name.
+    #[must_use]
+    pub fn waiting(&self, client: &str) -> usize {
+        lock(&self.shared.queue)
+            .lane_mut(client)
+            .map_or(0, |lane| lane.waiting)
     }
 
     /// Jobs submitted so far.
@@ -1262,6 +1342,105 @@ mod tests {
     }
 
     #[test]
+    fn clients_take_turns_and_each_runs_its_jobs_in_priority_order() {
+        let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut campaign = Campaign::new();
+        campaign
+            .registry_mut()
+            .register("blocker", Arc::new(Blocker(Arc::clone(&release))));
+        let collector = Arc::new(EventCollector::new());
+        let executor = Executor::builder()
+            .campaign(campaign)
+            .threads(1)
+            .unwrap()
+            .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
+            .build();
+        let submit = |client: &str, priority: i32, scheduler: &str| {
+            executor.submit_spec(
+                SubmitSpec::new(d695(scheduler))
+                    .with_client(client)
+                    .with_priority(priority),
+            )
+        };
+        let gate = submit("hog", 0, "blocker");
+        while gate.status() != JobStatus::Running {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        // `a` arrives first and queues three jobs; `b` queues two in
+        // between. The gate's client left the rotation when it started.
+        let a_low = submit("a", -1, "serial");
+        let a_high = submit("a", 5, "serial");
+        let b_mid = submit("b", 0, "serial");
+        let a_tie = submit("a", 5, "serial");
+        let b_high = submit("b", 9, "serial");
+        let waiting = ["a", "b", "hog"].map(|client| executor.waiting(client));
+        // Released before asserting: a failed assertion must not leave
+        // the worker blocked while the executor drops.
+        release.store(true, Ordering::Relaxed);
+        executor.join();
+        // A running job is not waiting.
+        assert_eq!(waiting, [3, 2, 0], "queued jobs per client");
+        let started: Vec<JobId> = collector
+            .take()
+            .iter()
+            .filter(|e| e.kind() == "started")
+            .map(PlanEvent::job)
+            .collect();
+        // One job a turn, a before b; within a client the highest
+        // priority first and equal priorities in submission order.
+        let expected = [&gate, &a_high, &b_high, &a_tie, &b_mid, &a_low];
+        assert_eq!(started, expected.map(JobHandle::id));
+        assert_eq!((executor.waiting("a"), executor.waiting("b")), (0, 0));
+    }
+
+    #[test]
+    fn a_job_cancelled_while_queued_stops_counting_as_waiting() {
+        let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut campaign = Campaign::new();
+        campaign
+            .registry_mut()
+            .register("blocker", Arc::new(Blocker(Arc::clone(&release))));
+        let collector = Arc::new(EventCollector::new());
+        let executor = Executor::builder()
+            .campaign(campaign)
+            .threads(1)
+            .unwrap()
+            .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
+            .build();
+        let gate = executor.submit(d695("blocker"));
+        while gate.status() != JobStatus::Running {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let spec = |client: &str| SubmitSpec::new(d695("serial")).with_client(client);
+        let doomed = executor.submit_spec(spec("a"));
+        let kept = executor.submit_spec(spec("a"));
+        let anonymous = executor.submit(d695("serial"));
+        let before = (executor.waiting("a"), executor.waiting(""));
+        // The cancelled job stays in its client's heap until a worker
+        // drops it, but it no longer counts, and cancelling it twice
+        // changes nothing.
+        doomed.cancel();
+        doomed.cancel();
+        let after = executor.waiting("a");
+        // Released before asserting: a failed assertion must not leave
+        // the worker blocked while the executor drops.
+        release.store(true, Ordering::Relaxed);
+        executor.join();
+        assert_eq!((before, after), ((2, 1), 1));
+        assert_eq!(doomed.wait(), JobResult::Cancelled);
+        assert!(matches!(kept.wait(), JobResult::Completed(_)));
+        assert!(matches!(anonymous.wait(), JobResult::Completed(_)));
+        assert_eq!((executor.waiting("a"), executor.waiting("")), (0, 0));
+        let started: Vec<JobId> = collector
+            .take()
+            .iter()
+            .filter(|e| e.kind() == "started")
+            .map(PlanEvent::job)
+            .collect();
+        assert_eq!(started, vec![gate.id(), kept.id(), anonymous.id()]);
+    }
+
+    #[test]
     fn a_finished_job_is_freed_once_its_handles_drop() {
         let executor = Executor::builder().threads(1).unwrap().build();
         let handle = executor.submit(d695("greedy"));
@@ -1447,29 +1626,13 @@ mod tests {
         executor.join();
         assert!(matches!(pinned.wait(), JobResult::Completed(_)));
         assert!(matches!(next.wait(), JobResult::Completed(_)));
-        // A quiet submission emits no Queued event but a full lifecycle
-        // otherwise.
-        let quiet = executor.submit_spec(SubmitSpec::new(d695("greedy")).quiet_queued());
-        assert!(matches!(quiet.wait(), JobResult::Completed(_)));
-        let kinds_of = |id: JobId| -> Vec<&'static str> {
-            collector
-                .snapshot()
-                .iter()
-                .filter(|e| e.job() == id)
-                .map(PlanEvent::kind)
-                .collect()
-        };
-        assert_eq!(kinds_of(pinned.id()).first(), Some(&"queued"));
-        assert_eq!(
-            kinds_of(quiet.id()),
-            vec![
-                "started",
-                "stage_finished",
-                "stage_finished",
-                "stage_finished",
-                "completed"
-            ]
-        );
+        let kinds: Vec<&str> = collector
+            .snapshot()
+            .iter()
+            .filter(|e| e.job() == pinned.id())
+            .map(PlanEvent::kind)
+            .collect();
+        assert_eq!(kinds.first(), Some(&"queued"));
     }
 
     #[test]

@@ -270,7 +270,8 @@ fn entry_traffic(sys: &SystemUnderTest, entry: &ScheduledTest, patterns_cap: u32
     let packets = core.patterns.min(patterns_cap).min(TAG_BLOCK as u32 - 1);
     let flits_total = sys.timing().flits(core.bits_in);
     // A pair the fault set severed has no path; its stream then fails at
-    // injection with a typed error (a dead source router) instead of here.
+    // injection with a typed error (a dead endpoint router, or no route)
+    // instead of here.
     let hops = sys
         .try_path(entry.interface, entry.cut)
         .map_or(0, |path| path.hops_in);

@@ -48,6 +48,14 @@ pub enum NocError {
         /// The faulty router.
         node: NodeId,
     },
+    /// The installed route table has no route from a packet's source to
+    /// its destination (the fault set severed the pair).
+    Unroutable {
+        /// The packet's source router.
+        src: NodeId,
+        /// The packet's destination router.
+        dest: NodeId,
+    },
 }
 
 impl fmt::Display for NocError {
@@ -72,6 +80,12 @@ impl fmt::Display for NocError {
                 write!(
                     f,
                     "node {node} is marked faulty and cannot source or sink packets"
+                )
+            }
+            NocError::Unroutable { src, dest } => {
+                write!(
+                    f,
+                    "the route table has no route from node {src} to node {dest}"
                 )
             }
         }

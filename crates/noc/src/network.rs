@@ -569,9 +569,15 @@ impl Network {
     }
 
     fn check_endpoints_alive(&self, packet: &Packet) -> Result<(), NocError> {
-        for node in [packet.src(), packet.dest()] {
+        let (src, dest) = (packet.src(), packet.dest());
+        for node in [src, dest] {
             if self.dead_routers.contains(&node.index()) {
                 return Err(NocError::DeadEndpoint { node });
+            }
+        }
+        if let Some(table) = &self.route_table {
+            if table.next_hop(src, dest).is_none() {
+                return Err(NocError::Unroutable { src, dest });
             }
         }
         Ok(())
@@ -583,8 +589,9 @@ impl Network {
     ///
     /// Returns [`NocError::NodeOutOfRange`] if the packet's endpoints are
     /// not in the mesh, [`NocError::DeadEndpoint`] if either endpoint is a
-    /// faulty router, and [`NocError::InjectionQueueFull`] if the per-node
-    /// queue limit is reached.
+    /// faulty router, [`NocError::Unroutable`] if the route table has no
+    /// route between them, and [`NocError::InjectionQueueFull`] if the
+    /// per-node queue limit is reached.
     pub fn inject(&mut self, packet: Packet) -> Result<PacketId, NocError> {
         self.config.mesh().check(packet.src())?;
         self.config.mesh().check(packet.dest())?;
@@ -620,8 +627,9 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`NocError::NodeOutOfRange`] if the packet's endpoints are
-    /// not in the mesh and [`NocError::DeadEndpoint`] if either endpoint
-    /// is a faulty router.
+    /// not in the mesh, [`NocError::DeadEndpoint`] if either endpoint is a
+    /// faulty router and [`NocError::Unroutable`] if the route table has
+    /// no route between them.
     pub fn inject_at(&mut self, packet: Packet, cycle: u64) -> Result<PacketId, NocError> {
         self.config.mesh().check(packet.src())?;
         self.config.mesh().check(packet.dest())?;
@@ -1700,6 +1708,46 @@ mod tests {
         for link in net.link_flits().keys() {
             assert_ne!(link.from, dead, "dead router forwarded a flit");
         }
+    }
+
+    #[test]
+    fn a_pair_the_route_table_cannot_route_is_refused_at_injection() {
+        use crate::reference::ReferenceNetwork;
+        use crate::table::RouteTable;
+        let cfg = NocConfig::builder(3, 1).build().unwrap();
+        let mesh = Network::new(cfg.clone()).unwrap().topology().clone();
+        let (src, dest) = (NodeId::new(0), NodeId::new(2));
+        // Every pair routes XY except `src -> dest`, which the table does
+        // not cover; the reverse direction still routes.
+        let table = || {
+            RouteTable::from_fn(&mesh, |here, d| {
+                (here != src || d != dest)
+                    .then(|| RoutingKind::Xy.next_hop(mesh.position(here), mesh.position(d)))
+            })
+        };
+        let unroutable = Err(NocError::Unroutable { src, dest });
+        let mut net = Network::new(cfg.clone()).unwrap();
+        net.set_route_table(table()).unwrap();
+        assert_eq!(
+            net.inject(Packet::new(src, dest, 1)).map(|_| ()),
+            unroutable
+        );
+        assert_eq!(
+            net.inject_at(Packet::new(src, dest, 1), 9).map(|_| ()),
+            unroutable
+        );
+        net.inject(Packet::new(dest, src, 1)).unwrap();
+        assert_eq!(net.run_until_idle(1_000).unwrap().len(), 1);
+        let mut reference = ReferenceNetwork::new(cfg).unwrap();
+        reference.set_route_table(table()).unwrap();
+        assert_eq!(
+            reference.inject(Packet::new(src, dest, 1)).map(|_| ()),
+            unroutable
+        );
+        assert_eq!(
+            NocError::Unroutable { src, dest }.to_string(),
+            "the route table has no route from node n0 to node n2"
+        );
     }
 
     #[test]

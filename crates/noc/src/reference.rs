@@ -225,9 +225,15 @@ impl ReferenceNetwork {
     fn check_endpoints(&self, packet: &Packet) -> Result<(), NocError> {
         self.config.mesh().check(packet.src())?;
         self.config.mesh().check(packet.dest())?;
-        for node in [packet.src(), packet.dest()] {
+        let (src, dest) = (packet.src(), packet.dest());
+        for node in [src, dest] {
             if self.dead_routers.contains(&node) {
                 return Err(NocError::DeadEndpoint { node });
+            }
+        }
+        if let Some(table) = &self.route_table {
+            if table.next_hop(src, dest).is_none() {
+                return Err(NocError::Unroutable { src, dest });
             }
         }
         Ok(())

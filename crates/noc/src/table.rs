@@ -7,8 +7,8 @@
 //! minimal-detour oracle around a fault set and installs it on a
 //! [`crate::Network`] via [`crate::Network::set_route_table`], overriding
 //! the algorithmic routing decision per header flit. Pairs with no
-//! surviving path store no direction; a correct caller never injects
-//! traffic for such a pair (the planner excludes them up front).
+//! surviving path store no direction, and the network refuses to inject
+//! a packet for such a pair ([`crate::NocError::Unroutable`]).
 
 use crate::error::NocError;
 use crate::geometry::Direction;

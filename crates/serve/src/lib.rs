@@ -4,8 +4,9 @@
 //! over one [`Executor`](noctest_core::plan::exec::Executor). This crate
 //! grows that loop into a service: **sharded** executors with consistent
 //! hashing so near-duplicate request streams land on the same shard,
-//! **admission control** with per-client fairness and explicit in-band
-//! backpressure, and a **durable journal** that makes restarts safe —
+//! **admission control** (a per-client bound on each shard executor's
+//! queue, whose clients take turns) with explicit in-band backpressure,
+//! and a **durable journal** that makes restarts safe —
 //! queued work is replayed, completed work is deduplicated and its
 //! outcome served byte-identically.
 //!
@@ -19,8 +20,6 @@
 //! - [`key`] — FNV-1a content keys: the canonical request key (dedupe
 //!   identity) and the affinity key (shard routing).
 //! - [`shard`] — the consistent-hash ring over named shards.
-//! - [`admission`] — bounded per-client waiting rooms drained by deficit
-//!   round-robin.
 //! - [`wire`] — the daemon's line protocol: the line cap, the decoder
 //!   that turns an input line into a submit or a cancel (the daemon
 //!   members `client` and `priority` included), and the in-band answer
@@ -43,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod journal;
 pub mod key;
 pub mod shard;

@@ -1,9 +1,9 @@
 //! [`ServeTier`] — the service tier over the plan executor.
 //!
 //! One tier owns N executor shards (consistent-hashed by request
-//! affinity, see [`crate::shard`]), an optional bounded admission layer
-//! with per-client fairness ([`crate::admission`]), and an optional
-//! durable job journal ([`crate::journal`]). With the defaults — one
+//! affinity, see [`crate::shard`]), an optional per-client bound on each
+//! shard's queue, and an optional durable job journal
+//! ([`crate::journal`]). With the defaults — one
 //! shard, unbounded admission, no journal — the tier is a transparent
 //! wrapper over a single [`Executor`]: the event stream on the wire is
 //! byte-identical to driving the executor directly, which is the
@@ -22,13 +22,12 @@
 //!    name) is **cached**; a near miss is **warm-started** from the
 //!    closest cached donor's retimed schedule and goes on.
 //! 4. With a queue depth: a client already holding `depth` waiting jobs
-//!    on the shard is **rejected**; no id is spent and nothing is
-//!    journaled.
+//!    in the shard executor's queue ([`Executor::waiting`]) is
+//!    **rejected**; no id is spent and nothing is journaled.
 //! 5. The job gets a fresh id and a record, its `submit` record is
-//!    journaled, and it is handed to its shard: with a queue depth the
-//!    tier announces `queued` and parks it in the shard's waiting room,
-//!    which a dispatcher drains by deficit round-robin over clients;
-//!    without one it goes straight into the shard executor.
+//!    journaled, and it goes into its shard executor's queue, which
+//!    emits `queued`. Clients take turns there in first-arrival order,
+//!    and one client's jobs run by priority, ties in submission order.
 //!
 //! A deduplicated or cached job gets its id, record and `submit` record
 //! the same way, and is then answered from the stored outcome: `queued`,
@@ -51,7 +50,7 @@
 //! At its terminal event a job's record lets go of its executor handle
 //! (and with it the outcome), its request text and its plan-cache
 //! request. What stays is a small record that cancellation by id or
-//! name still finds: name, shard, key and flags. With a journal, the
+//! name still finds: name, key and flags. With a journal, the
 //! first completion of each distinct request also leaves one dedupe
 //! entry: its request text and its outcome as compact JSON text, the
 //! bytes the journal file holds.
@@ -68,7 +67,6 @@ use noctest_core::plan::{Campaign, CampaignError, PlanOutcome, PlanRequest};
 use noctest_core::ContentHash;
 use noctest_replan::{DeltaAnalyzer, PlanCache};
 
-use crate::admission::{Room, WaitingJob};
 use crate::journal::{self, CompletedJob, Journal, PendingJob, Recovery};
 use crate::key::{affinity_of_doc, fnv1a, RequestKey};
 use crate::shard::{shard_name, ShardRing};
@@ -186,7 +184,6 @@ impl From<std::io::Error> for ServeError {
 #[derive(Debug)]
 struct JobRecord {
     name: String,
-    shard: usize,
     key: RequestKey,
     /// Canonical request text — kept only when a journal is active, and
     /// only until the terminal event moves it into the dedupe map.
@@ -197,12 +194,8 @@ struct JobRecord {
     cache_request: Option<PlanRequest>,
     /// The executor's handle, held only while the job is not terminal.
     handle: Option<JobHandle>,
+    /// A cancellation that arrived before the handle did.
     cancel_requested: bool,
-    /// Still parked in the admission room.
-    waiting: bool,
-    /// Was handed to a shard executor via the admission dispatcher (its
-    /// terminal event must release an `in_flight` slot).
-    dispatched: bool,
     terminal: bool,
 }
 
@@ -227,20 +220,15 @@ struct Counts {
     terminal: u64,
 }
 
-struct ShardRoom {
-    room: Mutex<Room>,
-    cv: Condvar,
-}
-
-/// State shared between the tier, its dispatcher threads and the
-/// per-shard event sinks.
+/// State shared between the tier and the per-shard event sinks.
 ///
 /// Lock hierarchy (outer → inner; every path acquires a descending
 /// subset): executor emit lock → tier `emit_lock` → `jobs` → journal →
-/// `dedupe` → `counts` → a shard room. `submit_lock` serialises
-/// submitters only and is never taken by workers or dispatchers. The
-/// `dedupe` map is additionally only ever *read* under a lone lock
-/// (cloned out before `jobs` is touched).
+/// `dedupe` → `counts`. `submit_lock` serialises submitters only and is
+/// never taken by workers; of the tier's locks, only `submit_lock` is
+/// ever held while a shard executor's queue lock is taken (the depth
+/// check and the hand-off). The `dedupe` map is additionally only ever
+/// *read* under a lone lock (cloned out before `jobs` is touched).
 struct TierShared {
     sinks: Vec<Arc<dyn EventSink>>,
     emit_lock: Mutex<()>,
@@ -258,11 +246,6 @@ struct TierShared {
     counts_cv: Condvar,
     next_id: AtomicU64,
     queue_depth: Option<usize>,
-    /// Dispatch width per shard (= the shard executor's worker count):
-    /// with admission on, at most this many jobs are inside an executor
-    /// at once, so ordering decisions stay in the fair dispatcher.
-    width: usize,
-    rooms: Vec<ShardRoom>,
     ring: ShardRing,
 }
 
@@ -286,11 +269,11 @@ impl TierShared {
 
     /// Terminal bookkeeping: exactly once per job, after its terminal
     /// event is in the sinks — strip the record to what cancellation
-    /// needs, journal the terminal record, feed the dedupe map, bump the
-    /// terminal count and release the admission slot.
+    /// needs, journal the terminal record, feed the dedupe map and bump
+    /// the terminal count.
     fn finish_record(&self, event: &PlanEvent) {
         let id = event.job().0;
-        let (shard, dispatched, key, request_text, cache_request) = {
+        let (key, request_text, cache_request) = {
             let mut jobs = lock(&self.jobs);
             let Some(record) = jobs.get_mut(&id) else {
                 return;
@@ -303,8 +286,6 @@ impl TierShared {
             // handle again.
             record.handle = None;
             (
-                record.shard,
-                record.dispatched,
                 record.key,
                 record.request_text.take(),
                 record.cache_request.take(),
@@ -339,31 +320,18 @@ impl TierShared {
                 _ => {}
             }
         }
-        {
-            let mut counts = lock(&self.counts);
-            counts.terminal += 1;
-            self.counts_cv.notify_all();
-        }
-        if dispatched {
-            let room = &self.rooms[shard];
-            let mut guard = lock(&room.room);
-            guard.in_flight = guard.in_flight.saturating_sub(1);
-            room.cv.notify_all();
-        }
+        let mut counts = lock(&self.counts);
+        counts.terminal += 1;
+        self.counts_cv.notify_all();
     }
 
-    fn on_executor_event(&self, event: &PlanEvent) {
+    /// Forwards a shard executor's event, or one the tier synthesised
+    /// for a stored outcome, and finishes its job at its terminal event.
+    fn on_event(&self, event: &PlanEvent) {
         self.emit_event(event);
         if event.is_terminal() {
             self.finish_record(event);
         }
-    }
-
-    /// Emits a tier-synthesised terminal event (a stored outcome's
-    /// `completed` or a waiting-room cancellation) and finishes its job.
-    fn finish_synthetic(&self, event: &PlanEvent) {
-        self.emit_event(event);
-        self.finish_record(event);
     }
 }
 
@@ -375,53 +343,7 @@ struct TierSink {
 
 impl EventSink for TierSink {
     fn emit(&self, event: &PlanEvent) {
-        self.shared.on_executor_event(event);
-    }
-}
-
-/// The dispatcher loop of one shard: drain the waiting room by deficit
-/// round-robin whenever an executor slot is free.
-fn dispatcher(shared: &Arc<TierShared>, executor: &Arc<Executor>, shard: usize) {
-    let room_state = &shared.rooms[shard];
-    loop {
-        let job = {
-            let mut room = lock(&room_state.room);
-            loop {
-                if room.shutdown {
-                    return;
-                }
-                if room.in_flight < shared.width {
-                    if let Some(job) = room.pop_drr() {
-                        room.in_flight += 1;
-                        break job;
-                    }
-                }
-                room = room_state
-                    .cv
-                    .wait(room)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let id = job.id;
-        // Flag the dispatch BEFORE submitting: the job's terminal event
-        // (which releases the in_flight slot) can arrive the instant
-        // submit returns.
-        if let Some(record) = lock(&shared.jobs).get_mut(&id) {
-            record.waiting = false;
-            record.dispatched = true;
-        }
-        let handle = executor.submit_spec(job.spec);
-        let cancel_now = match lock(&shared.jobs).get_mut(&id) {
-            // A job that already finished keeps no handle.
-            Some(record) if !record.terminal => {
-                record.handle = Some(handle.clone());
-                record.cancel_requested
-            }
-            _ => false,
-        };
-        if cancel_now {
-            handle.cancel();
-        }
+        self.shared.on_event(event);
     }
 }
 
@@ -492,10 +414,11 @@ impl ServeTierBuilder {
         Ok(self)
     }
 
-    /// Bounds each client's waiting jobs per shard at `depth`, enabling
-    /// the fair admission layer (default: unbounded, direct dispatch).
-    /// A depth of 0 rejects everything and is almost certainly not what
-    /// you want, but it is honoured.
+    /// Bounds each client's waiting jobs per shard at `depth`: a
+    /// submission past it is rejected (default: unbounded). Clients take
+    /// turns in each shard's queue either way. A depth of 0 rejects
+    /// everything and is almost certainly not what you want, but it is
+    /// honoured.
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = Some(depth);
@@ -536,7 +459,7 @@ impl ServeTierBuilder {
     }
 
     /// Recovers the journal (if any), spawns the shard executors and
-    /// dispatchers, and replays pending jobs.
+    /// replays pending jobs.
     ///
     /// # Errors
     ///
@@ -570,47 +493,20 @@ impl ServeTierBuilder {
             counts_cv: Condvar::new(),
             next_id: AtomicU64::new(recovery.next_job_id.max(1)),
             queue_depth: self.queue_depth,
-            width: threads,
-            rooms: (0..self.shards)
-                .map(|_| ShardRoom {
-                    room: Mutex::new(Room::default()),
-                    cv: Condvar::new(),
-                })
-                .collect(),
             ring: ShardRing::new(self.shards),
         });
-        let executors: Vec<Arc<Executor>> = (0..self.shards)
+        let executors = (0..self.shards)
             .map(|_| {
-                Ok(Arc::new(
-                    Executor::builder()
-                        .campaign(self.campaign.clone())
-                        .threads(threads)?
-                        .sink(Arc::new(TierSink {
-                            shared: Arc::clone(&shared),
-                        }) as Arc<dyn EventSink>)
-                        .build(),
-                ))
+                Ok(Executor::builder()
+                    .campaign(self.campaign.clone())
+                    .threads(threads)?
+                    .sink(Arc::new(TierSink {
+                        shared: Arc::clone(&shared),
+                    }) as Arc<dyn EventSink>)
+                    .build())
             })
             .collect::<Result<_, CampaignError>>()?;
-        let dispatchers = if shared.queue_depth.is_some() {
-            (0..self.shards)
-                .map(|shard| {
-                    let shared = Arc::clone(&shared);
-                    let executor = Arc::clone(&executors[shard]);
-                    std::thread::Builder::new()
-                        .name(format!("noctest-serve-dispatch-{shard}"))
-                        .spawn(move || dispatcher(&shared, &executor, shard))
-                        .expect("dispatcher thread spawns")
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let tier = ServeTier {
-            shared,
-            executors,
-            dispatchers,
-        };
+        let tier = ServeTier { shared, executors };
         for pending in recovery.pending {
             tier.replay(pending);
         }
@@ -618,12 +514,14 @@ impl ServeTierBuilder {
     }
 }
 
-/// The service tier: sharded executors, fair admission, durable journal.
-/// See the module docs for the submission lifecycle.
+/// The service tier: sharded executors, bounded per-client queues,
+/// durable journal. See the module docs for the submission lifecycle.
+///
+/// Dropping the tier drains every queued job, as dropping an
+/// [`Executor`] does.
 pub struct ServeTier {
     shared: Arc<TierShared>,
-    executors: Vec<Arc<Executor>>,
-    dispatchers: Vec<std::thread::JoinHandle<()>>,
+    executors: Vec<Executor>,
 }
 
 impl std::fmt::Debug for ServeTier {
@@ -741,10 +639,10 @@ impl ServeTier {
             }
         }
 
-        // Bounded fair admission.
+        // Bounded admission.
         if let Some(depth) = self.shared.queue_depth {
             let client_name = client.unwrap_or("");
-            if lock(&self.shared.rooms[sub.shard].room).waiting_for(client_name) >= depth {
+            if self.executors[sub.shard].waiting(client_name) >= depth {
                 let shard = shard_name(sub.shard);
                 return SubmitOutcome::Rejected {
                     request: sub.request.name,
@@ -792,20 +690,17 @@ impl ServeTier {
     /// Registers the job record of `sub` under its pinned or a fresh id,
     /// counts it admitted and journals its `submit` record (a replayed
     /// job's is journaled already).
-    fn track(&self, sub: &Submission, cache_request: Option<PlanRequest>, waiting: bool) -> u64 {
+    fn track(&self, sub: &Submission, cache_request: Option<PlanRequest>) -> u64 {
         let id = sub.job.unwrap_or_else(|| self.shared.alloc_id());
         lock(&self.shared.jobs).insert(
             id,
             JobRecord {
                 name: sub.request.name.clone(),
-                shard: sub.shard,
                 key: sub.key,
                 request_text: self.shared.journal.as_ref().map(|_| sub.text.clone()),
                 cache_request,
                 handle: None,
                 cancel_requested: false,
-                waiting,
-                dispatched: false,
                 terminal: false,
             },
         );
@@ -830,12 +725,12 @@ impl ServeTier {
         cache_request: Option<PlanRequest>,
         outcome: PlanOutcome,
     ) -> JobId {
-        let job = JobId(self.track(sub, cache_request, false));
-        self.shared.emit_event(&PlanEvent::Queued {
+        let job = JobId(self.track(sub, cache_request));
+        self.shared.on_event(&PlanEvent::Queued {
             job,
             request: sub.request.name.clone(),
         });
-        self.shared.finish_synthetic(&PlanEvent::Completed {
+        self.shared.on_event(&PlanEvent::Completed {
             job,
             request: sub.request.name.clone(),
             outcome: Box::new(outcome),
@@ -843,38 +738,27 @@ impl ServeTier {
         job
     }
 
-    /// Tracks `sub` and hands it to its shard: with a queue depth the
-    /// tier announces `queued` and parks it in the waiting room, without
-    /// one it goes straight into the shard executor.
+    /// Tracks `sub` and hands it to its shard executor's queue.
     fn hand_off(&self, sub: Submission, cache_request: Option<PlanRequest>) -> JobId {
-        let admission = self.shared.queue_depth.is_some();
-        let id = self.track(&sub, cache_request, admission);
+        let id = self.track(&sub, cache_request);
         let mut spec = SubmitSpec::new(sub.request)
             .with_priority(sub.priority)
             .with_id(JobId(id));
         if let Some(client) = sub.client {
             spec = spec.with_client(client);
         }
-        if admission {
-            self.shared.emit_event(&PlanEvent::Queued {
-                job: JobId(id),
-                request: spec.request.name.clone(),
-            });
-            let spec = spec.quiet_queued();
-            {
-                let mut room = lock(&self.shared.rooms[sub.shard].room);
-                room.enqueue(sub.client.unwrap_or(""), WaitingJob { id, spec });
+        let handle = self.executors[sub.shard].submit_spec(spec);
+        // Kept for cancellation, unless the job already finished; a
+        // cancellation that came before the handle is carried out now.
+        let cancel_now = match lock(&self.shared.jobs).get_mut(&id) {
+            Some(record) if !record.terminal => {
+                record.handle = Some(handle.clone());
+                record.cancel_requested
             }
-            self.shared.rooms[sub.shard].cv.notify_all();
-        } else {
-            let handle = self.executors[sub.shard].submit_spec(spec);
-            // Kept for cancellation, unless the job already finished.
-            if let Some(record) = lock(&self.shared.jobs)
-                .get_mut(&id)
-                .filter(|record| !record.terminal)
-            {
-                record.handle = Some(handle);
-            }
+            _ => false,
+        };
+        if cancel_now {
+            handle.cancel();
         }
         JobId(id)
     }
@@ -921,37 +805,13 @@ impl ServeTier {
     }
 
     fn cancel_known(&self, id: u64) {
-        let (terminal, waiting, shard, name) = {
-            let jobs = lock(&self.shared.jobs);
-            let Some(record) = jobs.get(&id) else {
-                return;
-            };
-            (
-                record.terminal,
-                record.waiting,
-                record.shard,
-                record.name.clone(),
-            )
-        };
-        if terminal {
-            return;
-        }
-        if waiting {
-            let removed = lock(&self.shared.rooms[shard].room).remove(id).is_some();
-            if removed {
-                // Never dispatched: the tier owns the terminal lifecycle.
-                self.shared.finish_synthetic(&PlanEvent::Cancelled {
-                    job: JobId(id),
-                    request: name,
-                });
-                return;
-            }
-            // Lost the race to the dispatcher — fall through.
-        }
-        let handle = lock(&self.shared.jobs).get_mut(&id).and_then(|record| {
-            record.cancel_requested = true;
-            record.handle.clone()
-        });
+        let handle = lock(&self.shared.jobs)
+            .get_mut(&id)
+            .filter(|record| !record.terminal)
+            .and_then(|record| {
+                record.cancel_requested = true;
+                record.handle.clone()
+            });
         if let Some(handle) = handle {
             handle.cancel();
         }
@@ -967,21 +827,6 @@ impl ServeTier {
                 .wait(counts)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-}
-
-impl Drop for ServeTier {
-    fn drop(&mut self) {
-        for room in &self.shared.rooms {
-            lock(&room.room).shutdown = true;
-            room.cv.notify_all();
-        }
-        for dispatcher in self.dispatchers.drain(..) {
-            let _ = dispatcher.join();
-        }
-        // Executors drop here: queued jobs drain, workers join. Jobs
-        // still parked in a waiting room are abandoned — with a journal
-        // they are exactly the pending records a restart replays.
     }
 }
 

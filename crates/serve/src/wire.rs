@@ -7,12 +7,13 @@
 //! An input line is at most [`MAX_LINE_BYTES`] long ([`read_line`]), and
 //! [`decode_line`] makes it a [`Line`]: a `{"cancel": id | name}` control
 //! line, or a plan request with two daemon members beside its own. A
-//! string `"client"` names the submitter for fair admission; a numeric
-//! `"priority"` (an integer in `i32` range, higher runs first) orders the
-//! job, while a string `"priority"` is the request's core-ordering policy
-//! and stays with it. The daemon members are taken off before
-//! [`PlanRequest::from_json`], whose member set is closed, decodes the
-//! rest; journal recovery reads them from a submit record the same way.
+//! string `"client"` names the submitter, and clients take turns in the
+//! queue; a numeric `"priority"` (an integer in `i32` range, higher runs
+//! first) orders the job among its client's own, while a string
+//! `"priority"` is the request's core-ordering policy and stays with it.
+//! The daemon members are taken off before [`PlanRequest::from_json`],
+//! whose member set is closed, decodes the rest; journal recovery reads
+//! them from a submit record the same way.
 //!
 //! Five daemon-level line kinds sit alongside the executor's event
 //! stream (`queued` / `started` / `stage_finished` / `completed` /

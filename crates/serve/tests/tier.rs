@@ -30,7 +30,7 @@ fn d695(scheduler: &str) -> PlanRequest {
 }
 
 /// A scheduler that blocks until its flag is raised — pins a worker
-/// deterministically so tests control the waiting room's state.
+/// deterministically so tests control the queue's state.
 #[derive(Debug)]
 struct Blocker(Arc<AtomicBool>);
 
@@ -164,7 +164,7 @@ fn a_full_client_is_rejected_while_others_are_admitted_fairly() {
         .build()
         .unwrap();
     // The gate pins the single worker; everything after it waits in the
-    // room, so admission state is fully deterministic.
+    // queue, so admission state is fully deterministic.
     let gate = tier
         .submit_for(d695("blocker").with_name("gate"), Some("hog"), 0)
         .job()
@@ -266,6 +266,50 @@ fn cancelling_a_waiting_job_never_starts_it() {
     tier.join();
     let events = collector.snapshot();
     assert_eq!(kinds_of(&events, doomed), vec!["queued", "cancelled"]);
+}
+
+#[test]
+fn cancelling_a_waiting_job_frees_its_clients_slot() {
+    let release = Arc::new(AtomicBool::new(false));
+    let collector = Arc::new(EventCollector::new());
+    let tier = ServeTier::builder()
+        .campaign(blocking_campaign(&release))
+        .threads(1)
+        .unwrap()
+        .queue_depth(1)
+        .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
+        .build()
+        .unwrap();
+    let gate = tier
+        .submit_for(d695("blocker").with_name("gate"), Some("hog"), 0)
+        .job()
+        .unwrap();
+    wait_for(&collector, |events| {
+        events
+            .iter()
+            .any(|e| e.job() == gate && e.kind() == "started")
+    });
+    let doomed = tier
+        .submit_for(d695("serial").with_name("doomed"), Some("a"), 0)
+        .job()
+        .unwrap();
+    let refused = tier.submit_for(d695("serial"), Some("a"), 0).job();
+    // The cancelled job is no longer waiting, so `a` has room again even
+    // before a worker gets to it.
+    let cancelled = tier.cancel_by_id(doomed.0);
+    let next = tier
+        .submit_for(d695("serial").with_name("next"), Some("a"), 0)
+        .job();
+    // Released before asserting: a failed assertion must not leave the
+    // worker blocked while the tier drops.
+    release.store(true, Ordering::Relaxed);
+    tier.join();
+    assert_eq!(refused, None, "`a` is at its bound");
+    assert!(cancelled);
+    let next = next.expect("the cancelled job freed the slot");
+    let events = collector.snapshot();
+    assert_eq!(kinds_of(&events, doomed), vec!["queued", "cancelled"]);
+    assert_eq!(kinds_of(&events, next).last(), Some(&"completed"));
 }
 
 /// A hand-specified 5-core request — cores-sourced so the delta analyzer
@@ -566,8 +610,14 @@ fn journal_replays_a_pending_job_through_the_admission_room() {
         .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
         .build()
         .unwrap();
+    // Job 6 is the one waiting only once job 5 holds the worker.
+    wait_for(&collector, |events| {
+        events
+            .iter()
+            .any(|e| e.job() == JobId(5) && e.kind() == "started")
+    });
     // Both were replayed past the depth-1 cap, and job 6 waits in the
-    // room: `alice` is at her bound there.
+    // queue: `alice` is at her bound there.
     let SubmitOutcome::Rejected { reason, .. } =
         tier.submit_for(d695("serial").with_name("a1"), Some("alice"), 0)
     else {

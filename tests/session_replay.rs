@@ -285,42 +285,44 @@ fn a_session_released_as_its_predecessor_drains_replays_whole() {
 
 #[test]
 fn a_failing_solo_replay_returns_the_whole_replays_error() {
-    // The external tester's input router is dead; every core is still
-    // reachable from a reused processor, so the system builds, but an
-    // unvalidated schedule may still drive a core from the tester.
-    let sys = SystemBuilder::from_benchmark(&data::d695(), 5, 5)
-        .processors(&ProcessorProfile::leon(), 6, 2)
-        .external_ports((4, 4), (0, 4))
-        .faults(FaultSet::none().with_router(noctest::noc::NodeId::new(24)))
+    // A chain whose southward links are dead carries traffic north only.
+    // The external tester (south end in, north end out) reaches every
+    // core and the processor in the middle, so the system builds; the
+    // processor reaches no core south of it, but an unvalidated schedule
+    // may still drive one from it.
+    let mut faults = FaultSet::none();
+    for node in 1..5 {
+        faults.add_link(LinkId::cardinal(
+            noctest::noc::NodeId::new(node),
+            Direction::South,
+        ));
+    }
+    let sys = SystemBuilder::new("northbound", 1, 5)
+        .core("a", 16, 16, 4, 10.0)
+        .core("b", 16, 16, 4, 10.0)
+        .processors(&ProcessorProfile::leon(), 1, 1)
+        .faults(faults)
         .build()
-        .expect("every core stays reachable from a processor");
+        .expect("the external tester reaches every core");
     let ext = InterfaceId(0);
     let leon = InterfaceId(1);
-    let healthy = sys
-        .cuts()
-        .iter()
-        .find(|cut| sys.reachable(leon, cut.id))
-        .expect("the processor reaches a core")
-        .id;
-    let dead = sys
-        .cuts()
-        .iter()
-        .find(|cut| cut.id != healthy)
-        .expect("a second core")
-        .id;
+    let healthy = sys.cuts()[1].id;
+    let dead = sys.cuts()[2].id;
+    assert!(sys.reachable(ext, healthy) && sys.reachable(ext, dead));
+    assert!(!sys.reachable(leon, dead), "the processor sits north of b");
     let schedule = Schedule::new(vec![
-        session(&sys, leon, healthy, 0),
+        session(&sys, ext, healthy, 0),
         // No path, so no modelled session length either.
         ScheduledTest {
             cut: dead,
-            interface: ext,
+            interface: leon,
             start: 100,
             end: 200,
         },
     ]);
     let whole = replay_schedule(&sys, &schedule, CAP);
     assert!(
-        matches!(whole, Err(NocError::DeadEndpoint { .. })),
+        matches!(whole, Err(NocError::Unroutable { .. })),
         "{whole:?}"
     );
     let memo = ReplayMemo::default();

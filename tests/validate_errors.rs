@@ -150,9 +150,10 @@ fn link_conflict_is_rejected() {
 
 #[test]
 fn severed_pair_is_rejected_not_a_panic() {
-    // Both links out of router 3 are dead, so the processor seated there
-    // reaches no other core.
-    let out = |dir| LinkId::cardinal(NodeId::new(3), dir);
+    // Both links into router 0 are dead, so only the external tester,
+    // whose input sits there, reaches the core seated there; the
+    // processor on router 3 does not.
+    let into = |from, dir| LinkId::cardinal(NodeId::new(from), dir);
     let mut b = SystemBuilder::new("grid", 4, 4);
     for i in 0..14 {
         b = b.core(format!("c{i}"), 100, 100, 10, 50.0);
@@ -161,11 +162,11 @@ fn severed_pair_is_rejected_not_a_panic() {
         .processors(&ProcessorProfile::plasma(), 2, 2)
         .faults(
             FaultSet::none()
-                .with_link(out(Direction::West))
-                .with_link(out(Direction::North)),
+                .with_link(into(1, Direction::West))
+                .with_link(into(4, Direction::South)),
         )
         .build()
-        .expect("every core stays testable from somewhere");
+        .expect("the external tester reaches every core");
     let proc = sys
         .interface_ids()
         .find(|&i| sys.interface(i).source_node() == NodeId::new(3))
@@ -174,7 +175,7 @@ fn severed_pair_is_rejected_not_a_panic() {
         .cuts()
         .iter()
         .find(|c| !sys.reachable(proc, c.id))
-        .expect("router 3's processor is cut off")
+        .expect("router 3's processor is cut off from router 0")
         .id;
     let entry = ScheduledTest {
         cut: victim,
