@@ -42,7 +42,8 @@ use noctest_gen::RecipeFamily;
 
 /// Thread count for the `deterministic` section: pinned so the section
 /// depends only on the seed, and > 1 so the sharded search machinery
-/// (frontier split, rounds, stealing) is actually exercised.
+/// (split of an open first round, rounds, stealing) is actually
+/// exercised.
 const DETERMINISTIC_THREADS: usize = 2;
 
 /// One benchmark instance: a generated SoC plus the budget it runs

@@ -35,7 +35,6 @@ use noctest_core::hashing::fnv1a;
 use noctest_core::plan::exec::{Executor, JobResult, NdjsonSink};
 use noctest_core::plan::{Campaign, CampaignError, PlanOutcome, PlanRequest, RequestMatrix};
 use noctest_core::{BudgetSpec, Schedule, SystemUnderTest};
-use noctest_cpu::ProcessorProfile;
 use noctest_itc02::{data, SocDesc};
 
 /// The three evaluation systems with their paper-given mesh dimensions and
@@ -326,21 +325,6 @@ pub fn panel_from_outcomes(id: SystemId, family: &str, outcomes: &[PlanOutcome])
 /// See [`figure1_panel`].
 pub fn figure1_panel_greedy(id: SystemId, family: &str) -> Result<Figure1Panel, CampaignError> {
     figure1_panel(&Campaign::new(), id, family, "greedy")
-}
-
-/// The calibrated processor profile for a family name ("leon"/"plasma") —
-/// used by the characterisation tools that need raw profile numbers.
-///
-/// # Panics
-///
-/// Panics on an unknown name or if the instruction-set simulator fails
-/// (which would be a bug, not bad input).
-#[must_use]
-pub fn calibrated_profile(name: &str) -> ProcessorProfile {
-    ProcessorProfile::by_name(name)
-        .unwrap_or_else(|| panic!("unknown processor family `{name}`"))
-        .calibrated()
-        .expect("ISS characterisation succeeds")
 }
 
 /// Renders a panel as the paper's bar chart (two bars per sweep point:

@@ -555,12 +555,6 @@ impl JobHandle {
         }
     }
 
-    /// `true` once the job reached a terminal state.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        matches!(&*lock(&self.inner.phase), Phase::Done(_))
-    }
-
     /// Blocks until the job reaches a terminal state and returns (a clone
     /// of) its result.
     #[must_use]

@@ -19,10 +19,10 @@
 //! candidate enumeration — live in the crate-private `SearchCore`. The
 //! search that drives them is the explicit-stack engine of
 //! [`crate::sched::parallel`]: `optimal` runs it on the caller's thread
-//! as one task over the unsplit root. Under a finite budget,
-//! `optimal-par` runs that same search for its first budget round, and
-//! splits the root frontier over worker threads only when the round
-//! leaves the tree open; both explore the same tree.
+//! as one task over the unsplit root. `optimal-par` runs that same
+//! search for its first budget round, and only when the round leaves
+//! the tree open splits its paused stack over worker threads; both
+//! explore the same tree.
 //!
 //! `SearchCore` reads the system's session table
 //! ([`crate::system`]), built once when the system is built and shared
@@ -370,7 +370,7 @@ mod tests {
         // budgets make the two-thread tree deterministic too). At two
         // threads the unsplit first round (2,500 expansions) leaves the
         // tree open at 21,600, below the heuristic seed's 22,688, and
-        // the split then opens at 21,601 over 70 tasks.
+        // its open stack splits into 33 pieces beside the paused root.
         let large = small_system(6, 2);
         assert_eq!(
             optimal_pin(&large, Some(20_000)),
@@ -390,7 +390,7 @@ mod tests {
             )
         );
         let parallel = exhausted_parallel_run(&large, 2);
-        assert_eq!(parallel.1.tasks, 70);
+        assert_eq!(parallel.1.tasks, 34);
         assert_eq!(pin_of(parallel), exhausted_parallel_pin());
     }
 
@@ -423,7 +423,7 @@ mod tests {
 
     /// Many round handoffs between the caller and its helpers, also at
     /// more threads than the machine may have cores. At 2, 3 and 8
-    /// threads the split yields the same 70 tasks, so every run must
+    /// threads the split yields the same 34 tasks, so every run must
     /// reproduce the one pinned tree (taken at each count from the
     /// per-round-spawn code this crew replaced).
     #[test]
@@ -432,7 +432,7 @@ mod tests {
         for threads in [2, 3, 8] {
             for run in 0..50 {
                 let (schedule, stats) = exhausted_parallel_run(&large, threads);
-                assert_eq!(stats.tasks, 70, "{threads} threads, run {run}");
+                assert_eq!(stats.tasks, 34, "{threads} threads, run {run}");
                 let pin = pin_of((schedule, stats));
                 assert_eq!(
                     pin,

@@ -6,70 +6,66 @@
 //! task, searched on the caller's thread. [`ParallelOptimalScheduler`]
 //! shards the same search across a work-stealing crew of threads while
 //! keeping the result **byte-identical to the one-thread search on
-//! within-budget runs** and **deterministic at any fixed thread count**
-//! when the expansion budget trips. The machinery:
+//! within-budget runs** and **the same at every thread count of two or
+//! more** when the expansion budget trips. The machinery:
 //!
-//! - **First round unsplit.** Under a finite budget, a search at more
-//!   than one thread first runs the one-thread search for its first
-//!   budget round (`budget / BUDGET_ROUNDS` expansions) on the caller's
-//!   thread, with no split and no crew. A lone task spends a budget
-//!   exactly as one uninterrupted run would, so a tree that round
-//!   finishes is returned at once as the one-thread answer, expansion
-//!   count included; most small trees end there. A tree the round leaves
-//!   open is split with the rest of the budget, and the split opens with
-//!   the round's incumbent by the warm-start rule of
-//!   `opening_incumbent`: bound `W + 1`, the round's entries as the
-//!   fallback. The answer is never worse than the round's, and within
-//!   budget it is still the depth-first-first optimum. Unbudgeted
-//!   searches split at once.
-//! - **Frontier split.** A breadth-first sweep from the root keeps only
-//!   *complete* levels, so the frontier is one full level of the search
-//!   tree in lexicographic path order — exactly the order the one-thread
-//!   depth-first search visits those subtree roots. Each frontier node
-//!   becomes an independent shard task carrying its path (the child
-//!   ordinal at every level) as a canonical subtree id.
-//! - **One crew per search.** A search whose split leaves two or more
-//!   tasks opens one thread scope and spawns `threads - 1` helpers; the
-//!   caller's thread is worker 0. Every budget round runs on that crew:
-//!   between rounds the helpers park on a generation counter, and the
-//!   caller deals, publishes, works, and takes the tasks back once the
-//!   round's last one is done. A round of one task runs on the caller
-//!   without waking anyone. A search at one thread, a search its first
-//!   round finishes, and a split that leaves at most one task spawn no
-//!   thread at all. A helper that panics wakes the caller, and the panic
-//!   reaches it through the scope.
+//! - **First round unsplit.** A search at more than one thread first
+//!   runs the one-thread search for its first budget round
+//!   (`budget / BUDGET_ROUNDS` expansions) on the caller's thread, with
+//!   no crew. A tree that round finishes is returned at once as the
+//!   one-thread answer, expansion count included; most small trees end
+//!   there. An unbudgeted search's rounds never run dry, so it is the
+//!   one-thread search at any thread count.
+//! - **The paused round is the split.** When the round's lone task runs
+//!   out of slice, its explicit stack holds the rest of the tree in
+//!   depth-first order: the refused node, then the untried children of
+//!   each frame, deepest frame first. Each of those becomes a task that
+//!   carries its path (the child ordinal at every level) as a canonical
+//!   subtree id, and the round's incumbent as its bound. The paused task
+//!   keeps its recorded best under the empty path, which sorts before
+//!   every piece, and searches no further. Nothing the round searched is
+//!   searched again, and the split depends on the tree and the budget,
+//!   never on the thread count.
+//! - **One crew per search.** A split of two or more tasks opens one
+//!   thread scope with one worker per task at most (never more than the
+//!   thread count): the caller's thread is worker 0 and the rest are
+//!   helpers. Every later budget round runs on that crew: between rounds
+//!   the helpers park on a generation counter, and the caller deals,
+//!   publishes, works, and takes the tasks back once the round's last
+//!   one is done. A round of one task runs on the caller without waking
+//!   anyone. A search at one thread, a search its first round finishes,
+//!   and a split of one task spawn no thread at all. A helper that
+//!   panics wakes the caller, and the panic reaches it through the
+//!   scope.
 //! - **Work stealing.** Tasks are dealt round-robin into per-worker
 //!   deques; a worker pops its own deque from the front and steals from
 //!   the tail of a neighbour's when it drains. Which worker runs a task,
 //!   and in what order, cannot affect results (see determinism below), so
 //!   the crew is free to balance however the machine schedules it.
 //! - **Shared incumbent.** Every improving leaf is published to an
-//!   atomic best-cost cell (`fetch_min`). Shards prune against it with
+//!   atomic best-cost cell (`fetch_min`). Tasks prune against it with
 //!   *strict* comparison — the cell only ever holds achieved makespans,
 //!   so a strict test can never cut the path to the first leaf achieving
 //!   the optimum.
-//! - **Deterministic merge.** Each shard records the first leaf (in its
+//! - **Deterministic merge.** Each task records the first leaf (in its
 //!   own depth-first order) of every strictly improving makespan it
-//!   visits. The final schedule is the minimum over shards and
-//!   split-time leaves by `(makespan, path)` — ties broken by the
-//!   canonical subtree id, never by arrival time. That minimum is
-//!   provably the same leaf the one-thread search records.
+//!   visits. The final schedule is the minimum over tasks by
+//!   `(makespan, path)` — ties broken by the canonical subtree id, never
+//!   by arrival time. That minimum is provably the same leaf the
+//!   one-thread search records.
 //! - **Deterministic budgets.** A finite expansion budget is spent in
-//!   rounds: each round deals every unfinished shard a fixed slice of
+//!   rounds: each round deals every unfinished task a fixed slice of
 //!   the remaining budget and freezes the shared bound at the round
-//!   boundary, so what a shard explores depends only on its slice
-//!   sequence and the frozen bound sequence — never on thread timing.
-//!   Once its slice is spent, a task refuses to enter the next non-leaf
-//!   node; that node stays pending (the explicit stack is resumable) and
-//!   is entered first next round, with the tightened bound. Leaves below
-//!   the last expanded node are still recorded, so a tree that ends on
-//!   exactly its budget counts as proved. A lone task's incumbent is the
-//!   shared cell, so the frozen bound never prunes more than the task
-//!   itself would: one thread spends its budget exactly as one
-//!   uninterrupted run would. Unbudgeted (`max_expansions: None`)
-//!   searches read the shared cell live instead: sharper pruning, and
-//!   exhaustive runs stay deterministic because only the merge winner is
-//!   observable.
+//!   boundary, so what a task explores depends only on its slice
+//!   sequence and the frozen bound sequence — never on thread timing or
+//!   the thread count. Once its slice is spent, a task refuses to enter
+//!   the next non-leaf node; that node stays pending (the explicit stack
+//!   is resumable) and is entered first next round, with the tightened
+//!   bound. Leaves below the last expanded node are still recorded, so a
+//!   tree that ends on exactly its budget counts as proved. A lone
+//!   task's incumbent is the shared cell, so the frozen bound never
+//!   prunes more than the task itself would: one thread spends its
+//!   budget exactly as one uninterrupted run would.
 //! - **One kernel.** Every task reads the system's one session table
 //!   through `SearchCore` (see [`crate::sched::optimal`]): cycles, power
 //!   and link masks are looked up by slot, the values `SystemUnderTest`
@@ -88,7 +84,7 @@
 //! [`OptimalScheduler`]: crate::sched::OptimalScheduler
 
 use std::collections::VecDeque;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
@@ -103,17 +99,6 @@ use crate::sched::{
     SerialScheduler, SmartScheduler, CANCEL_POLL_PERIOD,
 };
 use crate::system::SystemUnderTest;
-
-/// Shards dealt per worker thread when splitting the root frontier —
-/// enough slack that work stealing can rebalance uneven subtrees.
-const TASKS_PER_THREAD: usize = 8;
-
-/// Upper bound on frontier size regardless of thread count.
-const MAX_FRONTIER: usize = 512;
-
-/// Upper bound on frontier depth (guards degenerate chains whose
-/// branching factor never reaches the frontier target).
-const MAX_SPLIT_DEPTH: usize = 32;
 
 /// Number of budget rounds a finite expansion budget is dealt over.
 /// More rounds tighten the frozen bound more often (better pruning);
@@ -151,21 +136,20 @@ impl SeedKind {
 /// budget-limited incumbent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Total node expansions charged against the budget: the unsplit
-    /// first round's (when one ran), the frontier split's cost, and every
-    /// task's count.
+    /// Total node expansions charged against the budget: the first
+    /// round's and every later task's. A split expands nothing.
     pub expansions: u64,
     /// True when the expansion budget cut the search short; the result
     /// is the best incumbent, not a proof of optimality.
     pub exhausted: bool,
     /// Worker threads the search was given (always 1 for
-    /// [`OptimalScheduler`](crate::sched::OptimalScheduler)). A budgeted
-    /// search whose first round finished the tree ran on the caller's
-    /// thread alone.
+    /// [`OptimalScheduler`](crate::sched::OptimalScheduler)). A search
+    /// whose first round finished the tree ran on the caller's thread
+    /// alone.
     pub threads: usize,
     /// Tasks searched: 1 at one thread (the unsplit root), and 1 whenever
-    /// the first budget round finished the tree; otherwise the frontier
-    /// size (0 when the split alone finished the tree).
+    /// the first budget round finished the tree; otherwise the paused
+    /// root plus the pieces its open stack was split into.
     pub tasks: usize,
     /// Which incumbent opened the search (seed provenance).
     pub seed: SeedKind,
@@ -337,7 +321,7 @@ fn undo_edge(core: &SearchCore<'_>, state: &mut NodeState, undo: Undo) {
     }
 }
 
-/// One entered node on a shard's explicit DFS stack. Its candidates are
+/// One entered node on a task's explicit DFS stack. Its candidates are
 /// `Task::candidates[start..end]`; `next` is the next one to try.
 #[derive(Debug)]
 struct Frame {
@@ -350,37 +334,17 @@ struct Frame {
     undo: Option<Undo>,
 }
 
-/// A complete schedule discovered while splitting the frontier.
-#[derive(Debug)]
-struct LeafRec {
-    value: u64,
-    path: Vec<u32>,
-    entries: Vec<ScheduledTest>,
-}
-
-/// A frontier node awaiting shard search.
-#[derive(Debug)]
-struct SplitNode {
-    state: NodeState,
-    min_start: Option<(CutId, InterfaceId)>,
-    path: Vec<u32>,
-}
-
-/// How the cross-shard bound is read: frozen at a round boundary
-/// (deterministic under finite budgets) or live from the shared cell
-/// (sharper, used only for exhaustive searches).
-#[derive(Clone, Copy)]
-enum BoundMode<'a> {
-    Frozen(u64),
-    Live(&'a AtomicU64),
-}
-
-impl BoundMode<'_> {
-    fn value(self) -> u64 {
-        match self {
-            BoundMode::Frozen(v) => v,
-            BoundMode::Live(cell) => cell.load(Ordering::Relaxed),
-        }
+impl Frame {
+    /// The child ordinal of the edge applied below this frame: its
+    /// candidate's index, or one past the last candidate for the time
+    /// edge, which is tried after them.
+    fn applied(&self) -> u32 {
+        let ordinal = if self.advanced {
+            self.end
+        } else {
+            self.next - 1
+        };
+        (ordinal - self.start) as u32
     }
 }
 
@@ -391,8 +355,8 @@ enum TaskStatus {
     Cancelled,
 }
 
-/// One task: a resumable depth-first search over one subtree — a
-/// frontier node, or the whole tree when the root runs unsplit.
+/// One task: a resumable depth-first search over one subtree — the
+/// whole tree from the root, or a piece of a paused task's open stack.
 #[derive(Debug)]
 struct Task {
     path: Vec<u32>,
@@ -405,27 +369,77 @@ struct Task {
     /// run, and a node refused by an exhausted slice until the next.
     pending: Option<Option<(CutId, InterfaceId)>>,
     finished: bool,
-    /// Task-local incumbent value (starts at the seed makespan);
-    /// recording uses strict `<`, so `best_entries` is the task's
-    /// depth-first-first achiever of its best value.
+    /// Task-local incumbent value (starts at the bound the task was
+    /// given); recording uses strict `<`, so `best_entries` is the
+    /// task's depth-first-first achiever of its best value.
     local_best: u64,
     best_entries: Option<Vec<ScheduledTest>>,
     expansions: u64,
 }
 
 impl Task {
-    fn new(node: SplitNode, seed_value: u64) -> Task {
+    /// A task over the subtree below a node whose edge `state` holds,
+    /// not yet entered.
+    fn new(
+        path: Vec<u32>,
+        state: NodeState,
+        min_start: Option<(CutId, InterfaceId)>,
+        bound: u64,
+    ) -> Task {
         Task {
-            path: node.path,
-            state: node.state,
+            path,
+            state,
             stack: Vec::new(),
             candidates: Vec::new(),
-            pending: Some(node.min_start),
+            pending: Some(min_start),
             finished: false,
-            local_best: seed_value,
+            local_best: bound,
             best_entries: None,
             expansions: 0,
         }
+    }
+
+    /// Hands this paused task's open work out as tasks, in depth-first
+    /// order: the refused node, then the untried children of each frame,
+    /// deepest frame first, each bounded by this task's incumbent. This
+    /// task keeps its recorded best and finishes.
+    fn split(&mut self, core: &SearchCore<'_>) -> Vec<Task> {
+        let bound = self.local_best;
+        let child = |path: &[u32], ordinal: usize, state, min_start| {
+            let path = [path, &[ordinal as u32]].concat();
+            Task::new(path, state, min_start, bound)
+        };
+        let mut path: Vec<u32> = self.stack.iter().map(Frame::applied).collect();
+        let refused = self
+            .pending
+            .take()
+            .expect("a paused task has a refused node");
+        let mut pieces = vec![Task::new(path.clone(), self.state.clone(), refused, bound)];
+        while let Some(frame) = self.stack.pop() {
+            path.pop();
+            if let Some(undo) = frame.undo {
+                undo_edge(core, &mut self.state, undo);
+            }
+            // An untried child is a task only if `drive` would enter it.
+            for i in frame.next..frame.end {
+                let (cut, iface) = self.candidates[i];
+                let session = Active::start(core.sys, self.state.running.now, cut, iface);
+                if session.end >= bound {
+                    continue;
+                }
+                let mut state = self.state.clone();
+                start_edge(&mut state, session);
+                pieces.push(child(&path, i - frame.start, state, Some((cut, iface))));
+            }
+            if !frame.advanced && !self.state.running.active.is_empty() {
+                let mut state = self.state.clone();
+                advance_edge(core, &mut state);
+                pieces.push(child(&path, frame.end - frame.start, state, None));
+            }
+            self.candidates.truncate(frame.start);
+        }
+        self.finished = true;
+        pieces
     }
 
     /// Runs the task for at most `slice` node expansions; resumable.
@@ -433,7 +447,7 @@ impl Task {
         &mut self,
         core: &SearchCore<'_>,
         slice: u64,
-        bound: BoundMode<'_>,
+        bound: u64,
         global: &AtomicU64,
         cancel: Option<&CancelToken>,
     ) -> TaskStatus {
@@ -450,7 +464,7 @@ impl Task {
         &mut self,
         core: &SearchCore<'_>,
         slice: u64,
-        bound: BoundMode<'_>,
+        bound: u64,
         global: &AtomicU64,
         cancel: Option<&CancelToken>,
         used: &mut u64,
@@ -477,7 +491,7 @@ impl Task {
                 // Strict `>` against the cross-task bound: the cell
                 // holds achieved values, so this can never prune the
                 // first achiever of the optimum.
-                if session.end >= self.local_best || session.end > bound.value() {
+                if session.end >= self.local_best || session.end > bound {
                     continue;
                 }
                 top.undo = Some(start_edge(&mut self.state, session));
@@ -527,7 +541,7 @@ impl Task {
         core: &SearchCore<'_>,
         min_start: Option<(CutId, InterfaceId)>,
         slice: u64,
-        bound: BoundMode<'_>,
+        bound: u64,
         global: &AtomicU64,
         cancel: Option<&CancelToken>,
         used: &mut u64,
@@ -549,7 +563,7 @@ impl Task {
         }
         *used += 1;
         let lb = core.lower_bound(&self.state.running, &self.state.remaining);
-        if lb >= self.local_best || lb > bound.value() {
+        if lb >= self.local_best || lb > bound {
             return ControlFlow::Continue(());
         }
         let start = self.candidates.len();
@@ -568,88 +582,6 @@ impl Task {
         });
         ControlFlow::Continue(())
     }
-}
-
-/// Splits the root into one complete breadth-first level of at least
-/// `target` nodes (lexicographic path order = one-thread DFS order of
-/// the subtree roots); a `target` of 1 returns the root itself. Leaves met on the way are returned as merge
-/// candidates; the node count spent is charged against the budget.
-fn split_frontier(
-    core: &SearchCore<'_>,
-    seed_value: u64,
-    target: usize,
-    split_budget: u64,
-) -> (Vec<SplitNode>, Vec<LeafRec>, u64) {
-    let mut level = vec![SplitNode {
-        state: NodeState::root(core),
-        min_start: None,
-        path: Vec::new(),
-    }];
-    let mut leaves = Vec::new();
-    let mut cost = 0u64;
-    let mut depth = 0usize;
-    while !level.is_empty()
-        && level.len() < target
-        && depth < MAX_SPLIT_DEPTH
-        && cost + level.len() as u64 <= split_budget
-    {
-        let mut next = Vec::new();
-        for node in &level {
-            cost += 1;
-            if core.lower_bound(&node.state.running, &node.state.remaining) >= seed_value {
-                continue;
-            }
-            let mut candidates = Vec::new();
-            core.candidates(
-                &node.state.running,
-                &node.state.remaining,
-                node.min_start,
-                &mut candidates,
-            );
-            let mut child_idx = 0u32;
-            for (cut, iface) in candidates {
-                let session = Active::start(core.sys, node.state.running.now, cut, iface);
-                if session.end >= seed_value {
-                    continue;
-                }
-                let mut child = node.state.clone();
-                start_edge(&mut child, session);
-                let mut path = node.path.clone();
-                path.push(child_idx);
-                child_idx += 1;
-                if child.remaining.is_empty() {
-                    let value = child.makespan();
-                    if value < seed_value {
-                        leaves.push(LeafRec {
-                            value,
-                            path,
-                            entries: child.entries,
-                        });
-                    }
-                } else {
-                    next.push(SplitNode {
-                        state: child,
-                        min_start: Some((cut, iface)),
-                        path,
-                    });
-                }
-            }
-            if !node.state.running.active.is_empty() {
-                let mut child = node.state.clone();
-                advance_edge(core, &mut child);
-                let mut path = node.path.clone();
-                path.push(child_idx);
-                next.push(SplitNode {
-                    state: child,
-                    min_start: None,
-                    path,
-                });
-            }
-        }
-        level = next;
-        depth += 1;
-    }
-    (level, leaves, cost)
 }
 
 /// The round handshake shared by a crew's workers.
@@ -825,25 +757,25 @@ impl<J: Send, W: Fn(&mut J) + Sync> Crew<J, W> {
 }
 
 /// One task's turn in a round: the task, the slot it returns to, its
-/// expansion slice and the bound it prunes against.
-struct Job<'g> {
+/// expansion slice and the frozen bound it prunes against.
+struct Job {
     slot: usize,
     task: Task,
     slice: u64,
-    bound: BoundMode<'g>,
+    bound: u64,
     cancelled: bool,
 }
 
 /// Runs one round of the given (task index, slice) work items through
 /// `run` and returns the expansions consumed and whether any task
 /// observed cancellation.
-fn run_round<'g>(
-    run: &mut dyn FnMut(Vec<Job<'g>>) -> Vec<Job<'g>>,
+fn run_round(
+    run: &mut dyn FnMut(Vec<Job>) -> Vec<Job>,
     slots: &mut [Option<Task>],
     work: &[(usize, u64)],
-    bound: BoundMode<'g>,
+    bound: u64,
 ) -> (u64, bool) {
-    let jobs: Vec<Job<'g>> = work
+    let jobs: Vec<Job> = work
         .iter()
         .map(|&(slot, slice)| Job {
             slot,
@@ -869,32 +801,27 @@ fn round_budget(remaining: u64, rounds_left: u64) -> u64 {
     (remaining / rounds_left).max(1).min(remaining)
 }
 
-/// Spends the search on the split's tasks, round by round through `run`,
-/// and returns whether a task observed cancellation.
-fn run_rounds<'g>(
-    run: &mut dyn FnMut(Vec<Job<'g>>) -> Vec<Job<'g>>,
+/// Spends `remaining` on the unfinished tasks in the budget rounds
+/// numbered `rounds`, each through `run`, and returns whether a task
+/// observed cancellation.
+fn run_rounds(
+    run: &mut dyn FnMut(Vec<Job>) -> Vec<Job>,
     slots: &mut [Option<Task>],
-    budget: Option<u64>,
-    global: &'g AtomicU64,
+    remaining: &mut u64,
+    rounds: Range<u64>,
+    global: &AtomicU64,
 ) -> bool {
-    let Some(mut remaining) = budget else {
-        // Exhaustive search: no pause points, so tasks may read the
-        // incumbent cell live for the sharpest possible pruning.
-        let work: Vec<(usize, u64)> = (0..slots.len()).map(|i| (i, u64::MAX)).collect();
-        return run_round(run, slots, &work, BoundMode::Live(global)).1;
-    };
-    let mut round = 0u64;
-    loop {
+    for round in rounds {
         let unfinished: Vec<usize> = slots
             .iter()
             .enumerate()
             .filter(|(_, t)| t.as_ref().is_some_and(|t| !t.finished))
             .map(|(i, _)| i)
             .collect();
-        if unfinished.is_empty() || remaining == 0 {
+        if unfinished.is_empty() || *remaining == 0 {
             return false;
         }
-        let round_budget = round_budget(remaining, BUDGET_ROUNDS.saturating_sub(round).max(1));
+        let round_budget = round_budget(*remaining, BUDGET_ROUNDS.saturating_sub(round).max(1));
         let n = unfinished.len() as u64;
         let base = round_budget / n;
         let extra = round_budget % n;
@@ -907,10 +834,9 @@ fn run_rounds<'g>(
         // Freeze the cross-task bound for the whole round: every task
         // prunes against the same value no matter which worker runs it
         // or in what order, so exhausted runs stay deterministic.
-        let frozen = BoundMode::Frozen(global.load(Ordering::Relaxed));
+        let frozen = global.load(Ordering::Relaxed);
         let (consumed, saw_cancel) = run_round(run, slots, &work, frozen);
-        remaining = remaining.saturating_sub(consumed);
-        round += 1;
+        *remaining = remaining.saturating_sub(consumed);
         if saw_cancel {
             return true;
         }
@@ -918,14 +844,20 @@ fn run_rounds<'g>(
             return false;
         }
     }
+    false
+}
+
+/// The workers of a crew over `tasks` tasks: a round deals each task to
+/// one worker, so more than one per task would only park.
+fn crew_size(threads: usize, tasks: usize) -> usize {
+    threads.min(tasks)
 }
 
 /// The branch-and-bound behind both exact schedulers, on `threads`
-/// workers. One thread searches the root as one unsplit task. More
-/// threads under a finite budget first run that one-thread search for
-/// its first budget round, on the caller's thread; only a tree the round
-/// leaves open is split, with the rest of the budget, over the crew.
-/// Unbudgeted searches split at once.
+/// workers. The root is one task, searched round by round on the
+/// caller's thread. More threads search only its first budget round
+/// there; a tree that round leaves open is split at the paused task's
+/// stack, and the rest of the budget is spent on the pieces over a crew.
 pub(crate) fn branch_and_bound(
     sys: &SystemUnderTest,
     max_cores: usize,
@@ -936,82 +868,44 @@ pub(crate) fn branch_and_bound(
 ) -> Result<(Schedule, SearchStats), PlanError> {
     check_guards(sys, max_cores)?;
     // The opening incumbent (heuristic seed, possibly tightened by a
-    // warm start) bounds the split phase and every task alike; see
-    // `opening_incumbent` for why the tighter warm bound cannot
-    // change the within-budget result.
+    // warm start) bounds every task; see `opening_incumbent` for why the
+    // tighter warm bound cannot change the within-budget result.
     let (seed, seed_value, seed_kind) = opening_incumbent(sys, tuning)?;
     let core = SearchCore::new(sys);
-    let run = |seed, seed_value, threads, budget| {
-        search(&core, seed, seed_value, seed_kind, threads, budget, cancel)
-    };
-    let Some(budget) = max_expansions.filter(|_| threads > 1) else {
-        return run(seed, seed_value, threads, max_expansions);
-    };
-    // The one-thread search's first round. A lone task spends a budget
-    // exactly as one uninterrupted run would, so a tree this finishes is
-    // the one-thread answer, expansions included.
-    let first_round = round_budget(budget, BUDGET_ROUNDS);
-    let (best, first) = run(seed, seed_value, 1, Some(first_round))?;
-    if !first.exhausted {
-        return Ok((best, SearchStats { threads, ..first }));
-    }
-    // The round's incumbent opens the split by the warm-start rule: a
-    // bound one above its makespan keeps the within-budget answer the
-    // depth-first-first optimum, and its entries are the fallback.
-    let bound = seed_value.min(best.makespan() + 1);
-    let (schedule, rest) = run(best, bound, threads, Some(budget - first.expansions))?;
-    Ok((
-        schedule,
-        SearchStats {
-            expansions: first.expansions + rest.expansions,
-            ..rest
-        },
-    ))
-}
-
-/// One search from the incumbent `seed` (bound `seed_value`): the root
-/// split into a frontier of tasks (the unsplit root at one thread), its
-/// budget spent in rounds on `threads` workers, and the ordered merge.
-fn search(
-    core: &SearchCore<'_>,
-    seed: Schedule,
-    seed_value: u64,
-    seed_kind: SeedKind,
-    threads: usize,
-    max_expansions: Option<u64>,
-    cancel: Option<&CancelToken>,
-) -> Result<(Schedule, SearchStats), PlanError> {
-    let target = if threads == 1 {
-        1
-    } else {
-        (threads * TASKS_PER_THREAD).min(MAX_FRONTIER)
-    };
-    let split_budget = max_expansions.map_or(u64::MAX, |b| b / 2);
-    let (frontier, leaves, split_cost) = split_frontier(core, seed_value, target, split_budget);
-    let task_count = frontier.len();
-    let mut slots: Vec<Option<Task>> = frontier
-        .into_iter()
-        .map(|node| Some(Task::new(node, seed_value)))
-        .collect();
     let global = AtomicU64::new(seed_value);
-    let budget = max_expansions.map(|b| b.saturating_sub(split_cost));
-    let work = |job: &mut Job<'_>| {
+    let work = |job: &mut Job| {
         job.cancelled =
-            job.task.run(core, job.slice, job.bound, &global, cancel) == TaskStatus::Cancelled;
+            job.task.run(&core, job.slice, job.bound, &global, cancel) == TaskStatus::Cancelled;
     };
-    // Threads are paid for once per search, and only when there are
-    // tasks to share: one crew serves every round.
-    let cancelled = if threads > 1 && slots.len() > 1 {
-        Crew::with(threads, work, |crew| {
-            run_rounds(&mut |jobs| crew.round(jobs), &mut slots, budget, &global)
-        })
-    } else {
-        let inline = &mut |mut jobs: Vec<_>| {
-            jobs.iter_mut().for_each(work);
-            jobs
+    let inline = &mut |mut jobs: Vec<Job>| {
+        jobs.iter_mut().for_each(work);
+        jobs
+    };
+    // An unbudgeted search is one whose rounds never run dry.
+    let mut remaining = max_expansions.unwrap_or(u64::MAX);
+    let root = Task::new(Vec::new(), NodeState::root(&core), None, seed_value);
+    let mut slots = vec![Some(root)];
+    // One thread searches every round here; more search the first alone,
+    // exactly as one thread would.
+    let rounds = if threads > 1 { 0..1 } else { 0..u64::MAX };
+    let mut cancelled = run_rounds(inline, &mut slots, &mut remaining, rounds, &global);
+    let open = |root: &&mut Task| !cancelled && remaining > 0 && !root.finished;
+    if let Some(root) = slots[0].as_mut().filter(open) {
+        let pieces = root.split(&core);
+        let workers = crew_size(threads, pieces.len());
+        slots.extend(pieces.into_iter().map(Some));
+        let rest = 1..u64::MAX;
+        // Threads are paid for once per search, and only when there are
+        // tasks to share: one crew serves every later round.
+        cancelled = if workers > 1 {
+            Crew::with(workers, &work, |crew| {
+                let run = &mut |jobs| crew.round(jobs);
+                run_rounds(run, &mut slots, &mut remaining, rest, &global)
+            })
+        } else {
+            run_rounds(inline, &mut slots, &mut remaining, rest, &global)
         };
-        run_rounds(inline, &mut slots, budget, &global)
-    };
+    }
     if cancelled {
         // A cancelled search reports Cancelled rather than its
         // incumbent: the caller asked for the job to stop, and a
@@ -1023,16 +917,8 @@ fn search(
         .into_iter()
         .map(|t| t.expect("every task returned"))
         .collect();
-    let exhausted = tasks.iter().any(|t| !t.finished);
-    let expansions = split_cost + tasks.iter().map(|t| t.expansions).sum::<u64>();
     // Ordered merge: minimum by (makespan, canonical subtree id).
     let mut winner: Option<(u64, &[u32], &[ScheduledTest])> = None;
-    for leaf in &leaves {
-        let key = (leaf.value, leaf.path.as_slice());
-        if winner.is_none_or(|(v, p, _)| key < (v, p)) {
-            winner = Some((leaf.value, &leaf.path, &leaf.entries));
-        }
-    }
     for task in &tasks {
         if let Some(entries) = &task.best_entries {
             let key = (task.local_best, task.path.as_slice());
@@ -1048,10 +934,10 @@ fn search(
     Ok((
         schedule,
         SearchStats {
-            expansions,
-            exhausted,
+            expansions: tasks.iter().map(|t| t.expansions).sum(),
+            exhausted: tasks.iter().any(|t| !t.finished),
             threads,
-            tasks: task_count,
+            tasks: tasks.len(),
             seed: seed_kind,
         },
     ))
@@ -1063,14 +949,14 @@ fn search(
 ///
 /// Registry name `optimal-par`. Within budget the schedule is
 /// byte-identical to the one-thread `optimal` search at *any* thread count;
-/// budget-exhausted runs return a valid incumbent that is deterministic
-/// at a fixed thread count. See the [module docs](self) for how both
-/// properties survive work stealing.
+/// budget-exhausted runs return a valid incumbent that is the same at
+/// every thread count of two or more. See the [module docs](self) for
+/// how both properties survive work stealing.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelOptimalScheduler {
     /// Refuse systems with more cores than this (default 10).
     pub max_cores: usize,
-    /// Node-expansion budget shared by all shards; `None` searches
+    /// Node-expansion budget shared by all tasks; `None` searches
     /// exhaustively (default two million nodes).
     pub max_expansions: Option<u64>,
     /// Worker threads; 0 (the default) uses
@@ -1419,9 +1305,10 @@ mod tests {
 
     #[test]
     fn cancellation_from_another_thread_stops_a_running_search() {
-        // Unbudgeted, this search runs about 4.4M expansions over 117
-        // tasks at two threads: far past one poll period per task, and
-        // far longer than the delay before the cancel.
+        // The one-thread tree takes about 4.25M expansions, so a budget of
+        // one million leaves the first round open and spends the rest on
+        // a crew: far past one poll period per task, and far longer than
+        // the delay before the cancel.
         let sys = small_system(7, 3);
         let token = CancelToken::new();
         let go = Barrier::new(2);
@@ -1432,11 +1319,13 @@ mod tests {
                 std::thread::sleep(delay);
                 token.cancel();
             });
-            go.wait();
+            // Taken before the barrier: the canceller's delay may start
+            // as soon as this thread arrives there.
             let started = std::time::Instant::now();
+            go.wait();
             let result = ParallelOptimalScheduler::new()
                 .with_threads(2)
-                .with_max_expansions(None)
+                .with_max_expansions(Some(1_000_000))
                 .schedule_tuned(&sys, &SearchTuning::default(), Some(&token));
             (result, started.elapsed())
         });
@@ -1444,6 +1333,13 @@ mod tests {
         // The call was still running when the token tripped; its crew's
         // scope joined every helper before it returned.
         assert!(elapsed >= delay, "returned after {elapsed:?}");
+    }
+
+    #[test]
+    fn a_crew_has_one_worker_per_task_at_most() {
+        assert_eq!(crew_size(usize::MAX, 34), 34);
+        assert_eq!(crew_size(2, 34), 2);
+        assert_eq!(crew_size(8, 1), 1);
     }
 
     #[test]

@@ -185,8 +185,6 @@ pub struct SystemBuilder {
     processor_profile: Option<ProcessorProfile>,
     processors_total: usize,
     processors_reused: usize,
-    ext_in: (u16, u16),
-    ext_out: (u16, u16),
     faults: FaultSet,
 }
 
@@ -207,8 +205,6 @@ impl SystemBuilder {
             processor_profile: None,
             processors_total: 0,
             processors_reused: 0,
-            ext_in: (0, 0),
-            ext_out: (width.saturating_sub(1), height.saturating_sub(1)),
             faults: FaultSet::none(),
         }
     }
@@ -300,14 +296,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Moves the external ports (default: SW and NE corners).
-    #[must_use]
-    pub fn external_ports(mut self, input: (u16, u16), output: (u16, u16)) -> Self {
-        self.ext_in = input;
-        self.ext_out = output;
-        self
-    }
-
     /// Plans on a degraded mesh: paths detour around `faults`, unreachable
     /// (interface, core) pairings are excluded, and the fault set rides
     /// into the built system for fault-injected replay. The empty set is
@@ -350,18 +338,10 @@ impl SystemBuilder {
             });
         }
 
-        let ext_in = mesh
-            .node_at(self.ext_in.0, self.ext_in.1)
-            .ok_or(PlanError::MeshTooSmall {
-                nodes,
-                required: self.core_specs.len(),
-            })?;
-        let ext_out =
-            mesh.node_at(self.ext_out.0, self.ext_out.1)
-                .ok_or(PlanError::MeshTooSmall {
-                    nodes,
-                    required: self.core_specs.len(),
-                })?;
+        // The external tester's ports sit at the SW and NE corners.
+        let corner = |x, y| mesh.node_at(x, y).expect("a mesh has its corners");
+        let ext_in = corner(0, 0);
+        let ext_out = corner(self.width - 1, self.height - 1);
 
         // --- Placement -------------------------------------------------
         let proc_nodes = farthest_point_sites(&mesh, &[ext_in, ext_out], self.processors_total);
@@ -819,12 +799,6 @@ impl SystemUnderTest {
     #[must_use]
     pub fn footprints_overlap(&self, a: (InterfaceId, CutId), b: (InterfaceId, CutId)) -> bool {
         self.slots_overlap(self.slot(a.0, a.1), self.slot(b.0, b.1))
-    }
-
-    /// The configured priority policy.
-    #[must_use]
-    pub fn priority_policy(&self) -> PriorityPolicy {
-        self.priority
     }
 
     /// The test priority order. Under the default [`PriorityPolicy::Distance`]

@@ -68,13 +68,6 @@ impl Mips {
         }
     }
 
-    /// Replaces the cycle model.
-    #[must_use]
-    pub fn with_cycle_model(mut self, model: CycleModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// Reads a register (register 0 is always zero).
     #[must_use]
     pub fn reg(&self, r: u8) -> u32 {

@@ -96,13 +96,6 @@ impl Sparc {
         }
     }
 
-    /// Replaces the cycle model.
-    #[must_use]
-    pub fn with_cycle_model(mut self, model: CycleModel) -> Self {
-        self.model = model;
-        self
-    }
-
     fn windowed_index(&self, reg: u8) -> usize {
         // reg 8..=15 out, 16..=23 local, 24..=31 in.
         // Window w's outs alias window (w+1)'s ins: place window w at base

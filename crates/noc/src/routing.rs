@@ -92,14 +92,6 @@ impl RoutingKind {
             })
             .collect()
     }
-
-    /// Number of router-to-router hops between `src` and `dest` under this
-    /// algorithm. All three algorithms here are minimal, so this equals the
-    /// Manhattan distance; kept as a method for future non-minimal variants.
-    #[must_use]
-    pub fn hop_count(self, src: Position, dest: Position) -> u32 {
-        src.manhattan(dest)
-    }
 }
 
 fn xy_step(here: Position, dest: Position) -> Direction {

@@ -48,6 +48,18 @@ impl Scheduler for Blocker {
     }
 }
 
+/// Raises a blocker's release flag when dropped. Declared after the
+/// tier, it drops first: a test that fails while the blocker pins the
+/// worker then unwinds into a tier whose worker can finish, and fails
+/// instead of hanging.
+struct Release(Arc<AtomicBool>);
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 fn blocking_campaign(release: &Arc<AtomicBool>) -> Campaign {
     let mut campaign = Campaign::new();
     campaign
@@ -163,6 +175,7 @@ fn a_full_client_is_rejected_while_others_are_admitted_fairly() {
         .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
         .build()
         .unwrap();
+    let _release = Release(Arc::clone(&release));
     // The gate pins the single worker; everything after it waits in the
     // queue, so admission state is fully deterministic.
     let gate = tier
@@ -210,6 +223,7 @@ fn dispatch_interleaves_clients_round_robin() {
         .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
         .build()
         .unwrap();
+    let _release = Release(Arc::clone(&release));
     let gate = tier
         .submit_for(d695("blocker").with_name("gate"), Some("hog"), 0)
         .job()
@@ -247,6 +261,7 @@ fn cancelling_a_waiting_job_never_starts_it() {
         .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
         .build()
         .unwrap();
+    let _release = Release(Arc::clone(&release));
     let gate = tier
         .submit_for(d695("blocker").with_name("gate"), None, 0)
         .job()
@@ -280,6 +295,7 @@ fn cancelling_a_waiting_job_frees_its_clients_slot() {
         .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
         .build()
         .unwrap();
+    let _release = Release(Arc::clone(&release));
     let gate = tier
         .submit_for(d695("blocker").with_name("gate"), Some("hog"), 0)
         .job()
@@ -610,6 +626,7 @@ fn journal_replays_a_pending_job_through_the_admission_room() {
         .sink(Arc::clone(&collector) as Arc<dyn EventSink>)
         .build()
         .unwrap();
+    let _release = Release(Arc::clone(&release));
     // Job 6 is the one waiting only once job 5 holds the worker.
     wait_for(&collector, |events| {
         events

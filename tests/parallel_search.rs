@@ -6,14 +6,15 @@
 //! Schedule JSON to the serial `optimal` search at 1, 2, 4 and N
 //! (machine) threads whenever the search completes within budget, and
 //! budget-exhausted runs must return a valid incumbent that is
-//! deterministic at every fixed thread count. Under a finite budget
-//! `optimal-par` runs the budget's first round unsplit: a tree that
-//! round finishes must be `optimal`'s answer down to the expansion count
-//! at 2, 3 and 4 threads, and a tree it leaves open must be split into
-//! an answer no worse than the round's. The portfolio tests prove
-//! losers observe cancellation — both when the exact entrant wins the
-//! race and when the parent job is cancelled through the Executor —
-//! and that racing never writes to the profile cache.
+//! deterministic at every fixed thread count and the same at 2, 3 and 4
+//! threads. Under a finite budget `optimal-par` runs the budget's first
+//! round unsplit: a tree that round finishes must be `optimal`'s answer
+//! down to the expansion count at 2, 3 and 4 threads, and a tree it
+//! leaves open must be split into an answer no worse than the round's.
+//! The portfolio tests prove losers observe cancellation — both when the
+//! exact entrant wins the race and when the parent job is cancelled
+//! through the Executor — and that racing never writes to the profile
+//! cache.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -254,9 +255,8 @@ fn budgets_below_the_round_count_return_the_seed_or_better() {
     }
 }
 
-/// The split that follows an open first round opens with that round's
-/// incumbent, so it never answers worse. At the smaller budget the
-/// split alone often could not find that incumbent again.
+/// The split of an open first round keeps that round's incumbent, so it
+/// never answers worse.
 #[test]
 fn a_tree_the_first_round_leaves_open_keeps_its_incumbent_and_repeats() {
     let _guard = serialised();
@@ -290,6 +290,41 @@ fn a_tree_the_first_round_leaves_open_keeps_its_incumbent_and_repeats() {
         assert!(
             open > 0,
             "budget {budget}: the first round finished every tree"
+        );
+    }
+}
+
+/// The split is the paused first round, whatever the crew, so a
+/// budget-exhausted search answers the same at every thread count of two
+/// or more, down to its statistics.
+#[test]
+fn budget_exhausted_answers_do_not_depend_on_the_thread_count() {
+    let _guard = serialised();
+    for budget in [1_000, ROUND_BUDGET] {
+        let mut exhausted = 0usize;
+        for seed in 0..SEEDS {
+            let sys = system_for_seed(seed);
+            let (two, two_stats) = parallel(&sys, 2, budget);
+            if !two_stats.exhausted {
+                continue;
+            }
+            exhausted += 1;
+            for threads in [3usize, 4] {
+                let (more, stats) = parallel(&sys, threads, budget);
+                let same = SearchStats {
+                    threads,
+                    ..two_stats
+                };
+                assert_eq!(
+                    (schedule_json(&more), stats),
+                    (schedule_json(&two), same),
+                    "seed {seed}, budget {budget}, {threads} threads"
+                );
+            }
+        }
+        assert!(
+            exhausted > 0,
+            "budget {budget}: no search exhausted its budget"
         );
     }
 }
